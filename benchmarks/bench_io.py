@@ -1,9 +1,9 @@
 """Unified benchmark-result I/O: one schema for every ``BENCH_*.json``.
 
 Every perf suite (fleet throughput, spatial-index microbenchmarks, world
-generation) funnels its numbers through :func:`write_bench` so the committed
-``BENCH_<suite>.json`` files share one shape and accumulate a comparable
-perf trajectory PR over PR:
+generation, observability overhead) funnels its numbers through
+:func:`write_bench` so every ``BENCH_<suite>.json`` — fresh runs and the
+committed baselines alike — shares one shape:
 
 .. code-block:: json
 
@@ -22,10 +22,11 @@ measured run) so the schema layer stays deterministic and testable.  Metric
 keys ending in ``_per_s`` or ``_speedup`` are the comparable, higher-is-better
 numbers that ``check_perf_regression.py`` gates on.
 
-Results land in the repo root by default; set the ``BENCH_OUT_DIR``
-environment variable (as the CI perf-smoke job does) to redirect fresh runs
-somewhere else so they can be compared against the committed baselines
-instead of overwriting them.
+Fresh results land in the git-ignored ``.bench_out/`` directory at the repo
+root, so running the suites never rewrites the committed baselines in the
+repo root; set the ``BENCH_OUT_DIR`` environment variable (as the CI
+perf-smoke job does) to write them somewhere else.  The baselines change
+only by deliberately copying fresh files over them.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ def bench_path(suite: str, out_dir: Optional[Path] = None) -> Path:
     """Where ``BENCH_<suite>.json`` lives.
 
     Precedence: explicit ``out_dir`` argument, then the ``BENCH_OUT_DIR``
-    environment variable, then the repo root.
+    environment variable, then the git-ignored ``.bench_out/`` in the repo
+    root.
     """
     if out_dir is None:
         env_dir = os.environ.get("BENCH_OUT_DIR")
-        out_dir = Path(env_dir) if env_dir else REPO_ROOT
+        out_dir = Path(env_dir) if env_dir else REPO_ROOT / ".bench_out"
     return Path(out_dir) / f"BENCH_{suite}.json"
 
 

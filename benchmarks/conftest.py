@@ -5,7 +5,9 @@ the spatial-oblivious baseline) flown through a reduced-scale environment.
 The paper's environments are 600–1200 m; the reduced scale (120 m, mild
 density) keeps the full benchmark suite runnable in minutes of pure Python
 while preserving the A/B *shape* — which design wins and by roughly what
-factor — that EXPERIMENTS.md records.  Scale the parameters back up for a
+factor.  The measured factors are the baseline÷RoboRun ratios that
+``perfbench/run.py`` prints for this environment (its ``corridor_ab``
+workload; see ``perfbench/README.md``).  Scale the parameters back up for a
 full-fidelity run.
 
 The benchmarks are built on the scenario layer: each mission is a
@@ -50,8 +52,9 @@ def bench_spec(design: str, env_config: EnvironmentConfig = BENCH_ENV, mission=B
 def mission_pair():
     """One RoboRun mission and one baseline mission on the shared environment.
 
-    The pair is flown as a two-scenario campaign (parallel when the machine
-    has the cores for it) with full results kept for the trace-level figures.
+    The pair is flown as a two-scenario campaign (on async workers when the
+    machine has the cores for it) with full results kept for the trace-level
+    figures.
     """
     specs = [bench_spec("roborun"), bench_spec("spatial_oblivious")]
     campaign = CampaignRunner().run(specs, keep_results=True)

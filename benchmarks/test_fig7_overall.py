@@ -5,7 +5,9 @@ time, 4X energy and a 36% CPU-utilisation reduction in RoboRun's favour.  The
 reduced-scale harness flies one environment pair (see ``conftest.BENCH_ENV``),
 folds it through the shared :func:`repro.analysis.figures.fig7_overall`
 aggregator (the same code path the campaign report CLI uses) and prints the
-same four rows; EXPERIMENTS.md records the measured ratios.
+same four rows.  ``perfbench/run.py --workload corridor_ab`` prints the
+measured baseline÷RoboRun mission-time and energy ratios for this
+environment (see ``perfbench/README.md``).
 """
 
 import pytest
@@ -33,8 +35,8 @@ def test_fig7_mission_level_metrics(benchmark, mission_pair):
     # Shape: RoboRun finishes the mission no slower than the static baseline
     # and with a (much) lower median decision latency.  Mean velocity over the
     # whole path can dip below the baseline's at reduced scale because
-    # RoboRun's replans wander more (see EXPERIMENTS.md); flight time and the
-    # per-zone velocities are the robust mission-level signals.
+    # RoboRun's replans wander more; flight time and the per-zone velocities
+    # are the robust mission-level signals.
     assert roborun.mission_time_s <= baseline.mission_time_s * 1.05
     assert roborun.median_latency_s < baseline.median_latency_s
     # Both designs produce decisions and energy follows mission time.

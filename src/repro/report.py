@@ -18,8 +18,11 @@ Usage::
     python -m repro.report --grid examples/grid_small.json \
         --workers 4 --csv-dir reports/csv --out reports/small.md
 
-    # Async work-stealing execution with retry/timeout, resumable
-    python -m repro.report --grid big_grid.json --mode async \
+    # One worker: every spec inline in this process (serial)
+    python -m repro.report --grid examples/grid_small.json --workers 1
+
+    # Per-spec timeout and retry budget, resumable after an interruption
+    python -m repro.report --grid big_grid.json \
         --spec-timeout 300 --max-attempts 3 --resume
 
 Grid files take one of three JSON shapes:
@@ -128,16 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="campaign pool size (default: one per core; 1 = serial)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=["serial", "sync", "async"],
-        default=None,
         help=(
-            "campaign execution mode: serial (inline), sync (Pool.map "
-            "barrier) or async (persistent work-stealing workers with "
-            "retry/timeout); default: $REPRO_CAMPAIGN_MODE or sync"
+            "campaign worker processes, persistent and work-stealing "
+            "(default: one per core; 1 = serial, inline)"
         ),
     )
     parser.add_argument(
@@ -155,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "async mode: per-spec wall-clock budget; an over-budget worker "
-            "is killed and the spec retried (default: no timeout)"
+            "parallel campaigns: per-spec wall-clock budget; an over-budget "
+            "worker is killed and the spec retried (default: no timeout)"
         ),
     )
     parser.add_argument(
@@ -164,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help=(
-            "async mode: dispatch attempts per spec before it is excluded "
-            "as poisoned and reported as an error (default: 3)"
+            "parallel campaigns: dispatch attempts per spec before it is "
+            "excluded as poisoned and reported as an error (default: 3)"
         ),
     )
     parser.add_argument(
@@ -253,7 +249,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             progress = _ProgressLine(len(specs))
         runner = CampaignRunner(
             max_workers=args.workers,
-            mode=args.mode,
             spec_timeout_s=args.spec_timeout,
             max_attempts=args.max_attempts,
         )

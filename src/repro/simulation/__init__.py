@@ -10,15 +10,18 @@ simulated-clock decision pipeline built on the in-process middleware:
   executor; one decision is one message cascade, and the ``comm_*`` latency
   entries are hop records anchored to the messages that actually crossed the
   bus.
-* :mod:`repro.simulation.mission` — the thin façade that wires the graph,
-  drives one sensor tick per decision and owns mission-level termination and
-  metric assembly.
+* :mod:`repro.simulation.fleet` — the one decision loop: N drones'
+  pipelines on one shared bus, executor and clock, one sensor tick per drone
+  per epoch, mission-level termination and metric assembly.
+* :mod:`repro.simulation.mission` — one drone's kit (kernels, models,
+  operator set) that wires its graph; :class:`MissionSimulator` flies it as
+  a fleet of one.
 * :mod:`repro.simulation.scenario` / :mod:`repro.simulation.campaign` — the
   declarative scenario layer: serialisable :class:`ScenarioSpec`s (with fault
   injection from :mod:`repro.simulation.faults`) fanned across worker
   processes by :class:`CampaignRunner` into an aggregated
   :class:`CampaignResult`; :mod:`repro.simulation.async_runner` is the
-  persistent work-stealing engine behind ``mode="async"`` (per-spec
+  persistent work-stealing engine behind every parallel campaign (per-spec
   timeouts, bounded retry, poisoned-spec exclusion).
 * :mod:`repro.simulation.faults` / :mod:`repro.simulation.orchestrator` —
   the open fault library (registered fault classes acting at the sense

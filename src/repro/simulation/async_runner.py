@@ -1,10 +1,8 @@
 """Asynchronous campaign engine: persistent work-stealing workers.
 
-The sync campaign path (:meth:`~repro.simulation.campaign.CampaignRunner.
-_run_pool`) is one ``Pool.map`` barrier: every spec is assigned up front, a
-fast worker idles while a slow archetype finishes, and one hard-crashed
-worker (SIGKILL, OOM-kill, segfault in an extension) wedges the whole
-campaign.  This module is the GenTen-style asynchronous alternative:
+Every parallel campaign runs here (GenTen-style asynchronous parallelism;
+:class:`~repro.simulation.campaign.CampaignRunner` flies one-worker
+campaigns inline instead):
 
 * **Work stealing** — N persistent worker processes pull ``(index,
   payload)`` tasks from one shared queue, so mission-length skew between
@@ -21,10 +19,10 @@ campaign.  This module is the GenTen-style asynchronous alternative:
   outlived the budget is killed outright and its spec goes through the
   same retry/exclusion path.
 
-Determinism is unchanged from the sync path: rows are keyed by spec index
-and reassembled in spec order, and each trace file depends only on its spec
-(a retried attempt truncates and rewrites the identical bytes), so serial,
-sync-pool and async runs of the same grid agree byte-for-byte.
+Determinism matches the serial path: rows are keyed by spec index and
+reassembled in spec order, and each trace file depends only on its spec (a
+retried attempt truncates and rewrites the identical bytes), so serial and
+async runs of the same grid agree byte-for-byte.
 """
 
 from __future__ import annotations
@@ -37,11 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
-from repro.simulation.campaign import (
-    _run_payload,
-    _telemetry_initializer,
-    write_error_trace,
-)
+from repro.simulation import campaign
 
 #: Claims-array value meaning "this worker holds no spec".
 _IDLE = -1
@@ -65,14 +59,14 @@ def _async_worker_main(
     always attribute a dead worker to the spec it was flying.
     """
     if telemetry_queue is not None:
-        _telemetry_initializer(telemetry_queue)
+        campaign._worker_telemetry_sink = telemetry_queue
     while True:
         item = task_queue.get()
         if item is None:
             return
         index, payload = item
         claims[worker_id] = index
-        row = _run_payload(payload)
+        row = campaign._run_payload(payload)
         result_queue.put((index, row))
         claims[worker_id] = _IDLE
 
@@ -288,7 +282,7 @@ class AsyncCampaignEngine:
         }
         self._rows[index] = {"spec": spec_dict, "error": error}
         if payload.get("trace_dir"):
-            write_error_trace(payload["trace_dir"], spec_dict, error)
+            campaign.write_error_trace(payload["trace_dir"], spec_dict, error)
         self._emit(index, "error", elapsed, error=f"{error_type}: {message}")
 
     def _release_retries(self) -> None:

@@ -1,4 +1,4 @@
-"""The fleet simulator: N decision pipelines over one world, bus and clock.
+"""The decision loop: N decision pipelines over one world, bus and clock.
 
 A fleet mission flies ``n_drones`` copies of the decision stack through one
 shared :class:`~repro.environment.world.World`.  Nothing is forked: each
@@ -23,11 +23,10 @@ that drone's occupancy octree through the same incremental
 so each drone's octomap, governor profile and planner all see the rest of
 the fleet where it currently is.
 
-With ``n_drones=1`` nothing of the above engages: no peers, the root
-namespace, and an epoch loop that mirrors
-:meth:`~repro.simulation.mission.MissionSimulator.run` statement for
-statement — single-drone fleet missions are bit-identical to the
-single-drone simulator (golden-pinned in the test suite).
+:func:`fly_epochs` is the package's only decision loop.
+:meth:`MissionSimulator.run <repro.simulation.mission.MissionSimulator.run>`
+flies one drone through it, so a single-drone mission *is* a fleet of one:
+no peers, the root namespace, and a mission record without fleet fields.
 """
 
 from __future__ import annotations
@@ -230,40 +229,6 @@ class FleetSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Peer exposure
-    # ------------------------------------------------------------------
-    def _expose_peers(
-        self,
-        drone_id: int,
-        active: List[int],
-        pipelines: List[DecisionPipeline],
-        peer_marks: List[List[tuple]],
-    ) -> None:
-        """Fold the other active drones into this drone's view of the world.
-
-        Updates the world's agent obstacle layer (ground truth) and re-marks
-        the peers' boxes into this drone's octree through the incremental
-        spatial index, clearing the previous epoch's footprints first.
-        """
-        size = Vec3(self.peer_box_m, self.peer_box_m, self.peer_box_m)
-        obstacles = [
-            Obstacle(
-                AABB.from_center(pipelines[peer].flight.state.position, size),
-                name=f"drone_{peer}",
-            )
-            for peer in active
-            if peer != drone_id
-        ]
-        self.environment.world.set_agent_obstacles(obstacles)
-        octree = self.simulators[drone_id].operators.octree
-        if peer_marks[drone_id]:
-            octree.clear_cells(peer_marks[drone_id])
-        keys: List[tuple] = []
-        for obstacle in obstacles:
-            keys.extend(octree.mark_box(obstacle.box))
-        peer_marks[drone_id] = keys
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(
@@ -272,221 +237,279 @@ class FleetSimulator:
         taps: Sequence = (),
     ) -> FleetResult:
         """Fly the fleet mission and return per-drone plus aggregate results."""
-        cfg = self.config
-        n = self.n_drones
-        clock = SimClock()
-        bus = TopicBus()
-        executor = Executor(bus, clock, record_dispatch=True)
-        pipelines: List[DecisionPipeline] = []
-        for drone_id, sim in enumerate(self.simulators):
-            namespace = (
-                TopicNamespace() if n == 1 else TopicNamespace.for_drone(drone_id)
-            )
-            pipeline = sim.build_pipeline(
-                namespace=namespace, executor=executor, drone_id=drone_id
-            )
-            if recorder is not None:
-                pipeline.add_tap(recorder, energy_model=sim.energy_model)
-            for tap in taps:
-                pipeline.add_tap(tap, energy_model=sim.energy_model)
-            pipelines.append(pipeline)
+        return fly_epochs(
+            self.simulators,
+            recorder,
+            taps,
+            peer_box_m=self.peer_box_m,
+            conflict_distance_m=self.conflict_distance_m,
+        )
 
-        distance = [0.0] * n
-        collided = [False] * n
-        reached = [False] * n
-        finish_time: List[Optional[float]] = [None] * n
-        last_outcome = [None] * n
-        peer_marks: List[List[tuple]] = [[] for _ in range(n)]
-        active = list(range(n))
-        min_separation: Optional[float] = None
-        airspace_conflicts = 0
 
-        for epoch in range(cfg.max_decisions):
-            if clock.now > cfg.max_mission_time_s:
-                break
-            if not active:
-                break
+def fly_epochs(
+    simulators: Sequence[MissionSimulator],
+    recorder: Optional["TraceRecorder"] = None,
+    taps: Sequence = (),
+    *,
+    peer_box_m: float = 1.0,
+    conflict_distance_m: float = 2.0,
+) -> FleetResult:
+    """Fly one drone per simulator in lock-stepped epochs until all finish.
 
-            # Deterministic round-robin: each drone's cascade fully drains
-            # (step() spins the shared executor dry) before the next starts.
-            intervals = []
-            for drone_id in active:
-                if n > 1:
-                    self._expose_peers(drone_id, active, pipelines, peer_marks)
-                outcome = pipelines[drone_id].step(epoch)
-                last_outcome[drone_id] = outcome
-                distance[drone_id] += outcome.flown
-                intervals.append(outcome.interval)
-            clock.advance(max(intervals))
+    Drone k flies ``simulators[k]``'s environment, runtime and operator set
+    (so its occupancy map persists across runs of that simulator); drone 0's
+    environment is the shared one.  A drone finishes on collision, then
+    goal, then the plan-failure streak, checked in that order after every
+    epoch; the decision and mission-time caps of drone 0's config end the
+    whole mission.  ``peer_box_m`` and ``conflict_distance_m`` have the
+    meaning :class:`FleetSimulator` documents and never matter for one drone.
 
-            if len(active) >= 2:
-                positions = [pipelines[d].flight.state.position for d in active]
-                epoch_min = min(
-                    a.distance_to(b) for a, b in itertools.combinations(positions, 2)
-                )
-                if min_separation is None or epoch_min < min_separation:
-                    min_separation = epoch_min
-                if epoch_min < self.conflict_distance_m:
-                    airspace_conflicts += 1
-
-            # Per-drone termination, checked in the single-drone order:
-            # collision, then goal, then the plan-failure streak.  Finished
-            # drones leave the airspace (peers stop seeing them next epoch).
-            for drone_id in list(active):
-                outcome = last_outcome[drone_id]
-                goal = self.simulators[drone_id].environment.goal
-                done = False
-                if outcome.hit:
-                    collided[drone_id] = True
-                    done = True
-                elif outcome.state.position.distance_to(goal) <= cfg.goal_tolerance_m:
-                    reached[drone_id] = True
-                    done = True
-                elif (
-                    pipelines[drone_id].planning.consecutive_plan_failures
-                    >= cfg.max_consecutive_plan_failures
-                ):
-                    done = True
-                if done:
-                    finish_time[drone_id] = clock.now
-                    active.remove(drone_id)
-
-        for drone_id in range(n):
-            if finish_time[drone_id] is None:
-                finish_time[drone_id] = clock.now
-
-        # Leave the shared world clean: no stale agent boxes or peer voxels.
-        if n > 1:
-            self.environment.world.set_agent_obstacles([])
-            for drone_id in range(n):
-                if peer_marks[drone_id]:
-                    self.simulators[drone_id].operators.octree.clear_cells(
-                        peer_marks[drone_id]
-                    )
-
-        per_drone: List[MissionMetrics] = []
-        deadline_misses: List[int] = []
-        results: List[MissionResult] = []
-        for drone_id in range(n):
-            metrics, misses = self._drone_metrics(
-                drone_id,
-                pipelines[drone_id],
-                distance[drone_id],
-                finish_time[drone_id],
-                collided[drone_id],
-                reached[drone_id],
-            )
-            per_drone.append(metrics)
-            deadline_misses.append(misses)
-            sim = self.simulators[drone_id]
-            results.append(
-                MissionResult(
-                    metrics=metrics,
-                    traces=pipelines[drone_id].traces,
-                    ledger=pipelines[drone_id].ledger,
-                    environment=sim.environment,
-                    design=sim.runtime.name,
-                    pipeline=pipelines[drone_id],
-                )
-            )
-
-        aggregate = self._aggregate_metrics(per_drone, deadline_misses, finish_time)
-        fleet = FleetMetrics(
-            n_drones=n,
-            completion_rate=sum(1 for m in per_drone if m.success) / n,
-            collisions=sum(1 for hit in collided if hit),
-            makespan_s=max(finish_time),
-            fleet_energy_kj=sum(m.energy_j for m in per_drone) / 1000.0,
-            min_separation_m=min_separation,
-            airspace_conflicts=airspace_conflicts,
+    Args:
+        recorder: optional :class:`~repro.analysis.recorder.TraceRecorder`,
+            attached to every drone's pipeline as a passive topic tap; it
+            receives one record per drone-decision plus the final mission
+            record (with fleet fields only for two or more drones).  ``None``
+            adds no tracing work at all.
+        taps: further passive observers (``repro.obs`` taps such as
+            :class:`~repro.obs.tap.ObsTap`), attached the same way.
+    """
+    n = len(simulators)
+    cfg = simulators[0].config
+    world = simulators[0].environment.world
+    clock = SimClock()
+    executor = Executor(TopicBus(), clock, record_dispatch=True)
+    pipelines: List[DecisionPipeline] = []
+    for drone_id, sim in enumerate(simulators):
+        namespace = TopicNamespace() if n == 1 else TopicNamespace.for_drone(drone_id)
+        pipeline = sim.build_pipeline(
+            namespace=namespace, executor=executor, drone_id=drone_id
         )
         if recorder is not None:
+            pipeline.add_tap(recorder, energy_model=sim.energy_model)
+        for tap in taps:
+            pipeline.add_tap(tap, energy_model=sim.energy_model)
+        pipelines.append(pipeline)
+
+    distance = [0.0] * n
+    collided = [False] * n
+    reached = [False] * n
+    finish_time: List[Optional[float]] = [None] * n
+    last_outcome = [None] * n
+    peer_marks: List[List[tuple]] = [[] for _ in range(n)]
+    active = list(range(n))
+    min_separation: Optional[float] = None
+    airspace_conflicts = 0
+
+    for epoch in range(cfg.max_decisions):
+        if clock.now > cfg.max_mission_time_s:
+            break
+        if not active:
+            break
+
+        # Deterministic round-robin: each drone's cascade fully drains
+        # (step() spins the shared executor dry) before the next starts.
+        intervals = []
+        for drone_id in active:
+            if n > 1:
+                _expose_peers(drone_id, active, pipelines, peer_marks, peer_box_m)
+            outcome = pipelines[drone_id].step(epoch)
+            last_outcome[drone_id] = outcome
+            distance[drone_id] += outcome.flown
+            intervals.append(outcome.interval)
+        clock.advance(max(intervals))
+
+        if len(active) >= 2:
+            positions = [pipelines[d].flight.state.position for d in active]
+            epoch_min = min(
+                a.distance_to(b) for a, b in itertools.combinations(positions, 2)
+            )
+            if min_separation is None or epoch_min < min_separation:
+                min_separation = epoch_min
+            if epoch_min < conflict_distance_m:
+                airspace_conflicts += 1
+
+        # Per-drone termination: collision, then goal, then the plan-failure
+        # streak.  Finished drones leave the airspace (peers stop seeing
+        # them next epoch).
+        for drone_id in list(active):
+            outcome = last_outcome[drone_id]
+            goal = simulators[drone_id].environment.goal
+            done = False
+            if outcome.hit:
+                collided[drone_id] = True
+                done = True
+            elif outcome.state.position.distance_to(goal) <= cfg.goal_tolerance_m:
+                reached[drone_id] = True
+                done = True
+            elif (
+                pipelines[drone_id].planning.consecutive_plan_failures
+                >= cfg.max_consecutive_plan_failures
+            ):
+                done = True
+            if done:
+                finish_time[drone_id] = clock.now
+                active.remove(drone_id)
+
+    for drone_id in range(n):
+        if finish_time[drone_id] is None:
+            finish_time[drone_id] = clock.now
+
+    # Leave the shared world clean: no stale agent boxes or peer voxels.
+    if n > 1:
+        world.set_agent_obstacles([])
+        for drone_id in range(n):
+            if peer_marks[drone_id]:
+                pipelines[drone_id].flight.operators.octree.clear_cells(
+                    peer_marks[drone_id]
+                )
+
+    drones = [
+        _drone_result(
+            simulators[drone_id],
+            pipelines[drone_id],
+            distance[drone_id],
+            finish_time[drone_id],
+            collided[drone_id],
+            reached[drone_id],
+        )
+        for drone_id in range(n)
+    ]
+    per_drone = [drone.metrics for drone in drones]
+    aggregate = _aggregate_metrics(drones)
+    fleet = FleetMetrics(
+        n_drones=n,
+        completion_rate=sum(1 for m in per_drone if m.success) / n,
+        collisions=sum(1 for hit in collided if hit),
+        makespan_s=aggregate.mission_time_s,
+        fleet_energy_kj=aggregate.energy_j / 1000.0,
+        min_separation_m=min_separation,
+        airspace_conflicts=airspace_conflicts,
+    )
+    if recorder is not None:
+        if n > 1:
             recorder.on_mission_end(
                 aggregate,
                 fleet=fleet.as_dict(),
                 drones=[m.as_dict() for m in per_drone],
             )
-        return FleetResult(
-            metrics=aggregate,
-            fleet=fleet,
-            drones=results,
-            environment=self.environment,
-            design=per_drone[0].design,
-            pipeline=pipelines[0],
-        )
+        else:
+            recorder.on_mission_end(aggregate)
+    return FleetResult(
+        metrics=aggregate,
+        fleet=fleet,
+        drones=drones,
+        environment=simulators[0].environment,
+        design=aggregate.design,
+        pipeline=pipelines[0],
+    )
 
-    # ------------------------------------------------------------------
-    # Metric assembly
-    # ------------------------------------------------------------------
-    def _drone_metrics(
-        self,
-        drone_id: int,
-        pipeline: DecisionPipeline,
-        distance: float,
-        mission_time: float,
-        hit: bool,
-        reached_goal: bool,
-    ) -> tuple[MissionMetrics, int]:
-        """One drone's MissionMetrics, assembled exactly as the single-drone
-        simulator assembles them (same expressions, same order of operations,
-        so N=1 stays bit-identical)."""
-        sim = self.simulators[drone_id]
-        traces = pipeline.traces
-        ledger = pipeline.ledger
-        mean_velocity = distance / mission_time if mission_time > 0 else 0.0
-        energy = sim.energy_model.mission_energy(
-            flight_time_s=mission_time,
-            mean_speed=mean_velocity,
-            compute_busy_s=pipeline.cpu.total_busy_seconds(),
-        )
-        latencies = ledger.end_to_end_latencies()
-        deadline_misses = sum(1 for t in traces if not t.deadline_met)
-        metrics = MissionMetrics(
-            design=sim.runtime.name,
-            success=reached_goal and not hit,
-            collided=hit,
-            mission_time_s=mission_time,
-            distance_travelled_m=distance,
-            mean_velocity_mps=mean_velocity,
-            energy_j=energy,
-            mean_cpu_utilization=pipeline.cpu.mean_utilization(),
-            decision_count=len(traces),
-            median_latency_s=ledger.median_latency(),
-            max_latency_s=max(latencies) if latencies else 0.0,
-            deadline_miss_rate=deadline_misses / len(traces) if traces else 0.0,
-            replan_count=sim.operators.plan_count,
-        )
-        return metrics, deadline_misses
 
-    def _aggregate_metrics(
-        self,
-        per_drone: List[MissionMetrics],
-        deadline_misses: List[int],
-        finish_time: List[float],
-    ) -> MissionMetrics:
-        """Fleet-aggregate MissionMetrics.
+def _expose_peers(
+    drone_id: int,
+    active: List[int],
+    pipelines: List[DecisionPipeline],
+    peer_marks: List[List[tuple]],
+    peer_box_m: float,
+) -> None:
+    """Fold the other active drones into this drone's view of the world.
 
-        Every fold collapses to the single drone's value at N=1 (sum/max/
-        mean over one element, miss counts re-divided by the same decision
-        count), which is what makes the aggregate a drop-in replacement for
-        the single-drone metrics everywhere downstream.
-        """
-        n = len(per_drone)
-        total_decisions = sum(m.decision_count for m in per_drone)
-        return MissionMetrics(
-            design=per_drone[0].design,
-            success=all(m.success for m in per_drone),
-            collided=any(m.collided for m in per_drone),
-            mission_time_s=max(finish_time),
-            distance_travelled_m=sum(m.distance_travelled_m for m in per_drone),
-            mean_velocity_mps=sum(m.mean_velocity_mps for m in per_drone) / n,
-            energy_j=sum(m.energy_j for m in per_drone),
-            mean_cpu_utilization=sum(m.mean_cpu_utilization for m in per_drone) / n,
-            decision_count=total_decisions,
-            median_latency_s=sum(m.median_latency_s for m in per_drone) / n,
-            max_latency_s=max(m.max_latency_s for m in per_drone),
-            deadline_miss_rate=(
-                sum(deadline_misses) / total_decisions if total_decisions else 0.0
-            ),
-            replan_count=sum(m.replan_count for m in per_drone),
+    Updates the shared world's agent obstacle layer (ground truth) and
+    re-marks the peers' boxes into this drone's octree through the
+    incremental spatial index, clearing the previous epoch's footprints
+    first.
+    """
+    size = Vec3(peer_box_m, peer_box_m, peer_box_m)
+    obstacles = [
+        Obstacle(
+            AABB.from_center(pipelines[peer].flight.state.position, size),
+            name=f"drone_{peer}",
         )
+        for peer in active
+        if peer != drone_id
+    ]
+    pipeline = pipelines[drone_id]
+    pipeline.environment.world.set_agent_obstacles(obstacles)
+    octree = pipeline.flight.operators.octree
+    if peer_marks[drone_id]:
+        octree.clear_cells(peer_marks[drone_id])
+    keys: List[tuple] = []
+    for obstacle in obstacles:
+        keys.extend(octree.mark_box(obstacle.box))
+    peer_marks[drone_id] = keys
+
+
+def _drone_result(
+    sim: MissionSimulator,
+    pipeline: DecisionPipeline,
+    distance: float,
+    mission_time: float,
+    hit: bool,
+    reached_goal: bool,
+) -> MissionResult:
+    """One drone's metrics, traces and ledger once the loop has ended."""
+    traces = pipeline.traces
+    ledger = pipeline.ledger
+    mean_velocity = distance / mission_time if mission_time > 0 else 0.0
+    energy = sim.energy_model.mission_energy(
+        flight_time_s=mission_time,
+        mean_speed=mean_velocity,
+        compute_busy_s=pipeline.cpu.total_busy_seconds(),
+    )
+    latencies = ledger.end_to_end_latencies()
+    deadline_misses = sum(1 for t in traces if not t.deadline_met)
+    metrics = MissionMetrics(
+        design=sim.runtime.name,
+        success=reached_goal and not hit,
+        collided=hit,
+        mission_time_s=mission_time,
+        distance_travelled_m=distance,
+        mean_velocity_mps=mean_velocity,
+        energy_j=energy,
+        mean_cpu_utilization=pipeline.cpu.mean_utilization(),
+        decision_count=len(traces),
+        median_latency_s=ledger.median_latency(),
+        max_latency_s=max(latencies) if latencies else 0.0,
+        deadline_miss_rate=deadline_misses / len(traces) if traces else 0.0,
+        replan_count=sim.operators.plan_count,
+    )
+    return MissionResult(
+        metrics=metrics,
+        traces=traces,
+        ledger=ledger,
+        environment=sim.environment,
+        design=sim.runtime.name,
+        pipeline=pipeline,
+    )
+
+
+def _aggregate_metrics(drones: List[MissionResult]) -> MissionMetrics:
+    """Fleet-aggregate MissionMetrics.
+
+    Every fold collapses to the single drone's value at N=1 (sum/max/mean
+    over one element, miss counts re-divided by the same decision count),
+    which is what makes the aggregate a drop-in replacement for the
+    single-drone metrics everywhere downstream.
+    """
+    per_drone = [drone.metrics for drone in drones]
+    n = len(per_drone)
+    total_decisions = sum(m.decision_count for m in per_drone)
+    deadline_misses = sum(
+        1 for drone in drones for t in drone.traces if not t.deadline_met
+    )
+    return MissionMetrics(
+        design=per_drone[0].design,
+        success=all(m.success for m in per_drone),
+        collided=any(m.collided for m in per_drone),
+        mission_time_s=max(m.mission_time_s for m in per_drone),
+        distance_travelled_m=sum(m.distance_travelled_m for m in per_drone),
+        mean_velocity_mps=sum(m.mean_velocity_mps for m in per_drone) / n,
+        energy_j=sum(m.energy_j for m in per_drone),
+        mean_cpu_utilization=sum(m.mean_cpu_utilization for m in per_drone) / n,
+        decision_count=total_decisions,
+        median_latency_s=sum(m.median_latency_s for m in per_drone) / n,
+        max_latency_s=max(m.max_latency_s for m in per_drone),
+        deadline_miss_rate=(
+            deadline_misses / total_decisions if total_decisions else 0.0
+        ),
+        replan_count=sum(m.replan_count for m in per_drone),
+    )

@@ -5,14 +5,16 @@ rescue) through a generated environment under a given runtime (RoboRun or the
 spatial-oblivious baseline) and returns the mission-level metrics plus the
 per-decision traces the analysis layer turns into the paper's figures.
 
-The simulator is a thin façade over the node-based decision pipeline
-(:mod:`repro.simulation.pipeline`): it wires the six pipeline nodes —
-sense, profile, governor, perception, planning, flight — over the middleware
-bus, drives one sensor tick per decision, drains the executor until the
-cascade completes, and owns only the mission-level policy: termination
-(goal, collision, plan-failure and time limits), distance integration and
-metric assembly.  Stage logic, latency charging and the comm hops all live
-in the nodes.
+The simulator owns one drone's kit — kernels, models and the operator set —
+and wires it into the node-based decision pipeline
+(:mod:`repro.simulation.pipeline`): the six nodes — sense, profile,
+governor, perception, planning, flight — over the middleware bus.  Its
+:meth:`~MissionSimulator.run` is the one-drone case of the fleet decision
+loop (:func:`repro.simulation.fleet.fly_epochs`), which drives one sensor
+tick per decision and owns the mission-level policy: termination (goal,
+collision, plan-failure and time limits), distance integration and metric
+assembly.  Stage logic, latency charging and the comm hops all live in the
+nodes.
 """
 
 from __future__ import annotations
@@ -177,13 +179,14 @@ class MissionSimulator:
     """Runs one mission of one design through one generated environment.
 
     Wires the six-node decision pipeline over the simulator's kernels and
-    models, drives one decision cascade per sensor tick
-    (``sensor_period_s`` seconds apart, or slower when the decision latency
-    exceeds the period) and assembles the
-    :class:`~repro.simulation.metrics.MissionMetrics` at termination (goal
-    reached, collision, plan-failure streak, or the time/decision caps).
-    Repeated ``run()`` calls share the operator set, so the occupancy map
-    persists across runs of the same simulator.
+    models.  :meth:`run` flies it as a fleet of one: one decision cascade
+    per sensor tick (``sensor_period_s`` seconds apart, or slower when the
+    decision latency exceeds the period) until termination (goal reached,
+    collision, plan-failure streak, or the time/decision caps), then the
+    :class:`~repro.simulation.metrics.MissionMetrics`.  A
+    :class:`~repro.simulation.fleet.FleetSimulator` holds one of these per
+    drone.  Repeated ``run()`` calls share the operator set, so the
+    occupancy map persists across runs of the same simulator.
     """
 
     def __init__(
@@ -247,10 +250,8 @@ class MissionSimulator:
         Without arguments each call creates a new bus, executor, clock and
         accounting; the pipeline shares the simulator's operator set, so the
         occupancy map carries over between pipelines built by the same
-        simulator (exactly as repeated ``run()`` calls shared it before the
-        node refactor).  The fleet simulator passes a shared ``executor``
-        plus a per-drone ``namespace``/``drone_id`` so N graphs coexist on
-        one bus.
+        simulator.  The decision loop passes a shared ``executor`` plus a
+        per-drone ``namespace``/``drone_id`` so N graphs coexist on one bus.
         """
         return DecisionPipeline(
             environment=self.environment,
@@ -270,7 +271,7 @@ class MissionSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Main loop
+    # Flight
     # ------------------------------------------------------------------
     def run(
         self,
@@ -278,6 +279,10 @@ class MissionSimulator:
         taps: Sequence = (),
     ) -> MissionResult:
         """Fly the mission and return its metrics and traces.
+
+        The mission is the one-drone case of
+        :func:`repro.simulation.fleet.fly_epochs`, flown over this
+        simulator's own operator set.
 
         Args:
             recorder: optional :class:`~repro.analysis.recorder.
@@ -289,72 +294,7 @@ class MissionSimulator:
                 :class:`~repro.obs.tap.ObsTap`), attached the same way.
                 Empty (the default) adds no instrumentation work at all.
         """
-        cfg = self.config
-        env = self.environment
-        pipeline = self.build_pipeline()
-        if recorder is not None:
-            pipeline.add_tap(recorder, energy_model=self.energy_model)
-        for tap in taps:
-            pipeline.add_tap(tap, energy_model=self.energy_model)
-        clock = pipeline.clock
+        # Deferred: the fleet module builds on this one.
+        from repro.simulation.fleet import fly_epochs
 
-        distance_travelled = 0.0
-        collided = False
-        reached_goal = False
-
-        for decision_index in range(cfg.max_decisions):
-            if clock.now > cfg.max_mission_time_s:
-                break
-
-            outcome = pipeline.step(decision_index)
-            distance_travelled += outcome.flown
-            clock.advance(outcome.interval)
-
-            if outcome.hit:
-                collided = True
-                break
-            if outcome.state.position.distance_to(env.goal) <= cfg.goal_tolerance_m:
-                reached_goal = True
-                break
-            if (
-                pipeline.planning.consecutive_plan_failures
-                >= cfg.max_consecutive_plan_failures
-            ):
-                break
-
-        traces = pipeline.traces
-        ledger = pipeline.ledger
-        mission_time = clock.now
-        mean_velocity = distance_travelled / mission_time if mission_time > 0 else 0.0
-        energy = self.energy_model.mission_energy(
-            flight_time_s=mission_time,
-            mean_speed=mean_velocity,
-            compute_busy_s=pipeline.cpu.total_busy_seconds(),
-        )
-        latencies = ledger.end_to_end_latencies()
-        deadline_misses = sum(1 for t in traces if not t.deadline_met)
-        metrics = MissionMetrics(
-            design=self.runtime.name,
-            success=reached_goal and not collided,
-            collided=collided,
-            mission_time_s=mission_time,
-            distance_travelled_m=distance_travelled,
-            mean_velocity_mps=mean_velocity,
-            energy_j=energy,
-            mean_cpu_utilization=pipeline.cpu.mean_utilization(),
-            decision_count=len(traces),
-            median_latency_s=ledger.median_latency(),
-            max_latency_s=max(latencies) if latencies else 0.0,
-            deadline_miss_rate=deadline_misses / len(traces) if traces else 0.0,
-            replan_count=self.operators.plan_count,
-        )
-        if recorder is not None:
-            recorder.on_mission_end(metrics)
-        return MissionResult(
-            metrics=metrics,
-            traces=traces,
-            ledger=ledger,
-            environment=env,
-            design=self.runtime.name,
-            pipeline=pipeline,
-        )
+        return fly_epochs([self], recorder, taps).drones[0]

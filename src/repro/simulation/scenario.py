@@ -18,12 +18,12 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.environment.generator import EnvironmentConfig
 from repro.simulation.faults import FAULT_SET_KEYS, FaultSet
 from repro.simulation.fleet import FleetResult, FleetSimulator
-from repro.simulation.mission import MissionConfig, MissionResult, MissionSimulator
+from repro.simulation.mission import MissionConfig
 from repro.worlds import WorldSpec, archetype_names, build_environment, is_registered
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,7 +56,7 @@ class ScenarioSpec:
         world: which procedural world archetype to fly through (defaults to
             the paper corridor, so pre-worlds specs behave identically).
         n_drones: fleet size; 1 (the default, and what every saved pre-fleet
-            spec deserialises to) flies the single-drone simulator.
+            spec deserialises to) flies a single drone.
     """
 
     name: str
@@ -101,30 +101,22 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def build_simulator(self) -> Union[MissionSimulator, FleetSimulator]:
-        """Generate the world and wire a simulator for this scenario.
+    def build_simulator(self) -> FleetSimulator:
+        """Generate the world and wire a fleet simulator for this scenario.
 
         The environment is built through the worlds registry: for the
         default :class:`~repro.worlds.spec.WorldSpec` this is the paper
         corridor with a bit-identical obstacle list to the pre-worlds
         generator, plus the heterogeneity field the trace recorder samples.
-        Specs with ``n_drones > 1`` get a
-        :class:`~repro.simulation.fleet.FleetSimulator` over the same
-        environment; both simulators share the ``run(recorder=...)`` shape.
+        A single-drone spec is a fleet of one, which flies and records
+        exactly as a :class:`~repro.simulation.mission.MissionSimulator`.
         """
         environment = build_environment(self.environment, self.world)
-        if self.n_drones > 1:
-            return FleetSimulator(
-                environment,
-                lambda: _build_runtime(self.design),
-                self.mission,
-                n_drones=self.n_drones,
-                faults=self.faults,
-            )
-        return MissionSimulator(
+        return FleetSimulator(
             environment,
-            _build_runtime(self.design),
+            lambda: _build_runtime(self.design),
             self.mission,
+            n_drones=self.n_drones,
             faults=self.faults,
         )
 
@@ -132,7 +124,7 @@ class ScenarioSpec:
         self,
         recorder: Optional["TraceRecorder"] = None,
         taps: Sequence = (),
-    ) -> Union[MissionResult, FleetResult]:
+    ) -> FleetResult:
         """Fly the scenario once and return the full mission result.
 
         Args:

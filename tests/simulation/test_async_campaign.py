@@ -1,9 +1,8 @@
 """The async campaign engine: work stealing, chaos, timeouts, resume.
 
-The acceptance bar is the sync path's own guarantee carried over: serial,
-sync-pool and async runs of the same grid produce byte-identical per-spec
-JSONL traces and identical aggregates — plus the robustness the sync pool
-cannot offer: a SIGKILLed worker neither hangs nor aborts the campaign, a
+The acceptance bar: serial and async runs of the same grid produce
+byte-identical per-spec JSONL traces and identical aggregates — plus
+robustness: a SIGKILLed worker neither hangs nor aborts the campaign, a
 poisoned spec is excluded as an error outcome after bounded retries, and
 ``resume=True`` skips specs whose traces already completed.
 
@@ -30,7 +29,11 @@ from repro import (
     ScenarioSpec,
 )
 from repro.analysis.io import is_complete_trace, trace_path
-from repro.simulation.campaign import CAMPAIGN_MODE_ENV, CampaignResult, ScenarioOutcome
+from repro.simulation.campaign import (
+    CampaignResult,
+    ScenarioOutcome,
+    write_error_trace,
+)
 
 TINY_ENV = EnvironmentConfig(
     obstacle_density=0.2, obstacle_spread=25.0, goal_distance=40.0, seed=7
@@ -54,24 +57,16 @@ def _specs(count=3, max_decisions=5):
 
 
 class TestModeSelection:
-    def test_default_mode_is_sync(self, monkeypatch):
-        monkeypatch.delenv(CAMPAIGN_MODE_ENV, raising=False)
-        assert CampaignRunner().mode == "sync"
-
-    def test_env_var_selects_async(self, monkeypatch):
-        monkeypatch.setenv(CAMPAIGN_MODE_ENV, "async")
+    def test_default_mode_is_async(self):
         assert CampaignRunner().mode == "async"
 
-    def test_explicit_mode_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CAMPAIGN_MODE_ENV, "async")
-        assert CampaignRunner(mode="serial").mode == "serial"
-
     def test_modes_are_the_public_tuple(self):
-        assert CAMPAIGN_MODES == ("serial", "sync", "async")
+        assert CAMPAIGN_MODES == ("serial", "async")
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            CampaignRunner(mode="warp")
+        for mode in ("warp", "sync"):
+            with pytest.raises(ValueError, match="mode"):
+                CampaignRunner(mode=mode)
         with pytest.raises(ValueError, match="spec_timeout_s"):
             CampaignRunner(spec_timeout_s=0.0)
         with pytest.raises(ValueError, match="max_attempts"):
@@ -83,31 +78,44 @@ class TestModeSelection:
         campaign = CampaignRunner(max_workers=4, mode="serial").run(_specs(2))
         assert all(o.ok for o in campaign.outcomes)
 
+    def test_one_worker_flies_inline_under_the_default_mode(self):
+        seen = []
+        campaign = CampaignRunner(max_workers=1).run(_specs(2), progress=seen.append)
+        assert all(o.ok for o in campaign.outcomes)
+        assert seen
+        assert {r["pid"] for r in seen} == {os.getpid()}
+
+    def test_parallel_default_flies_in_worker_processes(self):
+        seen = []
+        campaign = CampaignRunner(max_workers=2).run(_specs(2), progress=seen.append)
+        assert all(o.ok for o in campaign.outcomes)
+        worker_pids = {r["pid"] for r in seen if r["status"] in ("start", "done")}
+        assert worker_pids
+        assert os.getpid() not in worker_pids
+
 
 class TestModeEquivalence:
-    """Serial, sync-pool and async agree byte-for-byte and row-for-row."""
+    """Serial and async agree byte-for-byte and row-for-row."""
 
     def test_traces_and_summary_identical_across_modes(self, tmp_path):
         specs = _specs(3)
-        results = {}
-        for mode, workers in (("serial", 1), ("sync", 2), ("async", 2)):
-            results[mode] = CampaignRunner(max_workers=workers, mode=mode).run(
-                specs, trace_dir=tmp_path / mode
-            )
+        serial = CampaignRunner(max_workers=1, mode="serial").run(
+            specs, trace_dir=tmp_path / "serial"
+        )
+        parallel = CampaignRunner(max_workers=2, mode="async").run(
+            specs, trace_dir=tmp_path / "async"
+        )
         names = sorted(p.name for p in (tmp_path / "serial").glob("*.jsonl"))
         assert len(names) == len(specs)
-        for mode in ("sync", "async"):
-            assert (
-                sorted(p.name for p in (tmp_path / mode).glob("*.jsonl")) == names
-            )
-            for name in names:
-                assert (tmp_path / mode / name).read_bytes() == (
-                    tmp_path / "serial" / name
-                ).read_bytes(), f"{mode} trace diverged: {name}"
-            assert results[mode].summary() == results["serial"].summary()
-            assert [o.metrics for o in results[mode].outcomes] == [
-                o.metrics for o in results["serial"].outcomes
-            ]
+        assert sorted(p.name for p in (tmp_path / "async").glob("*.jsonl")) == names
+        for name in names:
+            assert (tmp_path / "async" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes(), f"async trace diverged: {name}"
+        assert parallel.summary() == serial.summary()
+        assert [o.metrics for o in parallel.outcomes] == [
+            o.metrics for o in serial.outcomes
+        ]
 
     def test_async_preserves_spec_order(self):
         specs = _specs(4)
@@ -294,6 +302,29 @@ class TestResume:
         assert path.exists()
         assert not is_complete_trace(path)
 
+    def test_parent_error_trace_matches_the_worker_error_trace(
+        self, tmp_path, monkeypatch
+    ):
+        # A spec that raises in its worker and a spec whose worker the parent
+        # gave up on leave the same error mission record; the parent's copy
+        # replaces whatever partial trace the dead worker left behind.
+        def exploding_run(self, recorder=None, taps=()):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ScenarioSpec, "run", exploding_run)
+        spec = _specs(1)[0]
+        campaign = CampaignRunner(max_workers=1).run(
+            [spec], trace_dir=tmp_path / "worker"
+        )
+        error = campaign.outcomes[0].error
+        parent_path = trace_path(tmp_path / "parent", spec.name)
+        parent_path.parent.mkdir()
+        parent_path.write_text('{"torn": ', encoding="utf-8")
+        write_error_trace(tmp_path / "parent", spec.to_dict(), error)
+        assert parent_path.read_bytes() == (
+            trace_path(tmp_path / "worker", spec.name).read_bytes()
+        )
+
 
 class TestReportCLI:
     def _grid_file(self, tmp_path):
@@ -310,7 +341,7 @@ class TestReportCLI:
         traces = tmp_path / "traces"
         rc = main(
             [
-                "--grid", str(grid), "--mode", "async", "--workers", "2",
+                "--grid", str(grid), "--workers", "2",
                 "--out", str(out), "--trace-dir", str(traces), "--no-telemetry",
             ]
         )

@@ -8,8 +8,9 @@ The fleet refactor's contract has three legs, and each gets its tests here:
   same order on every run, and a two-drone campaign writes byte-identical
   traces serially and across a process pool.
 * **Back-compat** — a single-drone fleet is bit-identical to the plain
-  :class:`MissionSimulator`, pre-fleet spec dictionaries and trace lines
-  still parse, and the default grid's spec names are unchanged.
+  :class:`MissionSimulator`, mission record included, pre-fleet spec
+  dictionaries and trace lines still parse, and the default grid's spec
+  names are unchanged.
 """
 
 import json
@@ -116,10 +117,11 @@ class TestSharedBusDeterminism:
 # ----------------------------------------------------------------------
 class TestSingleDroneIdentity:
     def test_n1_fleet_bit_identical_to_mission_simulator(self):
+        solo_recorder, fleet_recorder = TraceRecorder(), TraceRecorder()
         solo = MissionSimulator(
             build_environment(TINY_ENV, WorldSpec()), RoboRunRuntime(), TINY_CFG
-        ).run()
-        fleet = tiny_fleet(1).run()
+        ).run(recorder=solo_recorder)
+        fleet = tiny_fleet(1).run(recorder=fleet_recorder)
         assert fleet.metrics.as_dict() == solo.metrics.as_dict()
         assert len(fleet.ledger) == len(solo.ledger)
         assert (
@@ -128,6 +130,12 @@ class TestSingleDroneIdentity:
         )
         assert fleet.fleet.n_drones == 1
         assert fleet.fleet.min_separation_m is None
+        # A fleet of one writes the single-drone mission record: no fleet
+        # or per-drone fields.
+        assert (
+            fleet_recorder.mission_record.to_dict()
+            == solo_recorder.mission_record.to_dict()
+        )
 
     @pytest.mark.slow
     def test_n1_fleet_matches_benchmark_seed_golden(self):
