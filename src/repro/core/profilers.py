@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro import hotpath
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.point_cloud import PointCloud
@@ -129,39 +128,20 @@ class ProfilerSuite:
         nearby = cloud.points_within(self.gap_neighbourhood)
         if len(nearby) < 2:
             return (self.open_space_gap, self.open_space_gap)
-        if hotpath.enabled():
-            # One pairwise distance matrix instead of the quadratic Python
-            # loop.  The elementwise arithmetic matches Vec3.distance_to, the
-            # row minimum matches the scalar running minimum, and the mean is
-            # summed sequentially (tolist + sum) rather than with numpy's
-            # pairwise reduction, so both statistics are bit-identical.
-            pts = np.array([(p.x, p.y, p.z) for p in nearby], dtype=np.float64)
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt(
-                (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
-                + diff[..., 2] * diff[..., 2]
-            )
-            np.fill_diagonal(dist, np.inf)
-            row_min = dist.min(axis=1)
-            gaps = row_min[np.isfinite(row_min)].tolist()
-            if not gaps:
-                return (self.open_space_gap, self.open_space_gap)
-            gap_min = max(min(gaps), 1e-3)
-            gap_avg = max(sum(gaps) / len(gaps), gap_min)
-            return (gap_min, gap_avg)
-        # Nearest-neighbour distance per point; the cloud is already grid
-        # downsampled so the quadratic pass stays small.
-        gaps = []
-        for i, a in enumerate(nearby):
-            best = math.inf
-            for j, b in enumerate(nearby):
-                if i == j:
-                    continue
-                d = a.distance_to(b)
-                if d < best:
-                    best = d
-            if math.isfinite(best):
-                gaps.append(best)
+        # Nearest-neighbour distance per point from one pairwise distance
+        # matrix (the cloud is already grid downsampled, so it stays small).
+        # The elementwise arithmetic matches Vec3.distance_to, and the mean is
+        # summed sequentially (tolist + sum) rather than with numpy's pairwise
+        # reduction, so both statistics equal the per-pair Python loop's.
+        pts = np.array([(p.x, p.y, p.z) for p in nearby], dtype=np.float64)
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist = np.sqrt(
+            (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+            + diff[..., 2] * diff[..., 2]
+        )
+        np.fill_diagonal(dist, np.inf)
+        row_min = dist.min(axis=1)
+        gaps = row_min[np.isfinite(row_min)].tolist()
         if not gaps:
             return (self.open_space_gap, self.open_space_gap)
         gap_min = max(min(gaps), 1e-3)

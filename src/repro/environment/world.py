@@ -220,9 +220,10 @@ class World:
         """Obstacles whose spatial-hash cells fall within ``radius`` of a point.
 
         This is a broad-phase filter (it may return obstacles slightly beyond
-        the radius) used by the simulated depth cameras to avoid testing every
-        obstacle in the world against every ray.  Dynamic obstacles within
-        the radius are appended after the static candidates.
+        the radius) that spares a ray cast from testing every obstacle in the
+        world; :meth:`obstacle_arrays_near` is the array form the depth
+        cameras use.  Dynamic obstacles within the radius are appended after
+        the static candidates.
         """
         result = [self._obstacles[idx] for idx in self._candidate_indices(point, radius)]
         result.extend(
@@ -237,8 +238,8 @@ class World:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Corner arrays of :meth:`obstacles_near`'s candidates, stacked.
 
-        The batched twin used by the vectorised depth camera: the same static
-        hash candidates plus the same distance-filtered mover/agent boxes, but
+        What the depth camera casts against: the same static hash candidates
+        plus the same distance-filtered mover/agent boxes, but
         returned as two ``(K, 3)`` min/max corner arrays sliced out of the
         memoised snapshots instead of a list of :class:`Obstacle` objects.
         """

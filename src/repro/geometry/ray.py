@@ -95,11 +95,10 @@ def raycast_aabbs_batch(
 ) -> np.ndarray:
     """Nearest entry distance per ray against a stack of boxes, batched.
 
-    The vectorised twin of looping :func:`ray_aabb_intersect` over obstacles
-    per ray (the depth camera's inner loop): one slab test over the whole
+    The depth camera's ray cast: one slab test over the whole
     ``(R rays, O boxes, 3 axes)`` block.  Elementwise arithmetic reproduces
-    the scalar routine operation for operation, so the returned depths are
-    bit-identical to the scalar loop's.
+    :func:`ray_aabb_intersect` operation for operation, so the returned
+    depths are bit-identical to looping it over the obstacles per ray.
 
     Args:
         origin: shared ray origin (one sensor pose).

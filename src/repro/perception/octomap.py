@@ -47,10 +47,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import hotpath
 from repro.geometry.aabb import AABB
 from repro.geometry.grid import VoxelKey, voxel_center, voxel_key
-from repro.geometry.ray import sample_ray
 from repro.geometry.vec3 import Vec3
 from repro.perception.point_cloud import PointCloud
 from repro.perception.spatial_index import SpatialIndex
@@ -288,17 +286,15 @@ class OccupancyOctree:
         # must not erase an obstacle we are observing right now.
         protected = {voxel_key(p, self.vox_min) for p in ordered}
 
-        # Precompute every ray's sample keys in one vectorised pass.  Rays
-        # past the volume budget simply leave their entry unused; the set
-        # mutations themselves are replayed sequentially per ray below, so
-        # the resulting map is identical to the scalar integration.
-        bulk: Optional[List[Tuple[List[VoxelKey], List[VoxelKey]]]] = None
-        if hotpath.enabled() and ordered:
-            effective_step = max(
-                ray_step if ray_step is not None else self.vox_min, self.vox_min
-            )
-            bookkeeping_step = max(effective_step, self.free_resolution)
-            bulk = self._ray_sample_keys_bulk(origin, ordered, bookkeeping_step)
+        # Precompute every ray's sample keys in one array pass.  Rays past
+        # the volume budget simply leave their entry unused; the set mutations
+        # themselves are replayed sequentially per ray below, because clearing
+        # depends on the occupancy state left by earlier rays.
+        effective_step = max(
+            ray_step if ray_step is not None else self.vox_min, self.vox_min
+        )
+        bookkeeping_step = max(effective_step, self.free_resolution)
+        bulk = self._ray_sample_keys_bulk(origin, ordered, bookkeeping_step)
 
         new_volume = 0.0
         integrated = 0
@@ -319,11 +315,7 @@ class OccupancyOctree:
                 skipped += 1
                 continue
             charged, added_volume = self._integrate_single(
-                origin,
-                point,
-                ray_step,
-                protected,
-                precomputed=bulk[index] if bulk is not None else None,
+                origin, point, effective_step, protected, bulk[index]
             )
             cells_updated += charged
             new_volume += added_volume
@@ -341,11 +333,18 @@ class OccupancyOctree:
         self,
         origin: Vec3,
         point: Vec3,
-        ray_step: Optional[float],
-        protected: Optional[Set[VoxelKey]] = None,
-        precomputed: Optional[Tuple[List[VoxelKey], List[VoxelKey]]] = None,
+        effective_step: float,
+        protected: Set[VoxelKey],
+        sample_keys: Tuple[List[VoxelKey], List[VoxelKey]],
     ) -> Tuple[int, float]:
         """Integrate one measurement ray.
+
+        Args:
+            effective_step: the insertion ray step, already clamped to at
+                least ``vox_min``.
+            protected: endpoint voxels of the current cloud, never cleared.
+            sample_keys: the ray's free-space sample keys at the free and the
+                occupied resolution, from :meth:`_ray_sample_keys_bulk`.
 
         Returns:
             ``(charged_cells, integrated_volume)``: the number of cells a real
@@ -355,90 +354,47 @@ class OccupancyOctree:
             the volume operator exists to bound).
         """
         distance = origin.distance_to(point)
-        effective_step = max(ray_step if ray_step is not None else self.vox_min, self.vox_min)
         charged_cells = int(distance / effective_step) + 1
 
         integrated_volume = self.vox_min**3
         free_cell_volume = self.free_resolution**3
-        bookkeeping_step = max(effective_step, self.free_resolution)
-        if hotpath.enabled():
-            # Batched twin of sampling the ray point by point: the sample
-            # coordinates come from the same sequential step accumulation
-            # (cumsum) and the same floor quantisation, so the key sequence —
-            # and therefore every set mutation below — is identical.  The set
-            # updates themselves stay sequential because clearing depends on
-            # the occupancy state left by earlier rays of this insertion.
-            if precomputed is not None:
-                free_keys, occ_keys = precomputed
-            else:
-                free_keys, occ_keys = self._ray_sample_keys(
-                    origin, point, bookkeeping_step
-                )
-            for key, sample_key in zip(free_keys, occ_keys):
-                self._free.add(key)
-                integrated_volume += free_cell_volume
-                if protected is None or sample_key not in protected:
-                    self._remove_occupied(sample_key)
-        else:
-            for sample in sample_ray(origin, point, bookkeeping_step)[:-1]:
-                key = voxel_key(sample, self.free_resolution)
-                self._free.add(key)
-                integrated_volume += free_cell_volume
-                # A measurement ray passing through a voxel previously believed
-                # occupied is evidence that the voxel is actually free — the
-                # counterpart of OctoMap's probabilistic clearing.  This erases
-                # phantom cells created by coarse point-cloud averaging once the
-                # drone observes the area again.  Endpoints of the current cloud
-                # are protected.
-                sample_key = voxel_key(sample, self.vox_min)
-                if protected is None or sample_key not in protected:
-                    self._remove_occupied(sample_key)
+        free_keys, occ_keys = sample_keys
+        for key, sample_key in zip(free_keys, occ_keys):
+            self._free.add(key)
+            integrated_volume += free_cell_volume
+            # A measurement ray passing through a voxel previously believed
+            # occupied is evidence that the voxel is actually free — the
+            # counterpart of OctoMap's probabilistic clearing.  This erases
+            # phantom cells created by coarse point-cloud averaging once the
+            # drone observes the area again.  Endpoints of the current cloud
+            # are protected.
+            if sample_key not in protected:
+                self._remove_occupied(sample_key)
 
         endpoint_key = voxel_key(point, self.vox_min)
         self._add_occupied(endpoint_key)
         self._free.discard(voxel_key(point, self.free_resolution))
         return charged_cells, integrated_volume
 
-    def _ray_sample_keys(
-        self, origin: Vec3, point: Vec3, step: float
-    ) -> Tuple[List[VoxelKey], List[VoxelKey]]:
-        """Voxel keys of the free-space samples along one measurement ray.
-
-        Returns the keys at the free bookkeeping resolution and at the
-        occupied resolution for every sample ``origin + unit * t`` with the
-        scalar twin's accumulated ``t < length`` (the end point excluded),
-        quantised with the same ``floor(x / resolution)``.
-        """
-        ox, oy, oz = origin.x, origin.y, origin.z
-        dx, dy, dz = point.x - ox, point.y - oy, point.z - oz
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if length <= 1e-12:
-            return [], []
-        max_probes = int(length / step) + 2
-        ts = np.concatenate(
-            ([0.0], np.cumsum(np.full(max_probes, step, dtype=np.float64)))
-        )
-        ts = ts[ts < length]
-        unit = np.array((dx / length, dy / length, dz / length))
-        pts = np.array((ox, oy, oz)) + unit[None, :] * ts[:, None]
-        free_keys = np.floor(pts / self.free_resolution).astype(np.int64)
-        occ_keys = np.floor(pts / self.vox_min).astype(np.int64)
-        return (
-            [tuple(row) for row in free_keys.tolist()],
-            [tuple(row) for row in occ_keys.tolist()],
-        )
-
     def _ray_sample_keys_bulk(
         self, origin: Vec3, points: List[Vec3], step: float
     ) -> List[Tuple[List[VoxelKey], List[VoxelKey]]]:
-        """Per-ray sample keys for a whole cloud insertion, in one array pass.
+        """Per-ray free-space sample keys for a whole cloud insertion.
 
         Every ray shares the insertion origin and bookkeeping step, so all
-        sample coordinates are produced by a single ragged broadcast; the
-        per-ray key sequences match :meth:`_ray_sample_keys` exactly.
+        sample coordinates come from one ragged broadcast.  Ray ``r`` samples
+        ``origin + unit * t`` for every ``t = 0, step, step + step, ...``
+        below its length (the end point excluded; none for a zero-length
+        ray), and each sample is quantised with ``floor(x / resolution)`` at
+        the free and at the occupied resolution.  The ``t`` values come from
+        a cumulative sum, the same sequential accumulation as stepping
+        ``t += step`` along :func:`~repro.geometry.ray.sample_ray`, so the
+        keys equal ``voxel_key`` of each of its samples.
         """
         o = np.array((origin.x, origin.y, origin.z), dtype=np.float64)
-        targets = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64)
+        targets = np.array(
+            [(p.x, p.y, p.z) for p in points], dtype=np.float64
+        ).reshape(len(points), 3)
         d = targets - o
         lengths = np.sqrt(
             (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
@@ -559,10 +515,6 @@ class OccupancyOctree:
         return self._index.segment_occupied_batch(
             starts, ends, effective, lateral=lateral, include_start=include_start
         )
-
-    def nearest_occupied_distance_batch(self, points, max_radius: float = 100.0):
-        """Batched :meth:`nearest_occupied_distance`: one distance per point."""
-        return self._index.nearest_occupied_distance_batch(points, max_radius)
 
     def nearest_unknown_distance(
         self, point: Vec3, search_radius: float, step: Optional[float] = None

@@ -20,7 +20,6 @@ from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro import hotpath
 from repro.geometry.aabb import AABB
 from repro.geometry.grid import VoxelKey, voxel_center
 from repro.geometry.vec3 import Vec3
@@ -162,11 +161,11 @@ def build_planning_view(
     cell_volume = resolution**3
 
     candidates = list(octree.coarse_occupied_cells(precision).keys())
-    if hotpath.enabled() and candidates:
-        # Vectorised twin of the region filter + distance sort below: cell
+    if candidates:
+        # Region filter, then a stable sort by distance to the anchor.  Cell
         # centres are (i + 0.5) * resolution exactly as voxel_center computes
-        # them, the filter compares the same left-to-right squared sum, and
-        # the stable argsort reproduces list.sort's tie order.
+        # them, both distances use Vec3's left-to-right squared sum, and the
+        # stable argsort keeps the candidates' order among equal distances.
         keys = np.array(candidates, dtype=np.int64)
         centres = (keys + 0.5) * resolution
         a = np.array((anchor.x, anchor.y, anchor.z))
@@ -181,20 +180,6 @@ def build_planning_view(
         dist = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
         order = np.argsort(dist, kind="stable")
         candidates = [candidates[i] for i in order]
-    else:
-        if region_radius is not None:
-            radius_sq = region_radius * region_radius
-
-            def within(key: VoxelKey) -> bool:
-                c = voxel_center(key, resolution)
-                dx = c.x - anchor.x
-                dy = c.y - anchor.y
-                dz = c.z - anchor.z
-                return dx * dx + dy * dy + dz * dz <= radius_sq
-
-            candidates = [k for k in candidates if within(k)]
-
-        candidates.sort(key=lambda k: anchor.distance_to(voxel_center(k, resolution)))
 
     selected: List[VoxelKey] = []
     total = 0.0

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro import hotpath
 from repro.geometry.aabb import AABB
 from repro.geometry.grid import downsample_points
 from repro.geometry.vec3 import Vec3, centroid
@@ -92,9 +91,7 @@ class PointCloud:
         """
         if not self.points:
             return math.inf
-        if hotpath.enabled():
-            return float(self.origin_distances().min())
-        return min(self.origin.distance_to(p) for p in self.points)
+        return float(self.origin_distances().min())
 
     def centroid(self) -> Optional[Vec3]:
         """Mean of the observed points, or ``None`` when empty."""
@@ -104,10 +101,8 @@ class PointCloud:
 
     def points_within(self, radius: float) -> List[Vec3]:
         """Points within ``radius`` metres of the sensor origin."""
-        if hotpath.enabled() and self.points:
-            mask = self.origin_distances() <= radius
-            return [self.points[i] for i in np.flatnonzero(mask)]
-        return [p for p in self.points if self.origin.distance_to(p) <= radius]
+        mask = self.origin_distances() <= radius
+        return [self.points[i] for i in np.flatnonzero(mask)]
 
     def bounding_volume(self) -> float:
         """Volume (m^3) of the axis-aligned box containing all points (0 when < 2 points)."""

@@ -58,7 +58,7 @@ def pack_keys(ijk: np.ndarray) -> np.ndarray:
 class PackedCellTable:
     """Sorted int64 membership table over a set of voxel keys.
 
-    The batched twin of ``key in cells``: keys are packed into single int64
+    Batched ``key in cells``: keys are packed into single int64
     scalars and kept sorted, so a batch of probes answers membership with one
     :func:`np.searchsorted` pass instead of a Python hash lookup per probe.
     """
@@ -66,7 +66,7 @@ class PackedCellTable:
     __slots__ = ("packed", "size")
 
     def __init__(self, cells: Iterable[VoxelKey]) -> None:
-        keys = np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)
+        keys = np.array(list(cells), dtype=np.int64).reshape(-1, 3)
         self.packed = np.unique(pack_keys(keys)) if keys.size else np.empty(0, np.int64)
         self.size = int(self.packed.shape[0])
 
@@ -195,82 +195,6 @@ def segment_hits_cells(
     return probe(end.x, end.y, end.z)
 
 
-def point_hits_cells_batch(
-    table: PackedCellTable,
-    resolution: float,
-    points: np.ndarray,
-    margin: float = 0.0,
-) -> np.ndarray:
-    """Batched :func:`point_hits_cells`: one boolean per ``(P, 3)`` point."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if table.size == 0:
-        return np.zeros(pts.shape[0], dtype=bool)
-    keys = np.floor(pts / resolution).astype(np.int64)
-    return table.contains_batch(keys, cell_margin_radius(margin, resolution))
-
-
-def segment_hits_cells_batch(
-    table: PackedCellTable,
-    resolution: float,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    step: Optional[float] = None,
-    margin: float = 0.0,
-) -> np.ndarray:
-    """Batched :func:`segment_hits_cells`: one boolean per segment.
-
-    Probe positions reproduce the scalar twin exactly: the along-segment
-    parameter is accumulated with :func:`np.cumsum` (a sequential reduction,
-    so each ``t`` equals the scalar ``t += step`` float for float) and the
-    same strict ``t < length`` cut-off plus explicit end-point probe apply.
-    """
-    s = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
-    e = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
-    count = s.shape[0]
-    if count == 0:
-        return np.zeros(0, dtype=bool)
-    if table.size == 0:
-        return np.zeros(count, dtype=bool)
-    effective = step if step is not None else resolution
-    if effective <= 0:
-        raise ValueError("ray step must be positive")
-    effective = min(effective, resolution)
-    radius = cell_margin_radius(margin, resolution)
-
-    d = e - s
-    length = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
-    degenerate = length <= _EPS
-
-    hits = np.zeros(count, dtype=bool)
-    if degenerate.any():
-        keys = np.floor(s[degenerate] / resolution).astype(np.int64)
-        hits[degenerate] = table.contains_batch(keys, radius)
-
-    live = np.flatnonzero(~degenerate)
-    if live.size:
-        live_len = length[live]
-        # The scalar accumulation t = 0, e, e+e, ... is a sequential sum, so
-        # cumsum reproduces every probe parameter bit for bit.
-        max_probes = int(math.ceil(float(live_len.max()) / effective)) + 2
-        ts = np.concatenate(
-            ([0.0], np.cumsum(np.full(max_probes, effective, dtype=np.float64)))
-        )
-        probes_per_seg = np.searchsorted(ts, live_len, side="left")
-        total = int(probes_per_seg.sum())
-        seg = np.repeat(np.arange(live.size), probes_per_seg)
-        offsets = np.cumsum(probes_per_seg) - probes_per_seg
-        t = ts[np.arange(total) - np.repeat(offsets, probes_per_seg)]
-        unit = d[live] / live_len[:, None]
-        p = s[live][seg] + unit[seg] * t[:, None]
-        keys = np.floor(p / resolution).astype(np.int64)
-        probe_hits = table.contains_batch(keys, radius)
-        line_hits = np.bincount(seg, weights=probe_hits, minlength=live.size) > 0
-        end_keys = np.floor(e[live] / resolution).astype(np.int64)
-        end_hits = table.contains_batch(end_keys, radius)
-        hits[live] = line_hits | end_hits
-    return hits
-
-
 class SpatialIndex:
     """Multi-resolution voxel-bucket index over occupied minimum-size voxels.
 
@@ -298,9 +222,7 @@ class SpatialIndex:
         "_bucket_factor",
         "_levels",
         "_buckets",
-        "_array_dirty",
-        "_packed",
-        "_centres",
+        "_table",
     )
 
     def __init__(
@@ -323,13 +245,10 @@ class SpatialIndex:
         self.bucket_resolution = vox_min * factor
         self._levels: List[Dict[VoxelKey, int]] = [{} for _ in range(levels)]
         self._buckets: Dict[VoxelKey, Set[VoxelKey]] = {}
-        # Lazily rebuilt array snapshot for the batch queries: a sorted packed
-        # int64 key table plus the matching voxel-centre array.  Mutations
-        # only flip the dirty flag, so bursts of insertions (one scan's worth
-        # of point-cloud updates) pay a single rebuild at the next batch query.
-        self._array_dirty = True
-        self._packed = np.empty(0, dtype=np.int64)
-        self._centres = np.empty((0, 3), dtype=np.float64)
+        # Lazily rebuilt packed-key table for the batch segment probe.
+        # Mutations only drop it, so bursts of insertions (one scan's worth of
+        # point-cloud updates) pay a single rebuild at the next batch query.
+        self._table: Optional[PackedCellTable] = None
 
     # ------------------------------------------------------------------
     # Maintenance (called by the octree on every occupancy change)
@@ -346,7 +265,7 @@ class SpatialIndex:
         if key in level0:
             return False
         level0[key] = 1
-        self._array_dirty = True
+        self._table = None
         i, j, k = key
         for level in range(1, self.levels):
             i //= 2
@@ -370,7 +289,7 @@ class SpatialIndex:
         if key not in level0:
             return False
         del level0[key]
-        self._array_dirty = True
+        self._table = None
         i, j, k = key
         for level in range(1, self.levels):
             i //= 2
@@ -396,7 +315,7 @@ class SpatialIndex:
         for counts in self._levels:
             counts.clear()
         self._buckets.clear()
-        self._array_dirty = True
+        self._table = None
 
     # ------------------------------------------------------------------
     # Maintained aggregates
@@ -591,36 +510,8 @@ class SpatialIndex:
         return False
 
     # ------------------------------------------------------------------
-    # Batch queries (vectorised twins)
+    # Batch segment probe
     # ------------------------------------------------------------------
-    def _array_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sorted packed-key table and matching ``(N, 3)`` centre array.
-
-        Rebuilt lazily: occupancy mutations only mark the snapshot dirty, so
-        one rebuild per decision epoch serves every batch query that follows.
-        """
-        if self._array_dirty:
-            level0 = self._levels[0]
-            if level0:
-                keys = np.array(list(level0), dtype=np.int64).reshape(-1, 3)
-                packed = pack_keys(keys)
-                order = np.argsort(packed)
-                self._packed = packed[order]
-                self._centres = (keys[order].astype(np.float64) + 0.5) * self.vox_min
-            else:
-                self._packed = np.empty(0, dtype=np.int64)
-                self._centres = np.empty((0, 3), dtype=np.float64)
-            self._array_dirty = False
-        return self._packed, self._centres
-
-    def _contains_packed(self, packed: np.ndarray) -> np.ndarray:
-        """Boolean membership per packed probe key against the snapshot."""
-        table, _ = self._array_snapshot()
-        if table.shape[0] == 0:
-            return np.zeros(packed.shape, dtype=bool)
-        pos = np.minimum(np.searchsorted(table, packed), table.shape[0] - 1)
-        return table[pos] == packed
-
     def segment_occupied_batch(
         self,
         starts: np.ndarray,
@@ -631,10 +522,10 @@ class SpatialIndex:
     ) -> np.ndarray:
         """Batched :meth:`segment_occupied`: one boolean per segment.
 
-        Probe positions replicate the scalar twin exactly — the parameter of
-        probe ``n`` is ``n / intervals`` with the same interval count — so a
-        segment reports occupied if and only if the scalar probe would.  The
-        scalar's bucket broad phase is replaced by one sorted-table
+        Probe positions replicate :meth:`segment_occupied` exactly — the
+        parameter of probe ``n`` is ``n / intervals`` with the same interval
+        count — so a segment reports occupied if and only if the one-segment
+        probe would.  Its bucket broad phase is replaced by one sorted-table
         membership pass, which cannot change the outcome (a voxel absent from
         every bucket is absent from the table).
         """
@@ -663,42 +554,18 @@ class SpatialIndex:
         t = n / intervals[seg]
         p = s[seg] + d[seg] * t[:, None]
 
+        if self._table is None:
+            self._table = PackedCellTable(self._levels[0])
+        table = self._table
         vox = self.vox_min
         keys = np.floor(p / vox).astype(np.int64)
-        hit = self._contains_packed(pack_keys(keys))
+        hit = table.contains_packed(pack_keys(keys))
         if lateral:
             for axis, delta in ((0, lateral), (0, -lateral), (1, lateral), (1, -lateral)):
                 shifted = keys.copy()
                 shifted[:, axis] = np.floor((p[:, axis] + delta) / vox).astype(np.int64)
-                hit = hit | self._contains_packed(pack_keys(shifted))
+                hit = hit | table.contains_packed(pack_keys(shifted))
         return np.bincount(seg, weights=hit, minlength=count) > 0
-
-    def nearest_occupied_distance_batch(
-        self, points: np.ndarray, max_radius: float = 100.0
-    ) -> np.ndarray:
-        """Batched :meth:`nearest_occupied_distance`: one distance per point.
-
-        Scans the voxel-centre snapshot in one broadcast pass per chunk of
-        query points; the scalar twin's expanding-ring search visits a subset
-        of voxels but is pruned conservatively, so both return the same
-        minimum (saturated at ``max_radius``).
-        """
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        _, centres = self._array_snapshot()
-        if max_radius <= 0 or centres.shape[0] == 0:
-            return np.full(pts.shape[0], max(max_radius, 0.0))
-        best_sq = np.full(pts.shape[0], max_radius * max_radius)
-        chunk = max(1, 4_000_000 // max(centres.shape[0], 1))
-        for lo in range(0, pts.shape[0], chunk):
-            block = pts[lo : lo + chunk]
-            diff = centres[None, :, :] - block[:, None, :]
-            d_sq = (
-                diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
-            ) + diff[..., 2] * diff[..., 2]
-            best_sq[lo : lo + chunk] = np.minimum(
-                best_sq[lo : lo + chunk], d_sq.min(axis=1)
-            )
-        return np.sqrt(best_sq)
 
     # ------------------------------------------------------------------
     # Locality eviction support

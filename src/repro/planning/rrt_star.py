@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import hotpath
 from repro.geometry.aabb import AABB
 from repro.geometry.grid import voxel_key
 from repro.geometry.vec3 import Vec3
@@ -127,49 +126,40 @@ class PlanResult:
 class _CollisionChecker:
     """Counts ray-cast samples while probing the planning view's cell grid.
 
-    The checker runs on the spatial-index collision primitives directly —
-    the view's cell set and precision are fetched once, so the planner's
-    hottest loop (thousands of segment probes per plan) avoids the per-call
-    attribute traffic and per-sample point allocation of the view methods.
+    The view's cells are packed once into a sorted int64 table, so the
+    planner's hottest loop (thousands of segment probes per plan) answers
+    each segment with one membership pass instead of a Python set lookup
+    per sample.
     """
 
     def __init__(self, view: PlanningView, margin: float, ray_step: Optional[float]) -> None:
-        self.view = view
         self.cells = view.cells
         self.precision = view.precision
         self.margin = margin
         self.step = ray_step if ray_step is not None else view.precision
         self.samples = 0
-        self._table = PackedCellTable(view.cells) if hotpath.enabled() else None
+        self._table = PackedCellTable(view.cells)
 
     def point(self, point: Vec3) -> bool:
         self.samples += 1
         return point_hits_cells(self.cells, self.precision, point, self.margin)
 
     def segment(self, start: Vec3, end: Vec3) -> bool:
-        effective = min(self.step, self.precision)
-        if effective <= 0:
-            effective = self.precision
-        self.samples += int(start.distance_to(end) / max(effective, 1e-6)) + 2
-        if self._table is not None:
-            return self._segment_batched(start, end)
-        return segment_hits_cells(
-            self.cells, self.precision, start, end, self.step, self.margin
-        )
-
-    def _segment_batched(self, start: Vec3, end: Vec3) -> bool:
-        """One membership pass over every probe of one segment.
+        """Sampled collision verdict for one segment, equal to :func:`segment_hits_cells`.
 
         Probe parameters are accumulated with :func:`np.cumsum` (a sequential
-        reduction matching the scalar ``t += step`` floats exactly) and the
-        same strict ``t < length`` cut-off and end-point probe apply, so the
-        verdict is bit-identical to :func:`segment_hits_cells`.
+        reduction matching ``segment_hits_cells``' ``t += step`` floats
+        exactly) and the same strict ``t < length`` cut-off and end-point
+        probe apply.  Zero-length segments and non-positive steps go to
+        :func:`segment_hits_cells` itself.
         """
-        table = self._table
-        if table is None or table.size == 0:
-            return False
         res = self.precision
         effective = min(self.step, res)
+        charged_step = effective if effective > 0 else res
+        self.samples += int(start.distance_to(end) / max(charged_step, 1e-6)) + 2
+        table = self._table
+        if table.size == 0:
+            return False
         sx, sy, sz = start.x, start.y, start.z
         dx, dy, dz = end.x - sx, end.y - sy, end.z - sz
         length = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -195,7 +185,7 @@ class _PositionBuffer:
     """Growable ``(N, 3)`` array mirroring the RRT* node positions.
 
     Keeps the nearest-node and rewire-neighbourhood scans — executed once per
-    sampling iteration over every node so far — as single vectorised distance
+    sampling iteration over every node so far — as single array distance
     passes instead of per-node ``Vec3`` arithmetic.
     """
 
@@ -219,6 +209,10 @@ class _PositionBuffer:
         ``Vec3.distance_to``'s summation order bit for bit."""
         d = self.data[: self.count] - np.array((point.x, point.y, point.z))
         return np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+
+    def nearest(self, point: Vec3) -> int:
+        """Index of the stored node closest to ``point`` (the first on ties)."""
+        return int(np.argmin(self.distances_to(point)))
 
 
 class RRTStarPlanner:
@@ -273,7 +267,7 @@ class RRTStarPlanner:
                 )
 
         nodes: List[_TreeNode] = [_TreeNode(position=start, parent=None, cost=0.0)]
-        positions = _PositionBuffer(start) if hotpath.enabled() else None
+        positions = _PositionBuffer(start)
         explored_cells: Set[Tuple[int, int, int]] = {
             voxel_key(start, cfg.exploration_cell)
         }
@@ -294,7 +288,7 @@ class RRTStarPlanner:
 
             sample = self._sample(rng, goal, bounds, cfg)
 
-            nearest_index = self._nearest(nodes, sample, positions)
+            nearest_index = positions.nearest(sample)
             new_position = self._steer(nodes[nearest_index].position, sample, cfg.step_size)
             if not bounds.contains(new_position):
                 new_position = bounds.clamp_point(new_position)
@@ -313,8 +307,7 @@ class RRTStarPlanner:
                 if not checker.segment(new_position, goal):
                     goal_cost = nodes[new_index].cost + new_position.distance_to(goal)
                     nodes.append(_TreeNode(position=goal, parent=new_index, cost=goal_cost))
-                    if positions is not None:
-                        positions.append(goal)
+                    positions.append(goal)
                     goal_node_index = len(nodes) - 1
                 else:
                     goal_node_index = new_index
@@ -382,25 +375,6 @@ class RRTStarPlanner:
         )
 
     @staticmethod
-    def _nearest(
-        nodes: Sequence[_TreeNode],
-        sample: Vec3,
-        positions: Optional[_PositionBuffer] = None,
-    ) -> int:
-        if positions is not None:
-            # argmin returns the first occurrence of the minimum, matching
-            # the scalar loop's strict-< update rule.
-            return int(np.argmin(positions.distances_to(sample)))
-        best_index = 0
-        best_dist = math.inf
-        for index, node in enumerate(nodes):
-            d = node.position.distance_to(sample)
-            if d < best_dist:
-                best_dist = d
-                best_index = index
-        return best_index
-
-    @staticmethod
     def _steer(origin: Vec3, target: Vec3, step: float) -> Vec3:
         delta = target - origin
         distance = delta.norm()
@@ -415,35 +389,21 @@ class RRTStarPlanner:
         nearest_index: int,
         checker: _CollisionChecker,
         cfg: RRTStarConfig,
-        positions: Optional[_PositionBuffer] = None,
+        positions: _PositionBuffer,
     ) -> Tuple[int, int]:
         # Choose the lowest-cost parent within the rewiring radius.  The
-        # distance scan is the vectorisable part; the conditional collision
-        # probes must stay a sequential short-circuit loop because the
-        # checker's sample counter (charged by the compute model) depends on
-        # exactly which segments get probed.
-        if positions is not None:
-            distances = positions.distances_to(position)
-            neighbour_indices = [
-                int(i) for i in np.flatnonzero(distances <= cfg.rewire_radius)
-            ]
-            best_cost = nodes[nearest_index].cost + float(distances[nearest_index])
-        else:
-            distances = None
-            neighbour_indices = [
-                i
-                for i, node in enumerate(nodes)
-                if node.position.distance_to(position) <= cfg.rewire_radius
-            ]
-            best_cost = nodes[nearest_index].cost + nodes[
-                nearest_index
-            ].position.distance_to(position)
+        # distance scan is one array pass; the conditional collision probes
+        # must stay a sequential short-circuit loop because the checker's
+        # sample counter (charged by the compute model) depends on exactly
+        # which segments get probed.
+        distances = positions.distances_to(position)
+        neighbour_indices = [
+            int(i) for i in np.flatnonzero(distances <= cfg.rewire_radius)
+        ]
+        best_cost = nodes[nearest_index].cost + float(distances[nearest_index])
         best_parent = nearest_index
         for i in neighbour_indices:
-            if distances is not None:
-                candidate_cost = nodes[i].cost + float(distances[i])
-            else:
-                candidate_cost = nodes[i].cost + nodes[i].position.distance_to(position)
+            candidate_cost = nodes[i].cost + float(distances[i])
             if candidate_cost < best_cost and not checker.segment(
                 nodes[i].position, position
             ):
@@ -451,8 +411,7 @@ class RRTStarPlanner:
                 best_cost = candidate_cost
 
         nodes.append(_TreeNode(position=position, parent=best_parent, cost=best_cost))
-        if positions is not None:
-            positions.append(position)
+        positions.append(position)
         new_index = len(nodes) - 1
 
         # Rewire neighbours through the new node when it shortens their cost.
@@ -460,10 +419,7 @@ class RRTStarPlanner:
         # sign-insensitive), so the precomputed distances serve both passes.
         rewired = 0
         for i in neighbour_indices:
-            if distances is not None:
-                through_new = best_cost + float(distances[i])
-            else:
-                through_new = best_cost + position.distance_to(nodes[i].position)
+            through_new = best_cost + float(distances[i])
             if through_new < nodes[i].cost and not checker.segment(
                 position, nodes[i].position
             ):

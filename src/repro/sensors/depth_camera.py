@@ -16,10 +16,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import hotpath
 from repro.environment.world import World
 from repro.geometry.frustum import Frustum
-from repro.geometry.ray import Ray, ray_aabb_intersect, raycast_aabbs_batch
+from repro.geometry.ray import raycast_aabbs_batch
 from repro.geometry.vec3 import Vec3
 
 
@@ -54,20 +53,24 @@ class DepthImage:
             raise ValueError("pixel count does not match width * height")
 
     def hit_points(self) -> List[Vec3]:
-        """World-space 3-D points for every pixel that hit an obstacle."""
-        if hotpath.enabled() and self._dir_array is not None:
-            depths = np.array(self.depths, dtype=np.float64)
-            idx = np.flatnonzero(np.isfinite(depths))
-            if idx.size == 0:
-                return []
-            o = np.array((self.origin.x, self.origin.y, self.origin.z))
-            pts = o + self._dir_array[idx] * depths[idx][:, None]
-            return [Vec3(x, y, z) for x, y, z in pts.tolist()]
-        points = []
-        for direction, depth in zip(self.directions, self.depths):
-            if math.isfinite(depth):
-                points.append(self.origin + direction * depth)
-        return points
+        """World-space 3-D points for every pixel that hit an obstacle.
+
+        Each point is ``origin + direction * depth`` with the same per-axis
+        multiply-then-add as the ``Vec3`` arithmetic, so it is bit-identical
+        to computing the points one pixel at a time.
+        """
+        depths = np.array(self.depths, dtype=np.float64)
+        idx = np.flatnonzero(np.isfinite(depths))
+        if idx.size == 0:
+            return []
+        directions = self._dir_array
+        if directions is None:
+            directions = np.array(
+                [(d.x, d.y, d.z) for d in self.directions], dtype=np.float64
+            )
+        o = np.array((self.origin.x, self.origin.y, self.origin.z))
+        pts = o + directions[idx] * depths[idx][:, None]
+        return [Vec3(x, y, z) for x, y, z in pts.tolist()]
 
     def hit_count(self) -> int:
         """Number of pixels that measured a finite depth."""
@@ -168,26 +171,10 @@ class DepthCamera:
     def capture(self, world: World, position: Vec3, body_yaw_deg: float = 0.0) -> DepthImage:
         """Capture a depth image of the world from the given pose.
 
-        The vectorised path runs one batched slab test over every
-        ``(ray, obstacle)`` pair; the scalar twin (:meth:`_cast` per ray) is
-        kept as the reference implementation and produces bit-identical
-        depths.
+        One batched slab test runs over every ``(ray, obstacle)`` pair; each
+        pixel's depth is the nearest non-negative entry distance, or
+        infinity when nothing is hit within the maximum range.
         """
-        if not hotpath.enabled():
-            frustum = self.frustum(position, body_yaw_deg)
-            directions = tuple(frustum.sample_directions(self.width, self.height))
-            nearby = world.obstacles_near(position, self.max_range)
-            depths = tuple(
-                self._cast(nearby, position, direction) for direction in directions
-            )
-            return DepthImage(
-                origin=position,
-                directions=directions,
-                depths=depths,
-                max_range=self.max_range,
-                width=self.width,
-                height=self.height,
-            )
         directions, dir_array = self.ray_fan(position, body_yaw_deg)
         box_lo, box_hi = world.obstacle_arrays_near(position, self.max_range)
         depths_array = raycast_aabbs_batch(
@@ -203,21 +190,3 @@ class DepthCamera:
         )
         object.__setattr__(image, "_dir_array", dir_array)
         return image
-
-    def _cast(self, obstacles, origin: Vec3, direction: Vec3) -> float:
-        """Distance to the first obstacle along a ray, or infinity."""
-        ray = Ray(origin, direction)
-        nearest = math.inf
-        for obstacle in obstacles:
-            hit = ray_aabb_intersect(ray, obstacle.box)
-            if hit is None:
-                continue
-            t_enter, t_exit = hit
-            if t_exit < 0:
-                continue
-            entry = max(t_enter, 0.0)
-            if entry < nearest:
-                nearest = entry
-        if nearest > self.max_range:
-            return math.inf
-        return nearest

@@ -134,6 +134,32 @@ class MissionConfig:
             raise ValueError("max_decisions must be at least 1")
         if self.planning_horizon_m <= 0:
             raise ValueError("planning horizon must be positive")
+        # Reject bad values here, naming the field, rather than deep inside a
+        # campaign worker when the simulator is built.
+        for names, valid, rule in (
+            (
+                ("camera_range_m", "planner_step_m", "local_map_radius_m",
+                 "max_mission_time_s"),
+                lambda value: value > 0,
+                "must be positive",
+            ),
+            (
+                ("camera_width", "camera_height", "planner_iterations",
+                 "replan_interval_decisions", "max_consecutive_plan_failures"),
+                lambda value: value >= 1,
+                "must be at least 1",
+            ),
+            (
+                ("collision_margin_m", "planner_margin_m",
+                 "emergency_brake_lookahead_s"),
+                lambda value: value >= 0,
+                "cannot be negative",
+            ),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise ValueError(f"{name} {rule}, got {value!r}")
         band = self.flight_band_m
         if not isinstance(band, Sequence) or len(band) != 2:
             raise ValueError("flight_band_m must be a (low, high) pair")

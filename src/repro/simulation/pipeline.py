@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro import hotpath
 from repro.compute.costs import WorkloadCostModel
 from repro.compute.utilization import CpuUtilizationTracker
 from repro.control.follower import PurePursuitFollower
@@ -539,38 +538,29 @@ class PlanningNode(Node):
         The walk starts at the nearest sample's own index (paths that revisit
         a waypoint used to re-find it by position equality, anchoring at the
         first visit and spending the whole check budget on segments already
-        behind the drone) and each segment probe runs through the octree's
-        index-backed segment query.
+        behind the drone).  The segment list depends only on the
+        travelled-distance budget, never on probe outcomes, so it is collected
+        first and probed in one batched pass of the octree's index, with the
+        same verdict as walking the segments one by one and stopping at the
+        first occupied one.
         """
         cfg = self.config
         octree = self.operators.octree
         start_index = trajectory.nearest_point_to(position).index
         points = trajectory.waypoint_positions()
         travelled = 0.0
-        step = max(octree.vox_min, 0.5)
-        if hotpath.enabled():
-            # The segment list depends only on the travelled-distance budget,
-            # never on probe outcomes, so collecting it first and probing the
-            # whole batch in one index pass returns the same verdict as the
-            # early-exiting scalar walk.
-            pairs: List[tuple[Vec3, Vec3]] = []
-            for a, b in zip(points[start_index:], points[start_index + 1 :]):
-                pairs.append((a, b))
-                travelled += a.distance_to(b)
-                if travelled >= cfg.block_check_distance_m:
-                    break
-            if not pairs:
-                return False
-            starts = np.array([(a.x, a.y, a.z) for a, _ in pairs])
-            ends = np.array([(b.x, b.y, b.z) for _, b in pairs])
-            return bool(octree.segment_occupied_batch(starts, ends, step=step).any())
+        pairs: List[tuple[Vec3, Vec3]] = []
         for a, b in zip(points[start_index:], points[start_index + 1 :]):
-            if octree.segment_occupied(a, b, step=step):
-                return True
+            pairs.append((a, b))
             travelled += a.distance_to(b)
             if travelled >= cfg.block_check_distance_m:
                 break
-        return False
+        if not pairs:
+            return False
+        starts = np.array([(a.x, a.y, a.z) for a, _ in pairs])
+        ends = np.array([(b.x, b.y, b.z) for _, b in pairs])
+        step = max(octree.vox_min, 0.5)
+        return bool(octree.segment_occupied_batch(starts, ends, step=step).any())
 
     def escape_start(self, position: Vec3) -> Vec3:
         """A planning start near the drone that is clear of mapped obstacles.

@@ -1,43 +1,115 @@
-"""Property-style equivalence: every batch query == its scalar twin, exactly.
+"""Oracle equivalence: every hot-path kernel == its scalar oracle, exactly.
 
-The vectorised hot path (PR 7) promises *bit-identical* results, not
-approximate ones: every numpy batch routine reproduces the scalar twin's
-IEEE-754 arithmetic operation for operation.  These tests enforce that
-promise on randomized inputs — voxel sets, segments, query points, mover
-configurations — plus the empty-index and single-voxel edge cases, comparing
+Each hot query has one implementation, a numpy batch kernel that repeats the
+per-element Python arithmetic operation for operation.  The oracles below are
+that arithmetic, kept only to check the kernels against: on randomized
+inputs plus the empty, single-element and zero-length edge cases, compared
 with ``==`` throughout (no tolerances anywhere).
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from repro import (
-    EnvironmentConfig,
-    EnvironmentGenerator,
-    MissionConfig,
-    MissionSimulator,
-    MoverSpec,
-    RoboRunRuntime,
-)
-from repro import hotpath
+from repro import EnvironmentConfig, EnvironmentGenerator, MissionConfig, MissionSimulator
+from repro import MoverSpec, RoboRunRuntime
+from repro.core.profilers import ProfilerSuite
 from repro.environment.world import World, Obstacle
 from repro.geometry.aabb import AABB
+from repro.geometry.grid import voxel_center, voxel_key
+from repro.geometry.ray import Ray, ray_aabb_intersect, sample_ray
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
-from repro.perception.planning_view import build_planning_view
+from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud
 from repro.perception.spatial_index import (
     PackedCellTable,
     SpatialIndex,
+    cell_margin_radius,
     point_hits_cells,
-    point_hits_cells_batch,
     segment_hits_cells,
-    segment_hits_cells_batch,
 )
-from repro.sensors.depth_camera import DepthCamera
+from repro.planning.rrt_star import _CollisionChecker, _PositionBuffer
+from repro.planning.trajectory import Trajectory, TrajectoryPoint
+from repro.sensors.depth_camera import DepthCamera, DepthImage
 from repro.worlds.movers import DynamicObstacleSet, build_movers
+
+
+def capture_oracle(camera, world, position, yaw):
+    """Directions and depths of a capture, one slab test per (ray, obstacle)."""
+    frustum = camera.frustum(position, yaw)
+    directions = tuple(frustum.sample_directions(camera.width, camera.height))
+    nearby = world.obstacles_near(position, camera.max_range)
+
+    def cast(direction):
+        hits = [ray_aabb_intersect(Ray(position, direction), o.box) for o in nearby]
+        nearest = min((max(h[0], 0.0) for h in hits if h is not None), default=math.inf)
+        return math.inf if nearest > camera.max_range else nearest
+
+    return directions, tuple(cast(d) for d in directions)
+
+
+def hit_points_oracle(image):
+    return [
+        image.origin + direction * depth
+        for direction, depth in zip(image.directions, image.depths)
+        if math.isfinite(depth)
+    ]
+
+
+def points_within_oracle(cloud, radius):
+    return [p for p in cloud.points if cloud.origin.distance_to(p) <= radius]
+
+
+def planning_view_oracle(octree, precision, max_volume, focus, region_radius):
+    """(cells, total volume, resolution) from a per-cell filter and list.sort."""
+    anchor = focus if focus is not None else Vec3.zero()
+    resolution = octree.vox_min * (2 ** octree.coarsen_level_for(precision))
+    candidates = list(octree.coarse_occupied_cells(precision))
+    if region_radius is not None:
+        radius_sq = region_radius * region_radius
+        candidates = [
+            k for k in candidates
+            if (voxel_center(k, resolution) - anchor).norm_sq() <= radius_sq
+        ]
+    candidates.sort(key=lambda k: anchor.distance_to(voxel_center(k, resolution)))
+    selected, total = [], 0.0
+    for key in candidates:
+        if max_volume is not None and total >= max_volume and selected:
+            break
+        selected.append(key)
+        total += resolution**3
+    return frozenset(selected), total, resolution
+
+
+def gap_statistics_oracle(suite, cloud):
+    """The quadratic nearest-neighbour loop behind ``gap_statistics``."""
+    nearby = points_within_oracle(cloud, suite.gap_neighbourhood)
+    if len(nearby) < 2:
+        return (suite.open_space_gap, suite.open_space_gap)
+    gaps = [
+        min(a.distance_to(b) for j, b in enumerate(nearby) if j != i)
+        for i, a in enumerate(nearby)
+    ]
+    gap_min = max(min(gaps), 1e-3)
+    return (gap_min, max(sum(gaps) / len(gaps), gap_min))
+
+
+def trajectory_blocked_oracle(planning, trajectory, position):
+    """Probe the path ahead segment by segment, stopping at the first hit."""
+    octree = planning.operators.octree
+    points = trajectory.waypoint_positions()
+    start = trajectory.nearest_point_to(position).index
+    travelled = 0.0
+    for a, b in zip(points[start:], points[start + 1 :]):
+        if octree.segment_occupied(a, b, step=max(octree.vox_min, 0.5)):
+            return True
+        travelled += a.distance_to(b)
+        if travelled >= planning.config.block_check_distance_m:
+            break
+    return False
 
 
 def random_keys(rng, count, spread=12):
@@ -55,98 +127,10 @@ def random_vec(rng, lo=-6.0, hi=6.0):
     return Vec3(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
 
 
-def seeded_index(rng, count, vox_min=0.25):
-    index = SpatialIndex(vox_min=vox_min, levels=4)
-    for key in random_keys(rng, count):
-        index.add(key)
-    return index
-
-
 def segment_batch_arrays(pairs):
     starts = np.array([(a.x, a.y, a.z) for a, _ in pairs], dtype=np.float64)
     ends = np.array([(b.x, b.y, b.z) for _, b in pairs], dtype=np.float64)
     return starts, ends
-
-
-class TestSpatialIndexBatches:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_segment_occupied_batch_matches_scalar(self, seed):
-        rng = random.Random(100 + seed)
-        index = seeded_index(rng, rng.choice([0, 1, 40, 400]))
-        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(60)]
-        # Degenerate segments (zero length) must agree too.
-        p = random_vec(rng)
-        pairs.append((p, p))
-        starts, ends = segment_batch_arrays(pairs)
-        for step in (0.1, 0.3, 1.7):
-            for lateral in (0.0, 0.4):
-                for include_start in (True, False):
-                    scalar = [
-                        index.segment_occupied(a, b, step, lateral, include_start)
-                        for a, b in pairs
-                    ]
-                    batch = index.segment_occupied_batch(
-                        starts, ends, step, lateral, include_start
-                    )
-                    assert batch.tolist() == scalar
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_nearest_occupied_distance_batch_matches_scalar(self, seed):
-        rng = random.Random(200 + seed)
-        index = seeded_index(rng, rng.choice([0, 1, 40, 400]))
-        points = [random_vec(rng, -10.0, 10.0) for _ in range(50)]
-        arr = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64)
-        for max_radius in (0.5, 4.0, 100.0):
-            scalar = [index.nearest_occupied_distance(p, max_radius) for p in points]
-            batch = index.nearest_occupied_distance_batch(arr, max_radius)
-            assert batch.tolist() == scalar
-
-    def test_batches_track_mutation(self):
-        # The array snapshot must be invalidated by add/remove/clear.
-        index = SpatialIndex(vox_min=0.25, levels=4)
-        pt = np.array([[0.1, 0.1, 0.1]])
-        assert index.nearest_occupied_distance_batch(pt, 10.0).tolist() == [10.0]
-        index.add((0, 0, 0))
-        first = index.nearest_occupied_distance_batch(pt, 10.0)[0]
-        assert first == index.nearest_occupied_distance(Vec3(0.1, 0.1, 0.1), 10.0)
-        index.remove((0, 0, 0))
-        assert index.nearest_occupied_distance_batch(pt, 10.0).tolist() == [10.0]
-
-
-class TestCellTableBatches:
-    @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
-    def test_point_hits_cells_batch_matches_scalar(self, cell_count):
-        rng = random.Random(17 + cell_count)
-        cells = frozenset(random_keys(rng, cell_count))
-        table = PackedCellTable(cells)
-        resolution = 0.6
-        points = [random_vec(rng) for _ in range(80)]
-        arr = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64)
-        for margin in (0.0, 0.5, 1.3):
-            scalar = [point_hits_cells(cells, resolution, p, margin) for p in points]
-            batch = point_hits_cells_batch(table, resolution, arr, margin)
-            assert batch.tolist() == scalar
-
-    @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
-    def test_segment_hits_cells_batch_matches_scalar(self, cell_count):
-        rng = random.Random(23 + cell_count)
-        cells = frozenset(random_keys(rng, cell_count))
-        table = PackedCellTable(cells)
-        resolution = 0.6
-        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(40)]
-        p = random_vec(rng)
-        pairs.append((p, p))
-        starts, ends = segment_batch_arrays(pairs)
-        for step in (None, 0.2, 5.0):
-            for margin in (0.0, 0.7):
-                scalar = [
-                    segment_hits_cells(cells, resolution, a, b, step, margin)
-                    for a, b in pairs
-                ]
-                batch = segment_hits_cells_batch(
-                    table, resolution, starts, ends, step, margin
-                )
-                assert batch.tolist() == scalar
 
 
 def _mover_world(rng):
@@ -179,24 +163,133 @@ def _mover_world(rng):
     return world
 
 
+class TestSpatialIndexBatches:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_segment_occupied_batch_matches_scalar(self, seed):
+        rng = random.Random(100 + seed)
+        index = SpatialIndex(vox_min=0.25, levels=4)
+        for key in random_keys(rng, rng.choice([0, 1, 40, 400])):
+            index.add(key)
+        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(60)]
+        # Degenerate segments (zero length) must agree too.
+        p = random_vec(rng)
+        pairs.append((p, p))
+        starts, ends = segment_batch_arrays(pairs)
+        for step in (0.1, 0.3, 1.7):
+            for lateral in (0.0, 0.4):
+                for include_start in (True, False):
+                    scalar = [
+                        index.segment_occupied(a, b, step, lateral, include_start)
+                        for a, b in pairs
+                    ]
+                    batch = index.segment_occupied_batch(
+                        starts, ends, step, lateral, include_start
+                    )
+                    assert batch.tolist() == scalar
+
+    def test_batches_track_mutation(self):
+        # The packed-key table must be rebuilt after every add and remove.
+        index = SpatialIndex(vox_min=0.25, levels=4)
+        index.add((40, 40, 40))
+        a, b = Vec3(0.0, 0.1, 0.1), Vec3(1.0, 0.1, 0.1)
+        starts, ends = segment_batch_arrays([(a, b)])
+
+        def probe():
+            batch = index.segment_occupied_batch(starts, ends, 0.1).tolist()
+            assert batch == [index.segment_occupied(a, b, 0.1)]
+            return batch[0]
+
+        assert not probe()
+        index.add((2, 0, 0))
+        assert probe()
+        index.remove((2, 0, 0))
+        assert not probe()
+
+
+class TestCellTableBatches:
+    @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
+    def test_contains_batch_matches_point_hits_cells(self, cell_count):
+        rng = random.Random(17 + cell_count)
+        cells = frozenset(random_keys(rng, cell_count))
+        table = PackedCellTable(cells)
+        resolution = 0.6
+        points = [random_vec(rng) for _ in range(80)]
+        points += [voxel_center(key, resolution) for key in sorted(cells)[:5]]
+        keys = np.floor(
+            np.array([(p.x, p.y, p.z) for p in points]) / resolution
+        ).astype(np.int64)
+        for margin in (0.0, 0.5, 1.3):
+            scalar = [point_hits_cells(cells, resolution, p, margin) for p in points]
+            batch = table.contains_batch(keys, cell_margin_radius(margin, resolution))
+            assert batch.tolist() == scalar
+
+    @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
+    def test_collision_checker_segment_matches_segment_hits_cells(self, cell_count):
+        rng = random.Random(23 + cell_count)
+        res = 0.6
+        cells = frozenset(random_keys(rng, cell_count))
+        view = PlanningView(res, cells, None, len(cells) * res**3)
+        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(40)]
+        # Segments through or ending in occupied cells, so sparse views see
+        # hits too, and zero-length segments inside and outside a cell.
+        for key in sorted(cells)[:5]:
+            c, offset = voxel_center(key, res), random_vec(rng, -2.0, 2.0)
+            pairs += [(c - offset, c + offset), (c + offset, c), (c, c)]
+        p = random_vec(rng)
+        pairs.append((p, p))
+        for step in (None, 0.2, 5.0):
+            for margin in (0.0, 0.7):
+                checker = _CollisionChecker(view, margin, step)
+                for a, b in pairs:
+                    expected = segment_hits_cells(cells, res, a, b, step, margin)
+                    assert checker.segment(a, b) == expected
+
+
+@pytest.mark.parametrize("vox_min, free_resolution", [(0.3, None), (0.25, 1.0), (0.2, 0.2)])
+def test_ray_sample_keys_bulk_matches_sample_ray(vox_min, free_resolution):
+    rng = random.Random(int(vox_min * 1000))
+    octree = OccupancyOctree(vox_min=vox_min, levels=4, free_resolution=free_resolution)
+    assert octree._ray_sample_keys_bulk(Vec3.zero(), [], 1.0) == []
+    for origin in [Vec3.zero()] + [random_vec(rng, -20.0, 20.0) for _ in range(5)]:
+        points = [random_vec(rng, -30.0, 30.0) for _ in range(60)]
+        # A zero-length ray, a ray shorter than one step, and rays from the
+        # zero origin whose length is an exact multiple of a step.
+        points += [origin, origin + Vec3(0.01, -0.02, 0.005)]
+        points += [Vec3(4.0, 0.0, 0.0), Vec3(0.0, 3.0, 4.0)]
+        for step in (octree.vox_min, octree.free_resolution, 3.7):
+            expected = []
+            for point in points:
+                samples = sample_ray(origin, point, step)[:-1]
+                expected.append(
+                    (
+                        [voxel_key(s, octree.free_resolution) for s in samples],
+                        [voxel_key(s, octree.vox_min) for s in samples],
+                    )
+                )
+            assert octree._ray_sample_keys_bulk(origin, points, step) == expected
+
+
 class TestWorldAndCameraEquivalence:
     @pytest.mark.parametrize("seed", range(4))
-    def test_capture_scalar_vs_vectorised(self, seed):
+    def test_capture_matches_per_ray_oracle(self, seed):
         rng = random.Random(300 + seed)
         world = _mover_world(rng)
         camera = DepthCamera(width=12, height=8, max_range=35.0)
         for _ in range(6):
             pose = Vec3(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(2, 15))
             yaw = rng.uniform(-180.0, 180.0)
-            with hotpath.vectorized_mode():
-                fast = camera.capture(world, pose, yaw)
-                fast_hits = fast.hit_points()
-            with hotpath.scalar_mode():
-                slow = camera.capture(world, pose, yaw)
-                slow_hits = slow.hit_points()
-            assert fast.depths == slow.depths
-            assert fast.directions == slow.directions
-            assert fast_hits == slow_hits
+            image = camera.capture(world, pose, yaw)
+            assert (image.directions, image.depths) == capture_oracle(
+                camera, world, pose, yaw
+            )
+            # An image built without the capture's cached direction array
+            # must give the same points.
+            rebuilt = DepthImage(
+                image.origin, image.directions, image.depths, image.max_range,
+                image.width, image.height,
+            )
+            assert image.hit_points() == rebuilt.hit_points() == hit_points_oracle(image)
+        assert DepthImage(pose, (), (), 40.0, 0, 0).hit_points() == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_obstacle_arrays_near_matches_obstacles_near(self, seed):
@@ -218,71 +311,95 @@ class TestWorldAndCameraEquivalence:
                 assert batch_d.tolist() == [o.distance_to(point) for o in scalar]
 
 
+def make_cloud(rng, count, duplicates=0):
+    points = [random_vec(rng, -15.0, 15.0) for _ in range(count)]
+    points += points[:duplicates]
+    return PointCloud(random_vec(rng), tuple(points), len(points), 0.3)
+
+
 class TestPointCloudAndViewEquivalence:
-    def make_cloud(self, rng, count):
-        origin = random_vec(rng)
-        points = [random_vec(rng, -15.0, 15.0) for _ in range(count)]
-        return PointCloud(
-            origin=origin,
-            points=tuple(points),
-            raw_point_count=count,
-            resolution=0.3,
-        )
+    @pytest.mark.parametrize("count", [0, 1, 2, 50])
+    def test_cloud_queries_match_distance_scan(self, count):
+        cloud = make_cloud(random.Random(500 + count), count)
+        distances = [cloud.origin.distance_to(p) for p in cloud.points]
+        assert cloud.nearest_distance() == min(distances, default=math.inf)
+        # Radii equal to a point's distance check the inclusive bound.
+        for radius in (0.0, 6.0, 100.0, *distances[:2]):
+            assert cloud.points_within(radius) == points_within_oracle(cloud, radius)
 
-    @pytest.mark.parametrize("count", [1, 2, 50])
-    def test_cloud_queries_scalar_vs_vectorised(self, count):
-        rng = random.Random(500 + count)
-        cloud = self.make_cloud(rng, count)
-        with hotpath.vectorized_mode():
-            fast = (cloud.nearest_distance(), cloud.points_within(6.0))
-        with hotpath.scalar_mode():
-            slow = (cloud.nearest_distance(), cloud.points_within(6.0))
-        assert fast == slow
+    @pytest.mark.parametrize("count, duplicates", [(0, 0), (1, 0), (2, 0), (3, 3), (40, 2), (150, 0)])
+    def test_gap_statistics_matches_quadratic_loop(self, count, duplicates):
+        rng = random.Random(800 + count)
+        for neighbourhood in (4.0, 25.0):
+            suite = ProfilerSuite(gap_neighbourhood=neighbourhood)
+            for _ in range(3):
+                cloud = make_cloud(rng, count, duplicates)
+                assert suite.gap_statistics(cloud) == gap_statistics_oracle(suite, cloud)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_build_planning_view_scalar_vs_vectorised(self, seed):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_planning_view_matches_sorted_oracle(self, seed):
         rng = random.Random(600 + seed)
         octree = OccupancyOctree(vox_min=0.3, levels=4)
-        for key in random_keys(rng, rng.choice([1, 30, 250])):
-            octree.mark_occupied(
-                Vec3(key[0] * 0.3 + 0.15, key[1] * 0.3 + 0.15, key[2] * 0.3 + 0.15)
-            )
-        focus = random_vec(rng)
-        for precision in (0.3, 0.6):
-            for max_volume, region in ((None, None), (2.0, 8.0), (0.5, None)):
-                with hotpath.vectorized_mode():
-                    fast = build_planning_view(
-                        octree, precision, max_volume, focus, region
+        for key in random_keys(rng, [0, 1, 30, 250][seed]):
+            octree.mark_occupied(voxel_center(key, 0.3))
+        for focus in (random_vec(rng), None):
+            for precision in (0.3, 0.6):
+                for max_volume, region in ((None, None), (2.0, 8.0), (0.5, None)):
+                    view = build_planning_view(octree, precision, max_volume, focus, region)
+                    assert (view.cells, view.total_volume, view.precision) == (
+                        planning_view_oracle(octree, precision, max_volume, focus, region)
                     )
-                with hotpath.scalar_mode():
-                    slow = build_planning_view(
-                        octree, precision, max_volume, focus, region
-                    )
-                assert fast.cells == slow.cells
-                assert fast.total_volume == slow.total_volume
-                assert fast.precision == slow.precision
 
 
-class TestMissionEquivalence:
-    """End to end: a short mission must be bit-identical in both modes."""
-
-    ENV = EnvironmentConfig(
-        obstacle_density=0.3, obstacle_spread=40.0, goal_distance=100.0, seed=11
+@pytest.fixture(scope="module")
+def planning_node():
+    env = EnvironmentGenerator().generate(
+        EnvironmentConfig(
+            obstacle_density=0.05, obstacle_spread=30.0, goal_distance=60.0, seed=3
+        )
     )
-    CFG = MissionConfig(max_decisions=12, max_mission_time_s=60.0)
+    sim = MissionSimulator(env, RoboRunRuntime(), MissionConfig(max_decisions=10))
+    return sim.build_pipeline().planning
 
-    def run_mission(self):
-        env = EnvironmentGenerator().generate(self.ENV)
-        return MissionSimulator(env, RoboRunRuntime(), self.CFG).run()
 
-    def test_short_mission_scalar_vs_vectorised(self):
-        with hotpath.vectorized_mode():
-            fast = self.run_mission()
-        with hotpath.scalar_mode():
-            slow = self.run_mission()
-        assert fast.metrics.as_dict() == slow.metrics.as_dict()
-        assert len(fast.traces) == len(slow.traces)
-        for a, b in zip(fast.traces, slow.traces):
-            assert a.end_to_end_latency == b.end_to_end_latency
-            assert a.policy == b.policy
-            assert a.zone == b.zone
+class TestPlanningKernels:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trajectory_blocked_matches_early_exit_walk(self, planning_node, seed):
+        rng = random.Random(900 + seed)
+        octree = planning_node.operators.octree
+        for _ in range(25):
+            octree.clear_cells(octree.occupied_keys())
+            waypoints = [random_vec(rng, -20.0, 20.0)]
+            for _ in range(rng.randint(0, 12)):
+                waypoints.append(waypoints[-1] + random_vec(rng, -8.0, 8.0))
+            trajectory = Trajectory(
+                [TrajectoryPoint(float(i), p, Vec3.zero()) for i, p in enumerate(waypoints)]
+            )
+            # Boxes on and beside the path (ahead of, behind and beyond the
+            # check budget of the drone), so both verdicts occur.
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(len(waypoints))
+                a, b = waypoints[i], waypoints[min(i + 1, len(waypoints) - 1)]
+                centre = a + (b - a) * rng.random() + random_vec(rng, -1.5, 1.5)
+                octree.mark_box(AABB.cube(centre, 0.9))
+            for _ in range(5):
+                position = rng.choice(waypoints) + random_vec(rng, -1.0, 1.0)
+                assert planning_node.trajectory_blocked(
+                    trajectory, position
+                ) == trajectory_blocked_oracle(planning_node, trajectory, position)
+        octree.clear_cells(octree.occupied_keys())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_position_buffer_matches_distance_scan(self, seed):
+        rng = random.Random(700 + seed)
+        positions = [random_vec(rng) for _ in range(rng.choice([1, 60, 150]))]
+        positions += positions[:3]  # exact ties: the first index must win
+        buffer = _PositionBuffer(positions[0])
+        for p in positions[1:]:
+            buffer.append(p)
+        for q in [random_vec(rng, -8.0, 8.0) for _ in range(100)] + positions[:5]:
+            distances = [p.distance_to(q) for p in positions]
+            assert buffer.distances_to(q).tolist() == distances
+            # The rewire pass reads the same array in the other direction.
+            assert distances == [q.distance_to(p) for p in positions]
+            assert buffer.nearest(q) == distances.index(min(distances))

@@ -51,6 +51,41 @@ class TestScenarioSpec:
         assert restored.mission.flight_band_m == (1.5, 9.5)
         assert restored.faults.sensor_dropout.every_n == 4
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("camera_width", 0),
+            ("camera_height", 0),
+            ("camera_range_m", 0.0),
+            ("planner_iterations", 0),
+            ("planner_step_m", -1.0),
+            ("local_map_radius_m", 0.0),
+            ("collision_margin_m", -0.1),
+            ("planner_margin_m", -1.0),
+            ("emergency_brake_lookahead_s", -0.5),
+            ("replan_interval_decisions", 0),
+            ("max_consecutive_plan_failures", 0),
+            ("max_mission_time_s", 0.0),
+            ("max_mission_time_s", float("nan")),
+        ],
+    )
+    def test_from_dict_rejects_bad_mission_field(self, field, value):
+        # A bad mission field fails while the spec is parsed, naming the
+        # field, not later when a worker builds the simulator.
+        data = tiny_spec().to_dict()
+        data["mission"][field] = value
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict(data)
+
+    def test_zero_margins_and_lookahead_are_valid(self):
+        cfg = dataclasses.replace(
+            TINY_CFG,
+            collision_margin_m=0.0,
+            planner_margin_m=0.0,
+            emergency_brake_lookahead_s=0.0,
+        )
+        assert cfg.planner_margin_m == 0.0
+
     def test_seeded_stamps_both_seeds(self):
         spec = tiny_spec().seeded(99)
         assert spec.environment.seed == 99
