@@ -95,8 +95,9 @@ def raycast_aabbs_batch(
 ) -> np.ndarray:
     """Nearest entry distance per ray against a stack of boxes, batched.
 
-    The depth camera's ray cast: one slab test over the whole
-    ``(R rays, O boxes, 3 axes)`` block.  Elementwise arithmetic reproduces
+    The depth camera's ray cast: one slab test per axis over the
+    ``(R rays, O boxes)`` plane, folded across the three axes with
+    elementwise maxima/minima.  Elementwise arithmetic reproduces
     :func:`ray_aabb_intersect` operation for operation, so the returned
     depths are bit-identical to looping it over the obstacles per ray.
 
@@ -116,29 +117,43 @@ def raycast_aabbs_batch(
     hi = np.asarray(box_hi, dtype=np.float64)
     if lo.shape[0] == 0:
         return np.full(rays.shape[0], math.inf)
-    o = np.array((origin.x, origin.y, origin.z), dtype=np.float64)
+    o = (origin.x, origin.y, origin.z)
 
-    d = rays[:, None, :]  # (R, 1, 3)
-    lo_rel = lo[None, :, :] - o  # (1, O, 3)
-    hi_rel = hi[None, :, :] - o
+    # The xyz axis stays out of the broadcast blocks: numpy reduces a
+    # length-3 trailing axis with a slow strided loop, so each axis gets its
+    # own (R, O) planes and the slab bounds fold with elementwise max/min,
+    # starting from the scalar test's (-inf, inf).  The five planes are
+    # allocated once and written in place on every axis.
+    shape = (rays.shape[0], lo.shape[0])
+    t_enter = np.full(shape, -np.inf)
+    t_exit = np.full(shape, np.inf)
+    t1, t2, near = np.empty(shape), np.empty(shape), np.empty(shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = lo_rel / d  # (R, O, 3)
-        t2 = hi_rel / d
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
+        for axis in range(3):
+            d = rays[:, axis, None]  # (R, 1)
+            lo_rel = lo[:, axis] - o[axis]  # (O,)
+            hi_rel = hi[:, axis] - o[axis]
+            np.divide(lo_rel, d, out=t1)
+            np.divide(hi_rel, d, out=t2)
+            np.minimum(t1, t2, out=near)
+            far = np.maximum(t1, t2, out=t1)
 
-    # Axes the ray runs parallel to contribute no constraint when the origin
-    # lies inside the slab and an immediate miss otherwise — the same two
-    # branches the scalar slab test takes for abs(d) < eps.
-    parallel = np.abs(d) < _EPS  # (R, 1, 3) broadcast over boxes
-    inside = (lo_rel <= 0.0) & (hi_rel >= 0.0)  # origin within the slab
-    near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-    far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+            # A ray parallel to this axis gets no constraint from the slab
+            # when its origin lies inside it and an immediate miss otherwise —
+            # the same two branches the scalar slab test takes for
+            # abs(d) < eps.
+            parallel = np.flatnonzero(np.abs(rays[:, axis]) < _EPS)
+            if parallel.size:
+                inside = (lo_rel <= 0.0) & (hi_rel >= 0.0)
+                near[parallel] = np.where(inside, -np.inf, np.inf)
+                far[parallel] = np.where(inside, np.inf, -np.inf)
 
-    t_enter = near.max(axis=2)  # (R, O)
-    t_exit = far.min(axis=2)
+            np.maximum(t_enter, near, out=t_enter)
+            np.minimum(t_exit, far, out=t_exit)
+
     hit = (t_enter <= t_exit) & (t_exit >= 0.0)
-    entry = np.where(hit, np.maximum(t_enter, 0.0), np.inf)
+    entry = np.maximum(t_enter, 0.0, out=t_enter)
+    entry[~hit] = np.inf
     nearest = entry.min(axis=1)  # (R,)
     return np.where(nearest > max_range, np.inf, nearest)
 

@@ -2,9 +2,9 @@
 
 :class:`ObsTap` is attached exactly like the analysis layer's
 ``TraceRecorder`` — ``pipeline.add_tap(tap)`` — but it watches the *runtime*
-instead of the simulation: wall-clock spans around every decision and every
-node callback, and counters/gauges/histograms over the executor, solver,
-planner, octree, comm hops and fault engine.
+instead of the simulation: wall-clock spans around every decision, its
+sensor capture and every node callback, and counters/gauges/histograms over
+the executor, solver, planner, octree, comm hops and fault engine.
 
 It is strictly off the data path, by construction rather than by care:
 
@@ -64,6 +64,10 @@ class ObsTap:
         self._open_node_span: Optional[Tuple[int, Span]] = None
         self._mission_spans: Dict[str, Span] = {}
         self._decision_spans: Dict[str, Span] = {}
+        # Per lane, the capture span opened at decision start: the sense
+        # tick (mover step, rig capture, state estimate) runs before the
+        # first dispatch, so that dispatch closes it.
+        self._capture_spans: Dict[str, Span] = {}
         # Hot-path instrument cache, one bundle per lane.
         self._lane_counters: Dict[str, Dict[str, Counter]] = {}
         self._budget_histograms: Dict[str, Histogram] = {}
@@ -172,6 +176,7 @@ class ObsTap:
         entry = self._node_lanes.get(id(node))
         if entry is not None:
             lane, short = entry
+            self._end_capture(lane)
             self._lane_counters[lane]["dispatches"].inc()
             span = self.tracer.begin(
                 short, category="node", lane=lane, args={"topic": topic_name}
@@ -237,9 +242,18 @@ class ObsTap:
             lane=lane,
             args={"index": index, "sim_time_s": pipeline.clock.now},
         )
+        self._capture_spans[lane] = self.tracer.begin(
+            "capture", category="phase", lane=lane
+        )
+
+    def _end_capture(self, lane: str) -> None:
+        span = self._capture_spans.pop(lane, None)
+        if span is not None:
+            self.tracer.end(span)
 
     def on_decision_end(self, pipeline: Any, index: int, result: Any) -> None:
         lane = self.lane_for(pipeline)
+        self._end_capture(lane)
         span = self._decision_spans.pop(lane, None)
         if span is not None:
             self.tracer.end(
@@ -308,6 +322,8 @@ class ObsTap:
         if self._finished:
             return
         self._finished = True
+        for lane in list(self._capture_spans):
+            self._end_capture(lane)
         for lane, span in list(self._decision_spans.items()):
             self.tracer.end(span)
         self._decision_spans.clear()

@@ -283,6 +283,34 @@ class Tracer:
                     entry["max_us"] = duration
         return totals
 
+    def self_time_us(self, name: str) -> float:
+        """Wall-clock time inside spans called ``name`` but outside their children.
+
+        Pairs "B"/"E" events per lane as a stack, like
+        :meth:`span_durations`, and subtracts each direct child's duration
+        from its parent.  For ``"decision"`` this is the decision time no
+        capture or node span accounts for.
+        """
+        stacks: Dict[int, List[List[Any]]] = {}
+        total = 0.0
+        for event in self._events:
+            phase = event.get("ph")
+            if phase == "B":
+                stacks.setdefault(event["tid"], []).append(
+                    [event["name"], event["ts"], 0.0]
+                )
+            elif phase == "E":
+                stack = stacks.get(event["tid"])
+                if not stack:
+                    continue
+                span_name, start, children_us = stack.pop()
+                duration = event["ts"] - start
+                if stack:
+                    stack[-1][2] += duration
+                if span_name == name:
+                    total += duration - children_us
+        return total
+
 
 def validate_chrome_trace(document: Dict[str, Any]) -> List[str]:
     """Structural checks on a trace document; returns a list of problems.

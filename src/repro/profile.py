@@ -39,9 +39,10 @@ log = get_logger("profile")
 def hotspot_table(tap: ObsTap, top: int = 10) -> FigureTable:
     """The top-``top`` span names by total wall-clock time.
 
-    Decision spans envelop the node spans, so both levels appear — the
-    table answers "where does the wall clock go" at whatever granularity
-    dominates.
+    Decision spans envelop the capture and node spans, so both levels
+    appear — the table answers "where does the wall clock go" at whatever
+    granularity dominates.  A last ``(unattributed)`` row holds the decision
+    time that no capture or node span covers.
     """
     durations = tap.tracer.span_durations()
     ranked = sorted(
@@ -58,6 +59,19 @@ def hotspot_table(tap: ObsTap, top: int = 10) -> FigureTable:
                 round(total_ms, 3),
                 round(total_ms / count, 4) if count else 0.0,
                 round(entry["max_us"] / 1000.0, 4),
+            ]
+        )
+    decisions = durations.get("decision")
+    if decisions:
+        unattributed_ms = tap.tracer.self_time_us("decision") / 1000.0
+        count = int(decisions["count"])
+        rows.append(
+            [
+                "(unattributed)",
+                count,
+                round(unattributed_ms, 3),
+                round(unattributed_ms / count, 4),
+                "",
             ]
         )
     return FigureTable(

@@ -34,11 +34,16 @@ Grid files take one of three JSON shapes:
   becomes a swept fault axis);
 * ``{"specs": [...]}`` — a list of full scenario-spec dictionaries;
 * ``[...]`` — the same list, bare.
+
+A malformed file (a missing ``name`` or ``name_prefix``, an unknown key, a
+scalar where an axis list belongs) fails with a ``ValueError`` naming the
+field before any mission flies.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -47,7 +52,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.report import CampaignReport
 from repro.obs.log import configure_logging, get_logger
 from repro.simulation.campaign import CampaignRunner
-from repro.simulation.scenario import ScenarioSpec, scenario_grid
+from repro.simulation.scenario import (
+    ScenarioSpec,
+    checked_config_fields,
+    scenario_grid,
+)
 
 log = get_logger("report")
 
@@ -66,27 +75,57 @@ def load_grid_file(path: Path) -> List[ScenarioSpec]:
     if "specs" in data:
         return [ScenarioSpec.from_dict(item) for item in data["specs"]]
     if "grid" in data:
-        return _grid_from_kwargs(dict(data["grid"]))
+        return _grid_from_kwargs(data["grid"])
     raise ValueError(
         f"grid file {path} needs a 'grid' or 'specs' key (or a bare spec list)"
     )
 
 
-def _grid_from_kwargs(kwargs: Dict[str, Any]) -> List[ScenarioSpec]:
-    """Build a :func:`scenario_grid` call from the grid file's plain data."""
+def _grid_from_kwargs(grid: Any) -> List[ScenarioSpec]:
+    """Build a :func:`scenario_grid` call from the grid file's plain data.
+
+    Raises:
+        ValueError: naming the field, when ``grid`` is not a dictionary,
+            lacks ``name_prefix``, carries a key :func:`scenario_grid` does not
+            take, gives an axis as a scalar, or holds an unknown
+            ``base_environment``/``mission`` key.
+    """
     from repro.environment.generator import EnvironmentConfig
     from repro.simulation.mission import MissionConfig
 
+    if not isinstance(grid, dict):
+        raise ValueError(
+            f"'grid' must be a JSON object of scenario_grid arguments, got {grid!r}"
+        )
+    known = set(inspect.signature(scenario_grid).parameters)
+    unknown = sorted(set(grid) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown 'grid' field(s) {unknown}; expected some of {sorted(known)}"
+        )
+    if "name_prefix" not in grid:
+        raise ValueError("'grid' is missing its 'name_prefix' field")
+    kwargs = dict(grid)
     if "base_environment" in kwargs:
-        kwargs["base_environment"] = EnvironmentConfig(**kwargs["base_environment"])
+        kwargs["base_environment"] = EnvironmentConfig(
+            **checked_config_fields(
+                EnvironmentConfig, kwargs["base_environment"], "base_environment"
+            )
+        )
     if "mission" in kwargs:
-        kwargs["mission"] = MissionConfig(**kwargs["mission"])
+        kwargs["mission"] = MissionConfig(
+            **checked_config_fields(MissionConfig, kwargs["mission"], "mission")
+        )
     # "faults" passes through untouched: scenario_grid itself coerces both
     # shapes — one fault-set dict applied everywhere, or a {name: fault set}
     # mapping that becomes a swept axis — and rejects typo'd fault names.
-    for knob in ("designs", "densities", "spreads", "goal_distances", "n_drones"):
-        if knob in kwargs:
-            kwargs[knob] = tuple(kwargs[knob])
+    for axis in ("designs", "densities", "spreads", "goal_distances", "worlds", "n_drones"):
+        if axis in kwargs:
+            if not isinstance(kwargs[axis], (list, tuple)):
+                raise ValueError(
+                    f"grid field {axis!r} must be a list, got {kwargs[axis]!r}"
+                )
+            kwargs[axis] = tuple(kwargs[axis])
     return scenario_grid(**kwargs)
 
 

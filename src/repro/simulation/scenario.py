@@ -156,14 +156,30 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        mission_data = dict(data.get("mission", {}))
+        """Parse the plain-data form of :meth:`to_dict`.
+
+        Raises:
+            ValueError: naming the field, when ``data`` is not a dictionary,
+                lacks ``name`` or carries an unknown ``environment`` or
+                ``mission`` key.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a scenario spec must be a JSON object, got {data!r}")
+        if "name" not in data:
+            raise ValueError("scenario spec is missing its 'name' field")
+        mission_data = checked_config_fields(
+            MissionConfig, data.get("mission", {}), "mission"
+        )
         band = mission_data.get("flight_band_m")
         if band is not None:
             mission_data["flight_band_m"] = tuple(band)
+        environment_data = checked_config_fields(
+            EnvironmentConfig, data.get("environment", {}), "environment"
+        )
         return cls(
             name=data["name"],
             design=data.get("design", "roborun"),
-            environment=EnvironmentConfig(**data.get("environment", {})),
+            environment=EnvironmentConfig(**environment_data),
             mission=MissionConfig(**mission_data),
             faults=FaultSet.from_dict(data.get("faults")),
             # Pre-worlds spec dictionaries have no "world" key; they get the
@@ -180,6 +196,24 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, payload: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(payload))
+
+
+def checked_config_fields(config_cls: type, data: Any, field: str) -> Dict[str, Any]:
+    """A copy of ``data`` once it is known to hold only ``config_cls`` fields.
+
+    Raises:
+        ValueError: naming ``field``, when ``data`` is not a dictionary or
+            carries a key that ``config_cls`` does not define.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{field!r} must be a JSON object, got {data!r}")
+    known = {f.name for f in dataclasses.fields(config_cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown {field!r} field(s) {unknown}; expected some of {sorted(known)}"
+        )
+    return dict(data)
 
 
 def _coerce_world(value: Any) -> WorldSpec:

@@ -100,6 +100,21 @@ class TestTapOutputs:
         durations = tap.tracer.span_durations()
         assert durations["decision"]["count"] == result.metrics.decision_count
 
+    def test_one_capture_span_per_decision_and_spans_cover_decisions(self):
+        tap = ObsTap()
+        result = _run_small(tap=tap)
+        tap.finish()
+        begins = [e["name"] for e in tap.tracer.events if e["ph"] == "B"]
+        # The capture span opens right after its decision's span, once each.
+        after_decision = [
+            begins[i + 1] for i, name in enumerate(begins) if name == "decision"
+        ]
+        assert after_decision == ["capture"] * result.metrics.decision_count
+        assert begins.count("capture") == result.metrics.decision_count
+        # Capture plus node spans account for nearly all decision time.
+        decision_us = tap.tracer.span_durations()["decision"]["total_us"]
+        assert tap.tracer.self_time_us("decision") <= 0.05 * decision_us
+
     def test_metrics_cover_the_catalogue(self):
         tap = ObsTap()
         result = _run_small(tap=tap)

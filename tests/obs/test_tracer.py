@@ -105,6 +105,19 @@ class TestChromeTraceDocument:
         assert durations["mission"]["count"] == 1
         assert durations["mission"]["total_us"] >= durations["decision"]["total_us"]
 
+    def test_self_time_subtracts_direct_children_only(self):
+        tracer = Tracer()
+        outer = tracer.begin("decision")
+        inner = tracer.begin("capture")
+        tracer.end(tracer.begin("kernel"))
+        tracer.end(inner)
+        tracer.end(outer)
+        ts = {(e["name"], e["ph"]): e["ts"] for e in _events(tracer)}
+        span = lambda name: ts[(name, "E")] - ts[(name, "B")]
+        assert tracer.self_time_us("decision") == span("decision") - span("capture")
+        assert tracer.self_time_us("capture") == span("capture") - span("kernel")
+        assert tracer.self_time_us("absent") == 0.0
+
 
 class TestValidator:
     def test_flags_unbalanced_begin(self):

@@ -4,7 +4,8 @@ Each hot query has one implementation, a numpy batch kernel that repeats the
 per-element Python arithmetic operation for operation.  The oracles below are
 that arithmetic, kept only to check the kernels against: on randomized
 inputs plus the empty, single-element and zero-length edge cases, compared
-with ``==`` throughout (no tolerances anywhere).
+with ``==`` throughout (no tolerances anywhere) and byte for byte for the
+batched slab test.
 """
 
 import math
@@ -19,7 +20,7 @@ from repro.core.profilers import ProfilerSuite
 from repro.environment.world import World, Obstacle
 from repro.geometry.aabb import AABB
 from repro.geometry.grid import voxel_center, voxel_key
-from repro.geometry.ray import Ray, ray_aabb_intersect, sample_ray
+from repro.geometry.ray import _EPS, Ray, ray_aabb_intersect, raycast_aabbs_batch, sample_ray
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
@@ -49,6 +50,121 @@ def capture_oracle(camera, world, position, yaw):
         return math.inf if nearest > camera.max_range else nearest
 
     return directions, tuple(cast(d) for d in directions)
+
+
+def raycast_oracle(origin, directions, box_lo, box_hi, max_range):
+    """Depths from ray_aabb_intersect looped over every (ray, box) pair."""
+    boxes = [
+        AABB(Vec3(*lo), Vec3(*hi)) for lo, hi in zip(box_lo.tolist(), box_hi.tolist())
+    ]
+    depths = []
+    for d in directions.tolist():
+        ray = Ray(origin, Vec3(*d))
+        hits = [ray_aabb_intersect(ray, box) for box in boxes]
+        # A ray starting inside or on a box reads +0.0.  Python's
+        # max(-0.0, 0.0) would keep the -0.0 entry that a face the origin
+        # sits on yields, so the clamp is spelled out.
+        nearest = min(
+            (h[0] if h[0] > 0.0 else 0.0 for h in hits if h is not None),
+            default=math.inf,
+        )
+        depths.append(math.inf if nearest > max_range else nearest)
+    return np.array(depths, dtype=np.float64)
+
+
+def _rays(*directions):
+    return np.array(directions, dtype=np.float64).reshape(len(directions), 3)
+
+
+def _boxes(*corners):
+    lo = np.array([c[0] for c in corners], dtype=np.float64).reshape(len(corners), 3)
+    hi = np.array([c[1] for c in corners], dtype=np.float64).reshape(len(corners), 3)
+    return lo, hi
+
+
+def _parallel_axis_cases():
+    """Rays with one direction component of 0.0, -0.0 or below the slab eps.
+
+    The origin's coordinate on that axis lies inside the box's slab, outside
+    it, or exactly on either face; the other two components aim the ray at
+    the box, so only the parallel branch decides hit or miss.
+    """
+    lo, hi = _boxes(((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)))
+    tiny = _EPS / 10.0
+    for axis in range(3):
+        others = [i for i in range(3) if i != axis]
+        for component in (0.0, -0.0, tiny, -tiny):
+            # inside, outside above, outside below, on the lo and hi faces
+            for coord in (1.0, 3.0, -1.0, 0.0, 2.0):
+                origin = [-1.0, -1.0, -1.0]
+                origin[axis] = coord
+                directions = []
+                for a, b in ((1.0, 1.0), (1.0, 0.5), (0.3, 1.0)):
+                    d = [component] * 3
+                    d[others[0]], d[others[1]] = a, b
+                    directions.append(d)
+                yield Vec3(*origin), _rays(*directions), lo, hi, 40.0
+
+
+def _slab_edge_cases():
+    """Named edge cases for the batched slab test."""
+    unit = _boxes(((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)))
+    fan = _rays(
+        (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0),
+        (0.6, -0.8, 0.0), (0.3, 0.4, -0.5), (-0.0, 0.0, 1.0),
+    )
+    return {
+        "origin_inside": (Vec3(1.0, 1.0, 1.0), fan, *unit, 40.0),
+        "origin_on_hi_face": (Vec3(2.0, 1.0, 1.0), fan, *unit, 40.0),
+        "origin_on_lo_corner": (Vec3(0.0, 0.0, 0.0), fan, *unit, 40.0),
+        "box_behind": (
+            Vec3(0.0, 0.0, 0.0),
+            _rays((1.0, 0.0, 0.0), (1.0, 0.1, 0.0)),
+            *_boxes(((-5.0, -1.0, -1.0), (-3.0, 1.0, 1.0))),
+            40.0,
+        ),
+        "entry_at_max_range": (
+            Vec3(0.0, 0.0, 0.0),
+            _rays((1.0, 0.0, 0.0)),
+            *_boxes(((10.0, -1.0, -1.0), (12.0, 1.0, 1.0))),
+            10.0,
+        ),
+        "entry_past_max_range": (
+            Vec3(0.0, 0.0, 0.0),
+            _rays((1.0, 0.0, 0.0)),
+            *_boxes(((10.0, -1.0, -1.0), (12.0, 1.0, 1.0))),
+            math.nextafter(10.0, 0.0),
+        ),
+        "zero_boxes": (Vec3(0.0, 0.0, 0.0), fan, *_boxes(), 40.0),
+        "one_box": (Vec3(-3.0, 1.0, 1.0), fan, *unit, 40.0),
+        "nested_boxes": (
+            Vec3(-3.0, 1.0, 1.0),
+            fan,
+            *_boxes(
+                ((0.0, 0.0, 0.0), (2.0, 2.0, 2.0)),
+                ((-1.0, 0.5, 0.5), (3.0, 1.5, 1.5)),
+                ((-9.0, -9.0, -9.0), (-4.0, 9.0, 9.0)),
+            ),
+            40.0,
+        ),
+    }
+
+
+def _random_slab_case(rng):
+    """Grid-snapped boxes and origins, so faces and slab edges coincide often."""
+    origin = Vec3(*(float(rng.randint(-4, 4)) for _ in range(3)))
+    directions = []
+    for _ in range(30):
+        d = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        if rng.random() < 0.5:
+            d[rng.randrange(3)] = rng.choice((0.0, -0.0, _EPS / 10.0, _EPS))
+        directions.append(d)
+    corners = []
+    for _ in range(25):
+        lo = [float(rng.randint(-8, 6)) for _ in range(3)]
+        hi = [c + rng.choice((0.0, 1.0, 2.5, 4.0)) for c in lo]
+        corners.append((lo, hi))
+    return origin, _rays(*directions), *_boxes(*corners), rng.choice((3.0, 8.0, 40.0))
 
 
 def hit_points_oracle(image):
@@ -270,6 +386,39 @@ def test_ray_sample_keys_bulk_matches_sample_ray(vox_min, free_resolution):
 
 
 class TestWorldAndCameraEquivalence:
+    def test_raycast_parallel_axes_match_oracle_bytes(self):
+        cases = list(_parallel_axis_cases())
+        hits = 0
+        for origin, directions, lo, hi, max_range in cases:
+            depths = raycast_aabbs_batch(origin, directions, lo, hi, max_range)
+            expected = raycast_oracle(origin, directions, lo, hi, max_range)
+            assert depths.tobytes() == expected.tobytes(), (origin, directions)
+            hits += int(np.isfinite(depths).sum())
+        # Both branches ran: some parallel rays hit, some missed.
+        assert 0 < hits < sum(len(c[1]) for c in cases)
+
+    @pytest.mark.parametrize("name", sorted(_slab_edge_cases()))
+    def test_raycast_edge_cases_match_oracle_bytes(self, name):
+        origin, directions, lo, hi, max_range = _slab_edge_cases()[name]
+        depths = raycast_aabbs_batch(origin, directions, lo, hi, max_range)
+        expected = raycast_oracle(origin, directions, lo, hi, max_range)
+        assert depths.tobytes() == expected.tobytes()
+        if name in ("origin_inside", "origin_on_hi_face"):
+            assert 0.0 in depths.tolist()
+        if name == "entry_at_max_range":
+            assert depths.tolist() == [10.0]
+        if name in ("entry_past_max_range", "box_behind", "zero_boxes"):
+            assert np.isinf(depths).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_raycast_random_boxes_match_oracle_bytes(self, seed):
+        rng = random.Random(500 + seed)
+        for _ in range(5):
+            origin, directions, lo, hi, max_range = _random_slab_case(rng)
+            depths = raycast_aabbs_batch(origin, directions, lo, hi, max_range)
+            expected = raycast_oracle(origin, directions, lo, hi, max_range)
+            assert depths.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("seed", range(4))
     def test_capture_matches_per_ray_oracle(self, seed):
         rng = random.Random(300 + seed)

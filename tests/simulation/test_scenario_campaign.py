@@ -1,6 +1,7 @@
 """Tests for the declarative scenario layer and the campaign runner."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro import (
     WorldSpec,
     scenario_grid,
 )
+from repro.report import load_grid_file
 from repro.simulation.campaign import _run_payload
 
 TINY_ENV = EnvironmentConfig(
@@ -165,6 +167,90 @@ class TestScenarioGrid:
     def test_unknown_archetype_rejected_at_spec_construction(self):
         with pytest.raises(ValueError, match="archetype"):
             ScenarioSpec(name="x", world=WorldSpec(archetype="volcano"))
+
+
+def _spec_without(key):
+    data = tiny_spec().to_dict()
+    del data[key]
+    return data
+
+
+def _spec_with(section, key, value):
+    data = tiny_spec().to_dict()
+    data[section][key] = value
+    return data
+
+
+GOOD_GRID = {
+    "name_prefix": "g",
+    "designs": ["roborun"],
+    "densities": [0.3],
+    "base_environment": {"obstacle_spread": 30.0},
+    "mission": {"max_decisions": 5},
+}
+
+BAD_SPECS = {
+    "missing_name": (_spec_without("name"), "'name'"),
+    "unknown_environment_key": (
+        _spec_with("environment", "obstacle_densty", 0.3), "'environment'.*obstacle_densty"
+    ),
+    "unknown_mission_key": (
+        _spec_with("mission", "max_decision", 5), "'mission'.*max_decision"
+    ),
+    "mission_not_an_object": (
+        {**tiny_spec().to_dict(), "mission": [5]}, "'mission'"
+    ),
+    "spec_not_an_object": ("tiny", "scenario spec"),
+}
+
+BAD_GRIDS = {
+    "unknown_grid_key": ({**GOOD_GRID, "desings": ["roborun"]}, "'grid'.*desings"),
+    "missing_name_prefix": (
+        {k: v for k, v in GOOD_GRID.items() if k != "name_prefix"}, "'name_prefix'"
+    ),
+    "grid_is_a_list": ([GOOD_GRID], "'grid'"),
+    "scalar_axis": ({**GOOD_GRID, "n_drones": 2}, "'n_drones'"),
+    "scalar_world_axis": ({**GOOD_GRID, "worlds": "forest"}, "'worlds'"),
+    "unknown_base_environment_key": (
+        {**GOOD_GRID, "base_environment": {"spread": 30.0}}, "'base_environment'.*spread"
+    ),
+    "unknown_grid_mission_key": (
+        {**GOOD_GRID, "mission": {"max_decision": 5}}, "'mission'.*max_decision"
+    ),
+}
+
+
+class TestMalformedInput:
+    """Bad spec and grid data fail while parsing, with the field named."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_from_dict_names_the_field(self, case):
+        data, field = BAD_SPECS[case]
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_spec_list_file_names_the_field(self, case, tmp_path):
+        data, field = BAD_SPECS[case]
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps({"specs": [tiny_spec("ok").to_dict(), data]}))
+        with pytest.raises(ValueError, match=field):
+            load_grid_file(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+    def test_grid_file_names_the_field(self, case, tmp_path):
+        grid, field = BAD_GRIDS[case]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": grid}))
+        with pytest.raises(ValueError, match=field):
+            load_grid_file(path)
+
+    def test_well_formed_grid_still_loads(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": {**GOOD_GRID, "n_drones": [1, 2]}}))
+        specs = load_grid_file(path)
+        assert [s.n_drones for s in specs] == [1, 2]
+        assert all(s.environment.obstacle_spread == 30.0 for s in specs)
 
 
 class TestCampaignRunner:
