@@ -19,7 +19,7 @@ compression, no framing, no dependencies beyond the standard library.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.trace import (
     DecisionRecord,
@@ -60,11 +60,6 @@ class TraceWriter:
         self._handle.write(record_to_line(record))
         self._handle.write("\n")
         self._written += 1
-
-    def write_all(self, records: Iterable[TraceRecord]) -> None:
-        """Append every record of an iterable, in order."""
-        for record in records:
-            self.write(record)
 
     @property
     def written(self) -> int:

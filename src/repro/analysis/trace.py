@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.middleware.latency import comm_seconds, compute_seconds
+from repro.middleware.latency import compute_seconds
 
 #: Discriminator values stored in each JSONL line's ``"kind"`` field.
 KIND_DECISION = "decision"
@@ -129,11 +129,6 @@ class DecisionRecord:
     def compute_latency(self) -> float:
         """Computation (non-``comm_*``) share of the decision latency, seconds."""
         return compute_seconds(self.stage_latencies)
-
-    @property
-    def comm_latency(self) -> float:
-        """Communication (``comm_*`` hop) share of the decision latency, seconds."""
-        return comm_seconds(self.stage_latencies)
 
     @property
     def deadline_met(self) -> bool:

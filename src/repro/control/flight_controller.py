@@ -40,12 +40,6 @@ class FlightController:
         """Clear the PID state (called when a new trajectory is adopted)."""
         self._pid.reset()
 
-    def set_velocity_limit(self, max_velocity: float) -> None:
-        """Update the velocity cap (the runtime's safe-velocity decision)."""
-        if max_velocity <= 0:
-            raise ValueError("max velocity must be positive")
-        self.max_velocity = max_velocity
-
     def velocity_command(
         self,
         trajectory: Trajectory,
@@ -72,7 +66,3 @@ class FlightController:
         if speed > self.max_velocity and speed > 0.0:
             command = command * (self.max_velocity / speed)
         return command
-
-    def hover_command(self) -> Vec3:
-        """The command used while waiting for a decision (zero velocity)."""
-        return Vec3.zero()

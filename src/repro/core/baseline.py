@@ -128,11 +128,6 @@ class SpatialObliviousRuntime:
         """The worst-case latency assumed at design time, seconds."""
         return self._design_latency
 
-    @property
-    def design_budget(self) -> float:
-        """The fixed decision deadline, seconds."""
-        return self._design_budget
-
     # ------------------------------------------------------------------
     # Per-decision interface (same shape as RoboRunRuntime)
     # ------------------------------------------------------------------

@@ -97,12 +97,6 @@ class KnobPolicy:
         """Copy with new precisions (volumes unchanged)."""
         return replace(self, point_cloud_precision=p0, map_to_planner_precision=p1)
 
-    def with_volumes(self, v0: float, v1: float, v2: float) -> "KnobPolicy":
-        """Copy with new volumes (precisions unchanged)."""
-        return replace(
-            self, octomap_volume=v0, map_to_planner_volume=v1, planner_volume=v2
-        )
-
 
 #: The spatial-oblivious baseline's fixed, worst-case policy (Table II "Static").
 STATIC_BASELINE_POLICY = KnobPolicy(

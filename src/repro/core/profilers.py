@@ -76,10 +76,6 @@ class SpaceProfile:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
 
-    def is_near_obstacles(self, threshold: float = 10.0) -> bool:
-        """True when the nearest observed obstacle is within ``threshold`` metres."""
-        return self.closest_obstacle <= threshold
-
 
 class ProfilerSuite:
     """Extracts a :class:`SpaceProfile` from the pipeline's data structures.

@@ -110,10 +110,6 @@ class RoboRunRuntime:
         """(timestamp, time budget) per decision — Figure 5b's data."""
         return [(d.timestamp, d.time_budget) for d in self._decisions]
 
-    def velocity_cap_trace(self) -> List[tuple[float, float]]:
-        """(timestamp, velocity cap) per decision."""
-        return [(d.timestamp, d.velocity_cap) for d in self._decisions]
-
     def reset(self) -> None:
         """Clear the decision trace (a new mission)."""
         self._decisions.clear()

@@ -174,10 +174,6 @@ class GeneratedEnvironment:
     heterogeneity: Optional["HeterogeneityField"] = None
     dynamics: Optional["DynamicObstacleSet"] = None
 
-    def congestion_at(self, position: Vec3, radius: float = 30.0) -> float:
-        """Local obstacle density around a position (Figure 9's heat value)."""
-        return self.world.obstacle_density(position, radius)
-
     def difficulty_at(self, position: Vec3) -> float:
         """Interpolated corridor difficulty in [0, 1] at a position.
 

@@ -181,11 +181,6 @@ class World:
         self._agents = list(obstacles)
         self._unhashed_arrays = None
 
-    @property
-    def agent_obstacles(self) -> Sequence[Obstacle]:
-        """The agent obstacle layer (peer drones), as most recently set."""
-        return tuple(self._agents)
-
     def _unhashed_obstacles(self) -> List[Obstacle]:
         """Movers plus peer agents — the obstacles scanned linearly."""
         if not self._agents:
@@ -276,10 +271,6 @@ class World:
             if box.contains(point):
                 return True
         return False
-
-    def is_inside_bounds(self, point: Vec3) -> bool:
-        """True when the point lies inside the world bounds."""
-        return self.bounds.contains(point)
 
     def segment_collides(self, start: Vec3, end: Vec3, margin: float = 0.0) -> bool:
         """True when the straight segment hits any obstacle (inflated by margin)."""

@@ -90,10 +90,6 @@ class ZoneMap:
                 return zone
         raise KeyError(f"no zone named {name!r}")
 
-    def zone_boundaries(self) -> Dict[str, tuple[float, float]]:
-        """Zone name → (start_fraction, end_fraction)."""
-        return {z.name: (z.start_fraction, z.end_fraction) for z in self.zones}
-
     def congested_zone_names(self) -> List[str]:
         """Names of the congested zones (A and C in the default layout)."""
         return [z.name for z in self.zones if z.congested]

@@ -9,7 +9,7 @@ metres to match the paper's knob tables (Table II uses m^3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry.vec3 import Vec3
 
@@ -82,12 +82,6 @@ class AABB:
         s = self.size
         return s.x * s.y * s.z
 
-    @property
-    def surface_area(self) -> float:
-        """Total surface area."""
-        s = self.size
-        return 2.0 * (s.x * s.y + s.y * s.z + s.z * s.x)
-
     def corners(self) -> List[Vec3]:
         """The eight corner points."""
         lo, hi = self.min_corner, self.max_corner
@@ -109,10 +103,6 @@ class AABB:
             and lo.y <= point.y <= hi.y
             and lo.z <= point.z <= hi.z
         )
-
-    def contains_box(self, other: "AABB") -> bool:
-        """True when ``other`` lies entirely within this box."""
-        return self.contains(other.min_corner) and self.contains(other.max_corner)
 
     def intersects(self, other: "AABB") -> bool:
         """True when the two boxes overlap (sharing a face counts)."""
@@ -156,25 +146,6 @@ class AABB:
     def clamp_point(self, point: Vec3) -> Vec3:
         """Alias of :meth:`closest_point`, kept for call-site readability."""
         return self.closest_point(point)
-
-    def sample_grid(self, step: float) -> Iterator[Vec3]:
-        """Yield points on a regular grid with the given spacing.
-
-        Used by tests and the environment analyser to rasterise obstacle
-        occupancy at a configurable precision.
-        """
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        x = self.min_corner.x
-        while x <= self.max_corner.x + 1e-12:
-            y = self.min_corner.y
-            while y <= self.max_corner.y + 1e-12:
-                z = self.min_corner.z
-                while z <= self.max_corner.z + 1e-12:
-                    yield Vec3(x, y, z)
-                    z += step
-                y += step
-            x += step
 
     def split_octants(self) -> Tuple["AABB", ...]:
         """Split the box into its eight octants (used by the octree)."""

@@ -128,11 +128,6 @@ class VoxelGrid:
         """Iterate over the indices of occupied cells."""
         return iter(self._cells.keys())
 
-    def count_in_cell(self, key: VoxelKey) -> int:
-        """Number of points inserted into the given cell (0 if empty)."""
-        cell = self._cells.get(key)
-        return cell.count if cell else 0
-
     def total_points(self) -> int:
         """Total number of points inserted across all cells."""
         return sum(cell.count for cell in self._cells.values())

@@ -104,11 +104,6 @@ class Topic:
         if self.latched and self._history:
             callback(self._history[-1])
 
-    def unsubscribe(self, callback: SubscriberCallback) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
-
     def publish(self, message: Message[Any]) -> List[SubscriberCallback]:
         """Record the message and return the callbacks that should receive it.
 
@@ -132,11 +127,6 @@ class Topic:
     def publish_count(self) -> int:
         """Total messages ever published on the topic."""
         return self._publish_count
-
-    @property
-    def subscriber_count(self) -> int:
-        """Number of registered subscribers."""
-        return len(self._subscribers)
 
     def history(self) -> List[Message[Any]]:
         """A copy of the retained message history (oldest first)."""
@@ -168,7 +158,3 @@ class TopicBus:
     def names(self) -> List[str]:
         """Names of every registered topic, sorted."""
         return sorted(self._topics.keys())
-
-    def total_messages(self) -> int:
-        """Total messages published across every topic."""
-        return sum(t.publish_count for t in self._topics.values())

@@ -10,17 +10,16 @@ The paper's perception stage has two kernels (§III-A):
 
 Both kernels expose the hooks the RoboRun precision and volume operators act
 on: point-cloud grid resolution, ray-caster step size, map insertion volume
-budget, and tree pruning / sub-sampling for the map handed to the planner.
+budget, and sub-sampling / volume bounding for the map handed to the planner.
 """
 
-from repro.perception.octomap import OccupancyOctree, OctreeNode, allowed_precisions
+from repro.perception.octomap import OccupancyOctree, allowed_precisions
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
 from repro.perception.spatial_index import SpatialIndex
 
 __all__ = [
     "OccupancyOctree",
-    "OctreeNode",
     "PlanningView",
     "PointCloud",
     "PointCloudKernel",

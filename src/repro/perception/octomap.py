@@ -13,11 +13,11 @@ with the specific hooks RoboRun's operators require:
   one until the newly added volume exceeds the budget ("sorted points are
   integrated one by one until their resulting volume exceeds the desired
   threshold", §III-B).
-* **Perception→planning precision/volume operators** — the map can be
-  *coarsened* to any power-of-two multiple of the minimum voxel size and
-  *pruned* to a bounded volume, producing the reduced view handed to the
-  planner (:meth:`coarse_occupied_cells`, :meth:`build_tree`,
-  :func:`prune_tree_to_volume`).
+* **Perception→planning precision operator** — the map can be *coarsened*
+  to any power-of-two multiple of the minimum voxel size
+  (:meth:`coarse_occupied_cells`); the volume operator that bounds the
+  reduced view handed to the planner is
+  :func:`~repro.perception.planning_view.build_planning_view`.
 
 Two simulation shortcuts keep pure-Python missions tractable without changing
 the behaviour the runtime observes:
@@ -34,15 +34,14 @@ the behaviour the runtime observes:
 
 Every mutation of the occupied set also updates a
 :class:`~repro.perception.spatial_index.SpatialIndex`, so the per-decision
-queries — nearest obstacle, coarse aggregation, tree construction, segment
-probes and locality eviction — run against incrementally maintained
+queries — nearest obstacle, coarse aggregation, segment probes and
+locality eviction — run against incrementally maintained
 structures instead of rescanning the map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -65,53 +64,6 @@ def allowed_precisions(vox_min: float, levels: int) -> List[float]:
     if levels < 1:
         raise ValueError("need at least one precision level")
     return [vox_min * (2**n) for n in range(levels)]
-
-
-@dataclass
-class OctreeNode:
-    """A node of the explicit occupancy octree.
-
-    Attributes:
-        center: world-space centre of the cube this node covers.
-        size: edge length of the cube, metres.
-        depth: 0 for leaves at the minimum resolution, increasing upward.
-        occupied_leaves: number of occupied minimum-resolution voxels below
-            this node (a leaf contributes 1 when occupied).
-        children: child nodes; empty for leaves or pruned subtrees.
-    """
-
-    center: Vec3
-    size: float
-    depth: int
-    occupied_leaves: int = 0
-    children: List["OctreeNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        """True when the node has no children."""
-        return not self.children
-
-    @property
-    def volume(self) -> float:
-        """Volume covered by this node, m^3."""
-        return self.size**3
-
-    def occupied_volume(self, vox_min: float) -> float:
-        """Volume of occupied minimum-resolution voxels under this node."""
-        return self.occupied_leaves * vox_min**3
-
-    def count_nodes(self) -> int:
-        """Total nodes in the subtree rooted here (including this node)."""
-        return 1 + sum(child.count_nodes() for child in self.children)
-
-    def leaves(self) -> List["OctreeNode"]:
-        """All leaf nodes of the subtree."""
-        if self.is_leaf:
-            return [self]
-        result: List[OctreeNode] = []
-        for child in self.children:
-            result.extend(child.leaves())
-        return result
 
 
 class OccupancyOctree:
@@ -430,11 +382,6 @@ class OccupancyOctree:
             )
         return results
 
-    @property
-    def last_insert_stats(self) -> Dict[str, float]:
-        """Statistics of the most recent insertion (empty before any insert)."""
-        return dict(self._last_insert_stats)
-
     # ------------------------------------------------------------------
     # Aggregate queries
     # ------------------------------------------------------------------
@@ -445,10 +392,6 @@ class OccupancyOctree:
     def occupied_voxel_count(self) -> int:
         """Number of occupied minimum-resolution voxels."""
         return len(self._occupied)
-
-    def free_region_count(self) -> int:
-        """Number of observed-free coarse regions."""
-        return len(self._free)
 
     def observed_voxel_count(self) -> int:
         """Number of observed cells (occupied voxels plus free regions)."""
@@ -464,10 +407,6 @@ class OccupancyOctree:
             len(self._occupied) * self.vox_min**3
             + len(self._free) * self.free_resolution**3
         )
-
-    def occupied_centers(self) -> List[Vec3]:
-        """World-space centres of every occupied minimum-resolution voxel."""
-        return [voxel_center(key, self.vox_min) for key in self._occupied]
 
     def nearest_occupied_distance(self, point: Vec3, max_radius: float = 100.0) -> float:
         """Distance from ``point`` to the nearest occupied voxel centre.
@@ -516,35 +455,6 @@ class OccupancyOctree:
             starts, ends, effective, lateral=lateral, include_start=include_start
         )
 
-    def nearest_unknown_distance(
-        self, point: Vec3, search_radius: float, step: Optional[float] = None
-    ) -> float:
-        """Distance to the nearest never-observed region within a radius.
-
-        Unknown space limits visibility: the drone cannot assume unobserved
-        space is free.  The search probes the six axis directions at
-        increasing radii and returns ``search_radius`` when everything nearby
-        has been observed.
-        """
-        if search_radius <= 0:
-            return 0.0
-        probe_step = step if step is not None else self.free_resolution
-        r = probe_step
-        directions = (
-            Vec3.unit_x(),
-            -Vec3.unit_x(),
-            Vec3.unit_y(),
-            -Vec3.unit_y(),
-            Vec3.unit_z(),
-            -Vec3.unit_z(),
-        )
-        while r <= search_radius:
-            for direction in directions:
-                if self.is_unknown(point + direction * r):
-                    return r
-            r += probe_step
-        return search_radius
-
     def forget_beyond(self, center: Vec3, radius: float) -> int:
         """Drop observed cells further than ``radius`` from ``center``.
 
@@ -576,7 +486,7 @@ class OccupancyOctree:
         return before - (len(self._occupied) + len(self._free))
 
     # ------------------------------------------------------------------
-    # Coarsening / pruning (perception→planning operators)
+    # Coarsening (perception→planning precision operator)
     # ------------------------------------------------------------------
     def coarsen_level_for(self, precision: float) -> int:
         """Map a requested precision to the closest allowed coarsening level."""
@@ -596,103 +506,3 @@ class OccupancyOctree:
         """
         level = self.coarsen_level_for(precision)
         return dict(self._index.level_cells(level))
-
-    def coarse_cell_boxes(self, precision: float) -> List[Tuple[Vec3, float]]:
-        """Centres and edge lengths of the coarse occupied cells."""
-        level = self.coarsen_level_for(precision)
-        resolution = self.vox_min * (2**level)
-        return [
-            (voxel_center(key, resolution), resolution)
-            for key in self.coarse_occupied_cells(precision)
-        ]
-
-    def build_tree(self) -> OctreeNode:
-        """Materialise the explicit octree over the occupied voxels.
-
-        The root covers the smallest power-of-two region (in units of
-        ``vox_min * 2**(levels-1)``) containing every occupied voxel.  Nodes
-        subdivide down to the minimum resolution; empty octants are omitted,
-        so the tree is sparse.
-
-        Construction is a single bottom-up pass over the spatial index's
-        maintained level maps: leaves are created for every occupied voxel and
-        grouped into their parent cells level by level, so the cost is
-        O(levels × N) total rather than O(levels × N) *per node*.
-        """
-        if not self._occupied:
-            return OctreeNode(center=Vec3.zero(), size=self.vox_min, depth=0)
-        vox_min = self.vox_min
-        current: Dict[VoxelKey, OctreeNode] = {
-            key: OctreeNode(
-                center=voxel_center(key, vox_min), size=vox_min, depth=0, occupied_leaves=1
-            )
-            for key in sorted(self._index.level_cells(0))
-        }
-        for level in range(1, self.levels):
-            resolution = vox_min * (2**level)
-            parents: Dict[VoxelKey, OctreeNode] = {}
-            for (i, j, k), node in current.items():
-                parent_key = (i // 2, j // 2, k // 2)
-                parent = parents.get(parent_key)
-                if parent is None:
-                    parent = OctreeNode(
-                        center=voxel_center(parent_key, resolution),
-                        size=resolution,
-                        depth=level,
-                        occupied_leaves=0,
-                    )
-                    parents[parent_key] = parent
-                parent.children.append(node)
-                parent.occupied_leaves += node.occupied_leaves
-            # Keep deterministic (sorted-key) ordering at every level so the
-            # children of each node come out sorted as well.
-            current = dict(sorted(parents.items()))
-
-        top_nodes = list(current.values())
-        if len(top_nodes) == 1:
-            return top_nodes[0]
-        # A synthetic super-root ties multiple top-level cubes together.
-        top_resolution = vox_min * (2 ** (self.levels - 1))
-        center = Vec3(
-            sum(c.center.x for c in top_nodes) / len(top_nodes),
-            sum(c.center.y for c in top_nodes) / len(top_nodes),
-            sum(c.center.z for c in top_nodes) / len(top_nodes),
-        )
-        return OctreeNode(
-            center=center,
-            size=top_resolution * 2,
-            depth=self.levels,
-            occupied_leaves=sum(c.occupied_leaves for c in top_nodes),
-            children=top_nodes,
-        )
-
-
-def prune_tree_to_volume(
-    root: OctreeNode, max_volume: float, focus: Vec3
-) -> List[OctreeNode]:
-    """Select subtrees closest to ``focus`` until their volume exceeds a budget.
-
-    Implements the perception→planning volume operator: "we prune the map,
-    encoded in a tree, by selecting higher level trees (in the sorted order)
-    until the threshold is reached" (§III-B).  The returned nodes are the
-    top-level subtrees the planner will see; anything beyond the budget is
-    dropped.
-
-    Args:
-        root: the materialised octree root.
-        max_volume: volume budget in m^3.
-        focus: prioritisation point (the drone position or nearest trajectory
-            point); closer subtrees are kept first.
-    """
-    if max_volume < 0:
-        raise ValueError("volume budget cannot be negative")
-    candidates = list(root.children) if root.children else [root]
-    candidates.sort(key=lambda node: focus.distance_to(node.center))
-    selected: List[OctreeNode] = []
-    used = 0.0
-    for node in candidates:
-        if used >= max_volume and selected:
-            break
-        selected.append(node)
-        used += node.volume
-    return selected

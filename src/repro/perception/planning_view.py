@@ -25,7 +25,6 @@ from repro.geometry.grid import VoxelKey, voxel_center
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.spatial_index import (
-    cell_margin_radius,
     point_hits_cells,
     segment_hits_cells,
 )
@@ -62,12 +61,6 @@ class PlanningView:
             AABB.cube(voxel_center(key, self.precision), self.precision)
             for key in self.cells
         )
-
-    # ------------------------------------------------------------------
-    # Collision queries
-    # ------------------------------------------------------------------
-    def _neighbour_radius(self, margin: float) -> int:
-        return cell_margin_radius(margin, self.precision)
 
     def point_in_collision(self, point: Vec3, margin: float = 0.0) -> bool:
         """True when a point lies inside (or within margin of) an occupied cell.

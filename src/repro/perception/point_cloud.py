@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.aabb import AABB
 from repro.geometry.grid import downsample_points
 from repro.geometry.vec3 import Vec3, centroid
 from repro.sensors.rig import RigScan
@@ -103,12 +102,6 @@ class PointCloud:
         """Points within ``radius`` metres of the sensor origin."""
         mask = self.origin_distances() <= radius
         return [self.points[i] for i in np.flatnonzero(mask)]
-
-    def bounding_volume(self) -> float:
-        """Volume (m^3) of the axis-aligned box containing all points (0 when < 2 points)."""
-        if len(self.points) < 2:
-            return 0.0
-        return AABB.from_points(list(self.points)).volume
 
 
 @dataclass

@@ -2,10 +2,9 @@
 
 Before this module existed, every hot per-decision map query rescanned the
 full occupied-voxel set in pure Python: ``nearest_occupied_distance`` was a
-linear scan, ``coarse_occupied_cells`` re-aggregated every voxel for each
-decision, and ``build_tree`` re-filtered the whole set once per tree node.
-Decision cost therefore grew with total map size, which is exactly what a
-runtime built around bounded per-decision budgets must avoid.
+linear scan and ``coarse_occupied_cells`` re-aggregated every voxel for
+each decision.  Decision cost therefore grew with total map size, which is
+exactly what a runtime built around bounded per-decision budgets must avoid.
 
 :class:`SpatialIndex` replaces those rescans with structures maintained
 *incrementally* on every voxel insertion and removal:
@@ -13,8 +12,7 @@ runtime built around bounded per-decision budgets must avoid.
 * **Per-level coarse occupancy counts** — one dictionary per rung of the
   power-of-two precision ladder, mapping the coarse cell key at
   ``vox_min * 2**level`` to the number of occupied minimum-resolution voxels
-  it aggregates.  ``coarse_occupied_cells`` becomes a dictionary copy and
-  ``build_tree`` a single bottom-up grouping pass.
+  it aggregates.  ``coarse_occupied_cells`` becomes a dictionary copy.
 * **A coarse bucket grid** — occupied voxel keys grouped into cubic buckets
   (default ``8 × vox_min`` per edge).  Proximity queries run an
   expanding-ring search over buckets and segment probes use the bucket grid
@@ -330,10 +328,6 @@ class SpatialIndex:
         if not 0 <= level < self.levels:
             raise ValueError(f"level must be in [0, {self.levels - 1}]")
         return self._levels[level]
-
-    def bucket_count(self) -> int:
-        """Number of non-empty proximity buckets."""
-        return len(self._buckets)
 
     # ------------------------------------------------------------------
     # Proximity queries

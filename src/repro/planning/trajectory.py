@@ -155,10 +155,6 @@ class Trajectory:
         """Interpolated position at an absolute time."""
         return self.sample(time).position
 
-    def velocity_at(self, time: float) -> Vec3:
-        """Interpolated velocity at an absolute time."""
-        return self.sample(time).velocity
-
     # ------------------------------------------------------------------
     # Queries used by RoboRun
     # ------------------------------------------------------------------

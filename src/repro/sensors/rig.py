@@ -45,10 +45,6 @@ class RigScan:
             return 0.0
         return sum(img.mean_visibility() for img in self.images) / len(self.images)
 
-    def forward_visibility(self) -> float:
-        """Visibility of the forward-facing camera (index 0)."""
-        return self.images[0].mean_visibility() if self.images else 0.0
-
     def forward_min_depth(self) -> float:
         """Closest measured depth of the forward-facing camera.
 

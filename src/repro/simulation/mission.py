@@ -196,10 +196,6 @@ class MissionResult:
     design: str
     pipeline: Optional[DecisionPipeline] = None
 
-    def trace_values(self, attribute: str) -> List[float]:
-        """Convenience accessor: one scalar per decision (e.g. 'speed')."""
-        return [getattr(trace, attribute) for trace in self.traces]
-
 
 class MissionSimulator:
     """Runs one mission of one design through one generated environment.

@@ -24,7 +24,13 @@ from repro.environment.generator import EnvironmentConfig
 from repro.simulation.faults import FAULT_SET_KEYS, FaultSet
 from repro.simulation.fleet import FleetResult, FleetSimulator
 from repro.simulation.mission import MissionConfig
-from repro.worlds import WorldSpec, archetype_names, build_environment, is_registered
+from repro.worlds import (
+    MoverSpec,
+    WorldSpec,
+    archetype_names,
+    build_environment,
+    is_registered,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.recorder import TraceRecorder
@@ -160,11 +166,10 @@ class ScenarioSpec:
 
         Raises:
             ValueError: naming the field, when ``data`` is not a dictionary,
-                lacks ``name`` or carries an unknown ``environment`` or
-                ``mission`` key.
+                lacks ``name``, or carries an unknown key at the top level or
+                in ``environment``, ``mission``, ``world`` or a mover.
         """
-        if not isinstance(data, dict):
-            raise ValueError(f"a scenario spec must be a JSON object, got {data!r}")
+        checked_config_fields(cls, data, "scenario spec")
         if "name" not in data:
             raise ValueError("scenario spec is missing its 'name' field")
         mission_data = checked_config_fields(
@@ -185,7 +190,7 @@ class ScenarioSpec:
             # Pre-worlds spec dictionaries have no "world" key; they get the
             # default paper corridor, exactly what they meant.  Pre-fleet
             # dictionaries likewise have no "n_drones": a single drone.
-            world=WorldSpec.from_dict(data.get("world")),
+            world=WorldSpec.from_dict(_checked_world(data.get("world"), "world")),
             n_drones=int(data.get("n_drones", 1)),
         )
 
@@ -216,6 +221,19 @@ def checked_config_fields(config_cls: type, data: Any, field: str) -> Dict[str, 
     return dict(data)
 
 
+def _checked_world(data: Any, field: str) -> Optional[Dict[str, Any]]:
+    """``data`` once its world and mover dictionaries hold only known fields.
+
+    ``None`` (a pre-worlds spec: the default corridor) passes through.
+    """
+    if data is None:
+        return None
+    world = checked_config_fields(WorldSpec, data, field)
+    for index, mover in enumerate(world.get("movers") or ()):
+        checked_config_fields(MoverSpec, mover, f"{field}.movers[{index}]")
+    return world
+
+
 def _coerce_world(value: Any) -> WorldSpec:
     """Accept a WorldSpec, an archetype name or a spec dictionary."""
     if isinstance(value, WorldSpec):
@@ -223,7 +241,7 @@ def _coerce_world(value: Any) -> WorldSpec:
     if isinstance(value, str):
         return WorldSpec(archetype=value)
     if isinstance(value, dict):
-        return WorldSpec.from_dict(value)
+        return WorldSpec.from_dict(_checked_world(value, "worlds"))
     raise TypeError(
         f"world entries must be WorldSpec, archetype name or dict, got {value!r}"
     )

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.environment.world import Obstacle, World
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
-from repro.perception.octomap import OccupancyOctree, allowed_precisions, prune_tree_to_volume
+from repro.perception.octomap import OccupancyOctree, allowed_precisions
 from repro.perception.planning_view import build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
 from repro.sensors.depth_camera import DepthCamera
@@ -187,30 +187,6 @@ class TestOccupancyOctree:
         assert forgotten == 1
         assert octree.is_occupied(Vec3(1, 0, 0))
         assert not octree.is_occupied(Vec3(100, 0, 0))
-
-    def test_build_tree_invariants(self):
-        octree = OccupancyOctree(vox_min=0.3, levels=4)
-        positions = [Vec3(0.1, 0.1, 0.1), Vec3(1.0, 0.1, 0.1), Vec3(5.0, 5.0, 0.1)]
-        for p in positions:
-            octree.mark_occupied(p)
-        root = octree.build_tree()
-        assert root.occupied_leaves == octree.occupied_voxel_count()
-        assert len(root.leaves()) == octree.occupied_voxel_count()
-        # Every leaf is at depth 0 and minimum size.
-        for leaf in root.leaves():
-            assert leaf.depth == 0
-            assert leaf.size == pytest.approx(0.3)
-
-    def test_prune_tree_to_volume(self):
-        octree = OccupancyOctree(vox_min=0.3, levels=4)
-        octree.mark_occupied(Vec3(0.1, 0.1, 0.1))
-        octree.mark_occupied(Vec3(20.0, 0.1, 0.1))
-        root = octree.build_tree()
-        pruned = prune_tree_to_volume(root, max_volume=1.0, focus=Vec3(0, 0, 0))
-        assert len(pruned) >= 1
-        assert pruned[0].center.distance_to(Vec3(0, 0, 0)) <= pruned[-1].center.distance_to(
-            Vec3(0, 0, 0)
-        )
 
     @given(
         st.lists(

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.grid import voxel_center, voxel_key
+from repro.geometry.grid import voxel_center
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.point_cloud import PointCloudKernel
@@ -185,39 +185,6 @@ class TestIndexBackedOctreePaths:
         }
         octree.forget_beyond(center, radius)
         assert octree.occupied_keys() == expected_kept
-
-    def test_build_tree_matches_occupancy(self):
-        octree = self.random_octree(seed=5, n=150)
-        root = octree.build_tree()
-        assert root.occupied_leaves == octree.occupied_voxel_count()
-        leaves = root.leaves()
-        assert len(leaves) == octree.occupied_voxel_count()
-        leaf_keys = {voxel_key(leaf.center, octree.vox_min) for leaf in leaves}
-        assert leaf_keys == octree.occupied_keys()
-        # Parent bookkeeping: every internal node's count equals its children's.
-        def check(node):
-            if node.children:
-                assert node.occupied_leaves == sum(
-                    c.occupied_leaves for c in node.children
-                )
-                for child in node.children:
-                    check(child)
-
-        check(root)
-
-    def test_build_tree_children_sorted(self):
-        octree = self.random_octree(seed=7, n=80)
-        def check(node):
-            if not node.children:
-                return
-            keys = [
-                voxel_key(c.center, c.size) for c in node.children
-            ]
-            assert keys == sorted(keys)
-            for child in node.children:
-                check(child)
-
-        check(octree.build_tree())
 
     def test_segment_occupied_matches_pointwise_probes(self):
         octree = OccupancyOctree(vox_min=0.3, levels=6)

@@ -181,6 +181,16 @@ def _spec_with(section, key, value):
     return data
 
 
+CROSSER = {"kind": "crosser", "velocity": [0.0, 1.0, 0.0], "speed_mps": 3.0}
+CROSSER_WORLD = {"archetype": "disaster_rubble", "movers": [CROSSER]}
+
+
+def _spec_with_mover(mover):
+    data = tiny_spec().to_dict()
+    data["world"] = {**CROSSER_WORLD, "movers": [mover]}
+    return data
+
+
 GOOD_GRID = {
     "name_prefix": "g",
     "designs": ["roborun"],
@@ -201,6 +211,17 @@ BAD_SPECS = {
         {**tiny_spec().to_dict(), "mission": [5]}, "'mission'"
     ),
     "spec_not_an_object": ("tiny", "scenario spec"),
+    "unknown_top_level_key": (
+        {**tiny_spec().to_dict(), "n_drone": 4}, "'scenario spec'.*n_drone"
+    ),
+    "unknown_world_key": (
+        {**tiny_spec().to_dict(), "world": {"archetyp": "forest"}}, "'world'.*archetyp"
+    ),
+    "world_not_an_object": ({**tiny_spec().to_dict(), "world": "forest"}, "'world'"),
+    "unknown_mover_key": (
+        _spec_with_mover({**CROSSER, "sped_mps": 3.0}), r"'world\.movers\[0\]'.*sped_mps"
+    ),
+    "mover_not_an_object": (_spec_with_mover(3), r"'world\.movers\[0\]'"),
 }
 
 BAD_GRIDS = {
@@ -216,6 +237,13 @@ BAD_GRIDS = {
     ),
     "unknown_grid_mission_key": (
         {**GOOD_GRID, "mission": {"max_decision": 5}}, "'mission'.*max_decision"
+    ),
+    "unknown_grid_world_key": (
+        {**GOOD_GRID, "worlds": [{"archetyp": "forest"}]}, "'worlds'.*archetyp"
+    ),
+    "unknown_grid_mover_key": (
+        {**GOOD_GRID, "worlds": [{**CROSSER_WORLD, "movers": [{**CROSSER, "sped_mps": 3.0}]}]},
+        r"'worlds\.movers\[0\]'.*sped_mps",
     ),
 }
 
@@ -236,6 +264,20 @@ class TestMalformedInput:
         path.write_text(json.dumps({"specs": [tiny_spec("ok").to_dict(), data]}))
         with pytest.raises(ValueError, match=field):
             load_grid_file(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    def test_bare_spec_list_file_names_the_field(self, case, tmp_path):
+        data, field = BAD_SPECS[case]
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps([tiny_spec("ok").to_dict(), data]))
+        with pytest.raises(ValueError, match=field):
+            load_grid_file(path)
+
+    def test_well_formed_world_and_movers_still_load(self):
+        data = _spec_with_mover(CROSSER)
+        spec = ScenarioSpec.from_dict(data)
+        assert spec.world.movers[0].speed_mps == 3.0
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize("case", sorted(BAD_GRIDS))
     def test_grid_file_names_the_field(self, case, tmp_path):
