@@ -8,7 +8,10 @@ Two layers of guarantee:
 * **Behaviour** — a no-fault campaign on the benchmark seed reproduces the
   exact trace files, dispatch log and metrics of the pre-registry code,
   pinned here as SHA-256 digests.  A fault-free mission must take the same
-  code path — bit for bit — whether or not the orchestrator exists.
+  code path — bit for bit — whether or not the orchestrator exists.  A
+  fleet with a mover and both designs under every registered fault are
+  pinned the same way, so the trace bytes of those paths cannot drift
+  either.
 """
 
 import dataclasses
@@ -18,14 +21,25 @@ import json
 import pytest
 
 from repro import (
+    CameraDegradation,
     CampaignRunner,
+    CommsDropout,
+    CommsLatencySpike,
     EnvironmentConfig,
+    FaultSchedule,
     FaultSet,
     MissionConfig,
     MissionSimulator,
+    MoverSpec,
+    PowerBrownout,
     RoboRunRuntime,
     ScenarioSpec,
+    SensorDropout,
+    StuckMover,
+    ThermalThrottle,
+    WorldSpec,
     build_environment,
+    fault_names,
     scenario_grid,
 )
 
@@ -49,6 +63,74 @@ GOLDEN_DISPATCH_SHA = (
 GOLDEN_METRICS_SHA = (
     "61ced841b68361a61262d1db9682f00c3c5a86633b3388355b2af6942f5e9ab5"
 )
+
+#: A crosser drifting through the flight line of the golden corridor.
+GOLDEN_CART = MoverSpec(
+    kind="crosser", origin=(15.0, -6.0, 5.0), velocity=(0.0, 1.5, 0.0),
+    span_m=12.0, name="cart",
+)
+
+#: Every registered fault in its own staggered window (two of them jittered),
+#: so each fault's effect hook lands on some decision of a golden mission.
+GOLDEN_ALL_FAULTS = FaultSet(
+    schedule=(
+        FaultSchedule(SensorDropout(every_n=3), activate_at=2, clear_at=8),
+        FaultSchedule(
+            CameraDegradation(width=16, height=12), activate_at=4, clear_at=10
+        ),
+        FaultSchedule(
+            CommsDropout(hop="comm_octomap", every_n=2, retransmit_s=0.08),
+            activate_at=6, clear_at=12, jitter=1,
+        ),
+        FaultSchedule(CommsLatencySpike(factor=3.0), activate_at=8, clear_at=14),
+        FaultSchedule(PowerBrownout(scale=0.5), activate_at=10, clear_at=16),
+        FaultSchedule(
+            ThermalThrottle(ramp_per_decision=0.2, max_factor=1.8),
+            activate_at=12, clear_at=20, jitter=2,
+        ),
+        FaultSchedule(StuckMover(mover="*"), activate_at=14, clear_at=22),
+    )
+)
+
+#: Three drones through a warehouse with a crosser, and both designs under
+#: every registered fault on the corridor with its cart.
+GOLDEN_SCENARIOS = [
+    ScenarioSpec(
+        name="golden_fleet3_warehouse",
+        environment=GOLDEN_ENV,
+        mission=GOLDEN_CFG,
+        world=WorldSpec(
+            archetype="warehouse",
+            movers=(
+                MoverSpec(
+                    kind="crosser", origin=(30.0, -20.0, 2.0),
+                    velocity=(0.0, 2.0, 0.0), span_m=40.0,
+                ),
+            ),
+        ),
+        n_drones=3,
+    ),
+] + [
+    ScenarioSpec(
+        name=f"golden_{design}_all_faults",
+        design=design,
+        environment=GOLDEN_ENV,
+        mission=GOLDEN_CFG,
+        faults=GOLDEN_ALL_FAULTS,
+        world=WorldSpec(movers=(GOLDEN_CART,)),
+    )
+    for design in ("roborun", "spatial_oblivious")
+]
+
+#: SHA-256 digests of the fleet and fault scenarios' trace files.
+GOLDEN_SCENARIO_TRACE_SHA = {
+    "golden_fleet3_warehouse.jsonl":
+        "ea0e80ff8515b4d16da18b616d1fb102e1ed12b49d82239744cc5eb98fb28508",
+    "golden_roborun_all_faults.jsonl":
+        "b3d8c60c8f1227674164a19afd5152766359acd27e54b23be869bf6033210029",
+    "golden_spatial_oblivious_all_faults.jsonl":
+        "4dbda5938c3c434fea649b361b20f2ed7f4f70285ed83fa2267f52f69d54c9f9",
+}
 
 
 class TestFormatCompatibility:
@@ -125,6 +207,15 @@ class TestBehaviouralCompatibility:
             assert digest == expected, (
                 f"no-fault trace {name} drifted from the pre-registry bytes"
             )
+
+    def test_fleet_and_fault_campaign_traces_bit_identical(self, tmp_path):
+        assert GOLDEN_ALL_FAULTS.fault_names_used() == fault_names()
+        CampaignRunner(max_workers=1).run(GOLDEN_SCENARIOS, trace_dir=tmp_path)
+        produced = {p.name for p in tmp_path.glob("*.jsonl")}
+        assert produced == set(GOLDEN_SCENARIO_TRACE_SHA)
+        for name, expected in GOLDEN_SCENARIO_TRACE_SHA.items():
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == expected, f"trace {name} drifted from its golden"
 
     def test_no_fault_dispatch_log_and_metrics_bit_identical(self):
         environment = build_environment(GOLDEN_ENV)
