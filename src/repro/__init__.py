@@ -82,7 +82,7 @@ from repro.simulation.faults import (
 )
 from repro.simulation.fleet import FleetMetrics, FleetResult, FleetSimulator
 from repro.simulation.orchestrator import FaultOrchestrator
-from repro.simulation.metrics import DecisionTrace, MissionMetrics
+from repro.simulation.metrics import MissionMetrics
 from repro.simulation.mission import MissionConfig, MissionResult, MissionSimulator
 from repro.simulation.pipeline import DecisionPipeline, PipelineHop
 from repro.simulation.scenario import ScenarioSpec, scenario_grid
@@ -109,7 +109,6 @@ __all__ = [
     "CommsLatencySpike",
     "DecisionPipeline",
     "DecisionRecord",
-    "DecisionTrace",
     "DispatchRecord",
     "DynamicObstacleSet",
     "EnvironmentConfig",

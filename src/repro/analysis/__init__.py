@@ -8,9 +8,10 @@ figures, in three layers:
    map size, per-stage/hop latencies, energy — plus one
    :class:`MissionRecord` per mission, all plain JSON-serialisable values.
 2. **Capture and storage** (:mod:`repro.analysis.recorder`,
-   :mod:`repro.analysis.io`): a :class:`TraceRecorder` taps the decision
-   pipeline's topics as a passive subscriber (zero overhead when not
-   attached) and streams records through :class:`TraceWriter` /
+   :mod:`repro.analysis.io`): a :class:`TraceRecorder` observes the
+   decision pipeline's steps (it subscribes to no topic), stamps each record
+   the pipeline built with its spec's name, and streams records through
+   :class:`TraceWriter` /
    :class:`TraceReader` JSONL files that are byte-identical across serial
    and multiprocessing campaign runs.
 3. **Aggregation** (:mod:`repro.analysis.figures`,

@@ -1,14 +1,12 @@
-"""The trace recorder: a passive tap on the decision pipeline's topics.
+"""The trace recorder: a step observer on the decision pipeline.
 
-:class:`TraceRecorder` subscribes to the pipeline's bus topics — the scan,
-profile, governor decision, planning output and flight result — and folds
-each decision's messages into one :class:`~repro.analysis.trace.
-DecisionRecord` when the cascade's final message (the flight result) is
-delivered.  It is an ordinary subscriber: it adds no nodes, publishes
-nothing, and changes no dispatch ordering, so a traced mission is
-bit-identical to an untraced one.  When no recorder is attached the
-pipeline carries zero tracing overhead — there is nothing to skip, because
-the tap simply is not subscribed.
+The pipeline's flight node builds one :class:`~repro.analysis.trace.
+DecisionRecord` per decision whether or not anything records it (the
+mission result's ``traces``).  :class:`TraceRecorder` is a step observer,
+like :class:`~repro.obs.heartbeat.HeartbeatEmitter`: at the end of each
+decision it emits the pipeline's latest record, stamped with the owning
+spec's name.  It touches no bus topic, neither listening nor publishing,
+so a traced mission dispatches exactly the messages of an untraced one.
 
 Records can be kept in memory (``keep_records=True``, the default), streamed
 to a :class:`~repro.analysis.io.TraceWriter`, or both.  Campaign workers use
@@ -18,20 +16,19 @@ campaign's traces in memory at once.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.analysis.trace import DecisionRecord, MissionRecord, jsonify
-from repro.middleware.latency import compute_seconds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.io import TraceWriter
-    from repro.dynamics.energy import EnergyModel
     from repro.simulation.metrics import MissionMetrics
-    from repro.simulation.pipeline import DecisionPipeline
+    from repro.simulation.pipeline import DecisionPipeline, FlightResult
 
 
 class TraceRecorder:
-    """Assembles one :class:`DecisionRecord` per decision from the bus traffic.
+    """Emits one :class:`DecisionRecord` per decision, then the mission record.
 
     Attributes:
         writer: optional streaming sink; every record is appended as soon as
@@ -60,14 +57,6 @@ class TraceRecorder:
         self._spec_dict: Optional[Dict[str, Any]] = None
         self.spec = spec
         self._pipeline: Optional["DecisionPipeline"] = None
-        self._attached: List["DecisionPipeline"] = []
-        self._energy_model: Optional["EnergyModel"] = None
-        # Per-decision message state, keyed by (drone id, decision index) so
-        # one recorder can tap every pipeline of a fleet without crosstalk.
-        self._dropped: Dict[tuple, bool] = {}
-        self._profiles: Dict[tuple, Any] = {}
-        self._decisions: Dict[tuple, Any] = {}
-        self._plannings: Dict[tuple, Any] = {}
 
     # ------------------------------------------------------------------
     # Spec context
@@ -102,128 +91,28 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Pipeline tap
     # ------------------------------------------------------------------
-    def attach(
-        self,
-        pipeline: "DecisionPipeline",
-        energy_model: Optional["EnergyModel"] = None,
-    ) -> None:
-        """Subscribe to the pipeline's topics (the record hook point).
+    def attach(self, pipeline: "DecisionPipeline") -> None:
+        """Observe the pipeline's decisions (the tap protocol).
 
-        Called by :meth:`DecisionPipeline.add_tap` /
-        :meth:`MissionSimulator.run`.  A fleet mission attaches one recorder
-        to every drone's pipeline: the subscriptions resolve through each
-        pipeline's own topic bundle, so the per-namespace streams never mix.
-        Attaching the *same* pipeline twice would double-record it and is
-        rejected.
+        Called by :meth:`DecisionPipeline.add_tap`.  A fleet mission attaches
+        one recorder to every drone's pipeline; each record already carries
+        its drone's id.  Attaching the *same* pipeline twice would
+        double-record it and is rejected.
         """
-        if any(existing is pipeline for existing in self._attached):
+        if self in pipeline.observers:
             raise ValueError("recorder is already attached to this pipeline")
         if self._pipeline is None:
             self._pipeline = pipeline
-        self._attached.append(pipeline)
-        self._energy_model = energy_model
-        topics = pipeline.topics
-        executor = pipeline.executor
-        drone = pipeline.drone_id
-        executor.subscribe(topics.scan, lambda m, d=drone: self._on_scan(d, m))
-        executor.subscribe(topics.profile, lambda m, d=drone: self._on_profile(d, m))
-        executor.subscribe(
-            topics.decision, lambda m, d=drone: self._on_decision(d, m)
-        )
-        executor.subscribe(
-            topics.planning, lambda m, d=drone: self._on_planning(d, m)
-        )
-        executor.subscribe(
-            topics.flight, lambda m, p=pipeline: self._on_flight(p, m)
-        )
+        pipeline.observers.append(self)
 
-    # -- per-topic subscribers ------------------------------------------
-    def _on_scan(self, drone: int, message: Any) -> None:
-        self._dropped[(drone, message.payload.index)] = message.payload.dropped
+    def on_decision_start(self, pipeline: "DecisionPipeline", index: int) -> None:
+        del pipeline, index
 
-    def _on_profile(self, drone: int, message: Any) -> None:
-        self._profiles[(drone, message.payload.index)] = message.payload.profile
-
-    def _on_decision(self, drone: int, message: Any) -> None:
-        self._decisions[(drone, message.payload.index)] = message.payload.decision
-
-    def _on_planning(self, drone: int, message: Any) -> None:
-        self._plannings[(drone, message.payload.index)] = message.payload
-
-    def _on_flight(self, pipeline: "DecisionPipeline", message: Any) -> None:
-        """Final hop of the cascade: fold the decision's messages into a record."""
-        result = message.payload
-        index = result.index
-        key = (pipeline.drone_id, index)
-        profile = self._profiles.pop(key)
-        decision = self._decisions.pop(key)
-        planning = self._plannings.pop(key)
-        dropped = self._dropped.pop(key, False)
-
-        stage_latencies = pipeline.ledger.stages_for(index)
-        busy = compute_seconds(stage_latencies)
-        interval = result.interval
-        mean_speed = result.flown / interval if interval > 0 else 0.0
-        energy = 0.0
-        if self._energy_model is not None:
-            energy = self._energy_model.mission_energy(
-                flight_time_s=interval,
-                mean_speed=mean_speed,
-                compute_busy_s=busy,
-            )
-
-        position = profile.position
-        environment = pipeline.environment
-        zone = environment.zone_map.zone_at(position).name
-        octree = pipeline.flight.operators.octree
-        # Worlds-layer context: the archetype name and the interpolated local
-        # difficulty (one lerp against the precomputed heterogeneity field;
-        # 0.0 for environments built without one).
-        archetype = getattr(environment, "archetype", "") or ""
-        if hasattr(environment, "difficulty_at"):
-            difficulty = float(environment.difficulty_at(position))
-        else:  # pragma: no cover - stub environments in tests
-            difficulty = 0.0
-        # Fault tags: which registered faults' windows covered this decision
-        # (empty — and omitted from the serialised line — when none did).
-        orchestrator = getattr(pipeline, "orchestrator", None)
-        active_faults: tuple = ()
-        if orchestrator is not None and orchestrator.enabled:
-            active_faults = orchestrator.active_fault_names(index)
-        record = DecisionRecord(
-            spec_name=self.spec_name,
-            design=pipeline.governor.runtime.name,
-            index=index,
-            timestamp=pipeline.clock.now,
-            position=(position.x, position.y, position.z),
-            zone=zone,
-            speed=profile.velocity,
-            velocity_cap=decision.velocity_cap,
-            time_budget=decision.time_budget,
-            predicted_latency=decision.predicted_latency,
-            solver_feasible=decision.solver_feasible,
-            policy=decision.policy.as_dict(),
-            stage_latencies=stage_latencies,
-            end_to_end_latency=result.end_to_end,
-            visibility=profile.visibility,
-            closest_obstacle=profile.closest_obstacle,
-            gap_min=profile.gap_min,
-            gap_avg=profile.gap_avg,
-            sensor_volume=profile.sensor_volume,
-            map_volume=profile.map_volume,
-            map_voxels=octree.occupied_voxel_count(),
-            flown=result.flown,
-            interval=interval,
-            energy=energy,
-            replanned=planning.replanned,
-            dropped=dropped,
-            hit=result.hit,
-            archetype=archetype,
-            difficulty=difficulty,
-            drone_id=pipeline.drone_id,
-            faults=active_faults,
-        )
-        self._emit(record)
+    def on_decision_end(
+        self, pipeline: "DecisionPipeline", index: int, result: "FlightResult"
+    ) -> None:
+        del index, result
+        self._emit(replace(pipeline.traces[-1], spec_name=self.spec_name))
 
     # ------------------------------------------------------------------
     # Mission end

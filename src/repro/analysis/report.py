@@ -12,7 +12,7 @@ trace records, so re-rendering a report never requires re-flying a mission.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, List, Sequence, Union
 
 from repro.analysis.figures import (
     FIG8_KNOBS,

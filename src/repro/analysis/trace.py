@@ -424,15 +424,26 @@ def record_from_line(line: str) -> TraceRecord:
     """Parse one JSONL line back into its record type.
 
     Raises:
-        ValueError: when the line's ``kind`` field is missing or unknown.
+        ValueError: when the line is not a JSON object, its ``kind`` field is
+            missing or unknown, or a field is missing (named in the message)
+            or malformed.
     """
     data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError(f"trace line is not a JSON object: {line[:80]!r}")
     kind = data.get("kind")
     if kind == KIND_DECISION:
-        return DecisionRecord.from_dict(data)
-    if kind == KIND_MISSION:
-        return MissionRecord.from_dict(data)
-    raise ValueError(f"unknown trace record kind {kind!r}")
+        parse = DecisionRecord.from_dict
+    elif kind == KIND_MISSION:
+        parse = MissionRecord.from_dict
+    else:
+        raise ValueError(f"unknown trace record kind {kind!r}")
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ValueError(f"{kind} trace line lacks the {exc.args[0]!r} field") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} trace line: {exc}") from None
 
 
 def split_records(

@@ -17,8 +17,8 @@ fixed point-cloud conversion cost is ~210 ms and RoboRun's own overhead is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True, slots=True)

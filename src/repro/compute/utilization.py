@@ -16,8 +16,8 @@ before new sensor data exists).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,6 @@ compute latency turns into flight velocity in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.control.pid import PIDGains, Vec3PID
 from repro.geometry.vec3 import Vec3

@@ -11,7 +11,6 @@ fly towards it at the currently allowed velocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.geometry.vec3 import Vec3
 from repro.planning.trajectory import Trajectory

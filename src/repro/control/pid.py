@@ -6,7 +6,7 @@ used by the flight controller to track position errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.geometry.vec3 import Vec3

@@ -20,7 +20,7 @@ Per decision the governor:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.budget import TimeBudgeter
 from repro.core.policy import KnobPolicy

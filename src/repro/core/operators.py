@@ -36,8 +36,8 @@ length — only the charged (modelled) cost follows the knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.compute.costs import KernelWork
 from repro.core.policy import KnobPolicy
@@ -46,7 +46,7 @@ from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
-from repro.planning.rrt_star import PlanResult, RRTStarConfig, RRTStarPlanner
+from repro.planning.rrt_star import PlanResult, RRTStarPlanner
 from repro.planning.smoothing import PathSmoother
 from repro.planning.trajectory import Trajectory
 from repro.sensors.rig import RigScan

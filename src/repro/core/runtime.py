@@ -16,12 +16,10 @@ time figures (Figures 5 and 10c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.governor import Governor, GovernorDecision
 from repro.core.profilers import ProfilerSuite, SpaceProfile
-from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.point_cloud import PointCloud
 from repro.planning.trajectory import Trajectory

@@ -29,9 +29,8 @@ budget, not undershoot it: unused budget is wasted quality).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.compute.latency_model import (
     PipelineLatencyModel,

@@ -9,8 +9,7 @@ is the appropriate level of fidelity (and keeps missions fast to simulate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.geometry.vec3 import Vec3
 

@@ -20,7 +20,7 @@ The model can also be re-fitted against the kinematic drone model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

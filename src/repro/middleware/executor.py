@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Tuple
+from typing import Any, Deque, List, Tuple
 
 from repro.middleware.clock import SimClock
 from repro.middleware.message import Message

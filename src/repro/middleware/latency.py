@@ -11,7 +11,7 @@ zone-level variation statistics can all be reconstructed after a mission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 # Canonical stage names, in pipeline order.  "comm" stages model the
 # serialisation/deserialisation cost of passing data between nodes.
@@ -145,15 +145,6 @@ class LatencyLedger:
     def decisions(self) -> List[DecisionLatency]:
         """Per-decision latencies, ordered by decision index."""
         return [self._decisions[i] for i in sorted(self._decisions.keys())]
-
-    def stages_for(self, decision_index: int) -> Dict[str, float]:
-        """Stage → seconds map of one decision (a copy; empty when unrecorded).
-
-        The trace recorder reads the per-decision breakdown through this
-        accessor when the cascade's final message is delivered.
-        """
-        decision = self._decisions.get(decision_index)
-        return dict(decision.stages) if decision is not None else {}
 
     def end_to_end_latencies(self) -> List[float]:
         """End-to-end latency of every decision, in decision order."""

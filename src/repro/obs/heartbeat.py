@@ -138,8 +138,7 @@ class HeartbeatEmitter:
         self._last_epoch = -1
 
     # -- tap protocol --------------------------------------------------
-    def attach(self, pipeline: Any, energy_model: Any = None) -> None:
-        del energy_model
+    def attach(self, pipeline: Any) -> None:
         if self not in pipeline.observers:
             pipeline.observers.append(self)
 

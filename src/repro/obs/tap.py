@@ -76,9 +76,8 @@ class ObsTap:
     # ------------------------------------------------------------------
     # Attachment (the pipeline tap protocol)
     # ------------------------------------------------------------------
-    def attach(self, pipeline: Any, energy_model: Any = None) -> None:
+    def attach(self, pipeline: Any) -> None:
         """Hook this tap into ``pipeline`` (idempotent per pipeline)."""
-        del energy_model  # the tap measures the runtime, not the physics
         if any(p is pipeline for p in self._pipelines):
             return
         self._pipelines.append(pipeline)
@@ -267,9 +266,10 @@ class ObsTap:
         counters = self._lane_counters[lane]
         counters["decisions"].inc()
         labels = {"drone": lane}
+        record = pipeline.traces[-1]
 
         # Per-stage latency histograms (compute stages and comm_* hops).
-        for stage, seconds in pipeline.ledger.stages_for(index).items():
+        for stage, seconds in record.stage_latencies.items():
             self.metrics.histogram(
                 "pipeline_stage_seconds",
                 help="Simulated per-stage latency of the decision cascade",
@@ -278,12 +278,11 @@ class ObsTap:
             ).observe(seconds)
 
         # Map growth and executor pressure.
-        octree = pipeline.perception.operators.octree
         self.metrics.gauge(
             "octree_occupied_voxels",
             help="Occupied minimum-resolution voxels in the shared octree",
             labels=labels,
-        ).set(octree.occupied_voxel_count())
+        ).set(record.map_voxels)
         executor = pipeline.executor
         self.metrics.gauge(
             "executor_queue_high_water",
@@ -297,7 +296,7 @@ class ObsTap:
         ).set(executor.pending)
 
         # Fault engine activity.
-        for fault_name in pipeline.orchestrator.active_fault_names(index):
+        for fault_name in record.faults:
             self.metrics.counter(
                 "fault_active_decisions_total",
                 help="Decisions during which each fault was active",

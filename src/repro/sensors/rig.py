@@ -10,7 +10,7 @@ single scan per decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from repro.environment.world import World
 from repro.geometry.vec3 import Vec3

@@ -54,7 +54,7 @@ from repro.simulation.faults import (
     register_fault,
 )
 from repro.simulation.orchestrator import FaultOrchestrator
-from repro.simulation.metrics import DecisionTrace, MissionMetrics
+from repro.simulation.metrics import MissionMetrics
 from repro.simulation.mission import MissionConfig, MissionResult, MissionSimulator
 from repro.simulation.pipeline import (
     DecisionPipeline,
@@ -76,7 +76,6 @@ __all__ = [
     "CommsDropout",
     "CommsLatencySpike",
     "DecisionPipeline",
-    "DecisionTrace",
     "Fault",
     "FaultOrchestrator",
     "FaultSchedule",

@@ -111,14 +111,21 @@ def get_fault(name: str) -> Type["Fault"]:
         ) from None
 
 
-def _check_keys(data: Dict[str, Any], allowed: Tuple[str, ...], context: str) -> None:
-    """Reject unknown dictionary keys with a message naming what is valid."""
+def _check_keys(
+    data: Any, allowed: Tuple[str, ...], context: str, required: Tuple[str, ...] = ()
+) -> None:
+    """Reject a non-dictionary, unknown or missing keys, naming ``context``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{context!r} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ValueError(
             f"unknown {context} key(s) {unknown}; expected a subset of "
             f"{sorted(allowed)}"
         )
+    missing = sorted(set(required) - set(data))
+    if missing:
+        raise ValueError(f"{context!r} is missing required key(s) {missing}")
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +220,7 @@ class SensorDropout(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SensorDropout":
-        _check_keys(data, ("every_n", "start_decision"), "sensor_dropout")
+        _check_keys(data, ("every_n", "start_decision"), "sensor_dropout", ("every_n",))
         return cls(
             every_n=int(data["every_n"]),
             start_decision=int(data.get("start_decision", 0)),
@@ -258,7 +265,8 @@ class CameraDegradation(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CameraDegradation":
-        _check_keys(data, ("width", "height", "after_decision"), "camera_degradation")
+        keys = ("width", "height", "after_decision")
+        _check_keys(data, keys, "camera_degradation", keys[:2])
         return cls(
             width=int(data["width"]),
             height=int(data["height"]),
@@ -578,10 +586,14 @@ class FaultSchedule:
             raise ValueError(
                 f"unknown fault {name!r} in schedule; registered: {fault_names()}"
             )
-        fault_cls = get_fault(str(name))
+        params = data.get("params") or {}
+        if not isinstance(params, dict):
+            raise ValueError(
+                f"schedule 'params' of {name!r} must be a JSON object, got {params!r}"
+            )
         clear_at = data.get("clear_at")
         return cls(
-            fault=fault_cls.from_dict(dict(data.get("params") or {})),
+            fault=get_fault(str(name)).from_dict(params),
             activate_at=int(data.get("activate_at", 0)),
             clear_at=int(clear_at) if clear_at is not None else None,
             jitter=int(data.get("jitter", 0)),
@@ -659,6 +671,8 @@ class FaultSet:
     def from_dict(cls, data: Optional[Dict[str, Any]]) -> "FaultSet":
         if not data:
             return cls()
+        if not isinstance(data, dict):
+            raise ValueError(f"'faults' must be a JSON object, got {data!r}")
         unknown = sorted(set(data) - set(FAULT_SET_KEYS))
         if unknown:
             raise ValueError(
@@ -668,13 +682,15 @@ class FaultSet:
             )
         dropout = data.get("sensor_dropout")
         degradation = data.get("camera_degradation")
+        schedule = data.get("schedule") or ()
+        if not isinstance(schedule, (list, tuple)):
+            raise ValueError(
+                f"fault set 'schedule' must be a list of windows, got {schedule!r}"
+            )
         return cls(
             sensor_dropout=SensorDropout.from_dict(dropout) if dropout else None,
             camera_degradation=(
                 CameraDegradation.from_dict(degradation) if degradation else None
             ),
-            schedule=tuple(
-                FaultSchedule.from_dict(dict(entry))
-                for entry in data.get("schedule") or ()
-            ),
+            schedule=tuple(FaultSchedule.from_dict(entry) for entry in schedule),
         )

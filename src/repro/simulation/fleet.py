@@ -266,10 +266,9 @@ def fly_epochs(
 
     Args:
         recorder: optional :class:`~repro.analysis.recorder.TraceRecorder`,
-            attached to every drone's pipeline as a passive topic tap; it
-            receives one record per drone-decision plus the final mission
-            record (with fleet fields only for two or more drones).  ``None``
-            adds no tracing work at all.
+            attached to every drone's pipeline as a step observer; it emits
+            one record per drone-decision plus the final mission record
+            (with fleet fields only for two or more drones).
         taps: further passive observers (``repro.obs`` taps such as
             :class:`~repro.obs.tap.ObsTap`), attached the same way.
     """
@@ -285,9 +284,9 @@ def fly_epochs(
             namespace=namespace, executor=executor, drone_id=drone_id
         )
         if recorder is not None:
-            pipeline.add_tap(recorder, energy_model=sim.energy_model)
+            pipeline.add_tap(recorder)
         for tap in taps:
-            pipeline.add_tap(tap, energy_model=sim.energy_model)
+            pipeline.add_tap(tap)
         pipelines.append(pipeline)
 
     distance = [0.0] * n

@@ -1,70 +1,20 @@
-"""Mission metrics and per-decision traces.
+"""Mission metrics and per-zone summaries of the decision records.
 
 The mission-level metrics mirror Figure 7 (flight velocity, flight time,
-flight energy, CPU utilisation); the per-decision traces carry everything the
-analysis layer needs to rebuild the representative-mission figures: policy
-knobs over time (Figure 10c), velocity over time (Figure 10b), deadlines
-(Figure 5b) and the per-stage latency breakdown (Figure 11).
+flight energy, CPU utilisation); the per-decision records
+(:class:`~repro.analysis.trace.DecisionRecord`, built by the pipeline's
+flight node) carry everything the analysis layer needs to rebuild the
+representative-mission figures: policy knobs over time (Figure 10c),
+velocity over time (Figure 10b), deadlines (Figure 5b) and the per-stage
+latency breakdown (Figure 11).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.geometry.vec3 import Vec3
-from repro.middleware.latency import compute_seconds
-
-
-@dataclass(frozen=True, slots=True)
-class DecisionTrace:
-    """Everything recorded about a single decision of a mission.
-
-    The pipeline's always-on, in-memory record (the streamable counterpart
-    with identity and energy attached is
-    :class:`repro.analysis.trace.DecisionRecord`).
-
-    Attributes:
-        index: decision index within the mission, starting at 0.
-        timestamp: simulated time when the decision completed, seconds.
-        position: drone position at decision time, metres.
-        zone: congestion zone name at that position ("A"/"B"/"C").
-        speed: drone speed entering the decision, m/s.
-        velocity_cap: the governor's safe-velocity cap, m/s.
-        time_budget: the decision deadline δ_d, seconds.
-        policy: the chosen knob assignment (precisions in metres, volumes
-            in cubic metres).
-        stage_latencies: seconds charged per pipeline stage (``comm_*``
-            keys are the communication hops).
-        end_to_end_latency: sum of all stage latencies, seconds.
-        visibility: usable look-ahead distance, metres.
-        closest_obstacle: distance to the nearest observed obstacle, metres.
-        replanned: True when the piece-wise planner ran this decision.
-    """
-
-    index: int
-    timestamp: float
-    position: Vec3
-    zone: str
-    speed: float
-    velocity_cap: float
-    time_budget: float
-    policy: Dict[str, float]
-    stage_latencies: Dict[str, float]
-    end_to_end_latency: float
-    visibility: float
-    closest_obstacle: float
-    replanned: bool
-
-    @property
-    def compute_latency(self) -> float:
-        """Computation (non-communication) part of the decision latency, seconds."""
-        return compute_seconds(self.stage_latencies)
-
-    @property
-    def deadline_met(self) -> bool:
-        """True when the decision finished within its time budget."""
-        return self.end_to_end_latency <= self.time_budget + 1e-9
+from repro.analysis.trace import DecisionRecord
 
 
 @dataclass
@@ -121,7 +71,7 @@ class MissionMetrics:
 
 
 def summarise_zone_latency_variation(
-    traces: List[DecisionTrace],
+    traces: List[DecisionRecord],
 ) -> Dict[str, float]:
     """Max-minus-min end-to-end latency per zone (the §V-C variation numbers)."""
     by_zone: Dict[str, List[float]] = {}
@@ -133,7 +83,7 @@ def summarise_zone_latency_variation(
     }
 
 
-def summarise_zone_velocity(traces: List[DecisionTrace]) -> Dict[str, float]:
+def summarise_zone_velocity(traces: List[DecisionRecord]) -> Dict[str, float]:
     """Mean flown speed per zone (zone B should be fastest for RoboRun)."""
     by_zone: Dict[str, List[float]] = {}
     for trace in traces:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
+from repro.analysis.trace import DecisionRecord
 from repro.compute.costs import WorkloadCostModel
 from repro.control.follower import PurePursuitFollower
 from repro.core.governor import GovernorDecision
@@ -38,7 +39,7 @@ from repro.planning.smoothing import PathSmoother, SmoothingConfig
 from repro.sensors.rig import CameraRig
 from repro.sensors.state_sensors import StateSensorSuite
 from repro.simulation.faults import FaultSet
-from repro.simulation.metrics import DecisionTrace, MissionMetrics
+from repro.simulation.metrics import MissionMetrics
 from repro.simulation.pipeline import DecisionPipeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -179,8 +180,8 @@ class MissionResult:
     Attributes:
         metrics: the mission-level summary (times in seconds, distances in
             metres, energy in joules).
-        traces: one :class:`~repro.simulation.metrics.DecisionTrace` per
-            decision, in decision order.
+        traces: one :class:`~repro.analysis.trace.DecisionRecord` per
+            decision, in decision order (``spec_name`` left empty).
         ledger: the per-stage latency ledger (seconds per stage per
             decision).
         environment: the generated world the mission flew through.
@@ -190,7 +191,7 @@ class MissionResult:
     """
 
     metrics: MissionMetrics
-    traces: List[DecisionTrace]
+    traces: List[DecisionRecord]
     ledger: LatencyLedger
     environment: GeneratedEnvironment
     design: str
@@ -286,6 +287,7 @@ class MissionSimulator:
             rig=self.rig,
             sensors=self.sensors,
             follower=self.follower,
+            energy_model=self.energy_model,
             faults=self.faults,
             namespace=namespace,
             executor=executor,
@@ -309,9 +311,8 @@ class MissionSimulator:
         Args:
             recorder: optional :class:`~repro.analysis.recorder.
                 TraceRecorder`; when given it is attached to the pipeline as
-                a passive topic tap and receives one structured record per
-                decision plus the final mission record.  ``None`` (the
-                default) adds no tracing work at all.
+                a step observer and emits each decision's record plus the
+                final mission record.
             taps: additional passive observers (``repro.obs`` taps such as
                 :class:`~repro.obs.tap.ObsTap`), attached the same way.
                 Empty (the default) adds no instrumentation work at all.

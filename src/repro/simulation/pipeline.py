@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.analysis.trace import DecisionRecord
 from repro.compute.costs import WorkloadCostModel
 from repro.compute.utilization import CpuUtilizationTracker
 from repro.control.follower import PurePursuitFollower
@@ -52,6 +53,7 @@ from repro.core.operators import (
 )
 from repro.core.profilers import ProfilerSuite, SpaceProfile
 from repro.dynamics.drone import DroneState, QuadrotorKinematics
+from repro.dynamics.energy import EnergyModel
 from repro.environment.generator import GeneratedEnvironment
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
@@ -65,7 +67,6 @@ from repro.planning.trajectory import Trajectory
 from repro.sensors.rig import CameraRig, RigScan
 from repro.sensors.state_sensors import StateEstimate, StateSensorSuite
 from repro.simulation.faults import FaultSet
-from repro.simulation.metrics import DecisionTrace
 from repro.simulation.orchestrator import FaultOrchestrator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mission imports us)
@@ -684,8 +685,9 @@ class FlightNode(Node):
     The last stage of the cascade: it merges the pipeline's work, records the
     canonical latency breakdown (compute stages from the cost model, comm
     stages as :class:`PipelineHop` records anchored to the bus messages),
-    then integrates flight for the decision interval with the pure-pursuit
-    follower and the emergency brake.
+    integrates flight for the decision interval with the pure-pursuit
+    follower and the emergency brake, then appends the decision's
+    :class:`~repro.analysis.trace.DecisionRecord` to ``traces``.
     """
 
     def __init__(
@@ -700,11 +702,13 @@ class FlightNode(Node):
         operators: OperatorSet,
         ledger: LatencyLedger,
         cpu: CpuUtilizationTracker,
-        traces: List[DecisionTrace],
+        energy_model: EnergyModel,
+        traces: List[DecisionRecord],
         *,
         orchestrator: Optional[FaultOrchestrator] = None,
         topics: PipelineTopics = ROOT_TOPICS,
         name: str = "flight",
+        drone_id: int = 0,
     ) -> None:
         super().__init__(name, executor)
         self.topics = topics
@@ -717,8 +721,10 @@ class FlightNode(Node):
         self.operators = operators
         self.ledger = ledger
         self.cpu = cpu
+        self.energy_model = energy_model
         self.traces = traces
         self.orchestrator = orchestrator
+        self.drone_id = drone_id
         self.hops: List[PipelineHop] = []
         self.state = DroneState(
             time=0.0, position=environment.start, velocity=Vec3.zero()
@@ -756,6 +762,8 @@ class FlightNode(Node):
         decision = self._decision.decision
         profile = self._profile.profile
         cfg = self.config
+        orchestrator = self.orchestrator
+        faulted = orchestrator is not None and orchestrator.enabled
 
         # Charge compute: the canonical per-stage breakdown of the merged work.
         work = merge_work(self._perception.output.work, planning.output.work)
@@ -765,37 +773,60 @@ class FlightNode(Node):
         # Platform/transport faults land here, after the nominal model and
         # before any accounting, so thermal throttling inflates the compute
         # stages and comm faults show up in the comm_* ledger entries.
-        if self.orchestrator is not None and self.orchestrator.enabled:
-            stage_latencies = self.orchestrator.apply_stage_latencies(
+        if faulted:
+            stage_latencies = orchestrator.apply_stage_latencies(
                 index, stage_latencies
             )
         end_to_end = sum(stage_latencies.values())
         self._record_latencies(index, stage_latencies)
-        self.cpu.record_decision(index, compute_seconds(stage_latencies))
-
-        zone = self.environment.zone_map.zone_at(self.state.position).name
-        self.traces.append(
-            DecisionTrace(
-                index=index,
-                timestamp=self.executor.clock.now,
-                position=self.state.position,
-                zone=zone,
-                speed=self.state.speed,
-                velocity_cap=decision.velocity_cap,
-                time_budget=decision.time_budget,
-                policy=decision.policy.as_dict(),
-                stage_latencies=stage_latencies,
-                end_to_end_latency=end_to_end,
-                visibility=profile.visibility,
-                closest_obstacle=profile.closest_obstacle,
-                replanned=planning.replanned,
-            )
-        )
+        busy = compute_seconds(stage_latencies)
+        self.cpu.record_decision(index, busy)
 
         # Fly for the duration of the decision.
         interval = max(end_to_end, cfg.sensor_period_s)
         state, flown, hit = self._fly(
             self.state, planning.trajectory, decision.velocity_cap, interval
+        )
+        # The decision's trace record; the recorder stamps its spec_name.
+        position = profile.position
+        self.traces.append(
+            DecisionRecord(
+                spec_name="",
+                design=self.runtime.name,
+                index=index,
+                timestamp=self.executor.clock.now,
+                position=(position.x, position.y, position.z),
+                zone=self.environment.zone_map.zone_at(position).name,
+                speed=profile.velocity,
+                velocity_cap=decision.velocity_cap,
+                time_budget=decision.time_budget,
+                predicted_latency=decision.predicted_latency,
+                solver_feasible=decision.solver_feasible,
+                policy=decision.policy.as_dict(),
+                stage_latencies=stage_latencies,
+                end_to_end_latency=end_to_end,
+                visibility=profile.visibility,
+                closest_obstacle=profile.closest_obstacle,
+                gap_min=profile.gap_min,
+                gap_avg=profile.gap_avg,
+                sensor_volume=profile.sensor_volume,
+                map_volume=profile.map_volume,
+                map_voxels=self.operators.octree.occupied_voxel_count(),
+                flown=flown,
+                interval=interval,
+                energy=self.energy_model.mission_energy(
+                    flight_time_s=interval,
+                    mean_speed=flown / interval if interval > 0 else 0.0,
+                    compute_busy_s=busy,
+                ),
+                replanned=planning.replanned,
+                dropped=faulted and orchestrator.sensor_dropped(index),
+                hit=hit,
+                archetype=self.environment.archetype,
+                difficulty=float(self.environment.difficulty_at(position)),
+                drone_id=self.drone_id,
+                faults=orchestrator.active_fault_names(index) if faulted else (),
+            )
         )
 
         # Stall detection: a drone pinned by its emergency brake (or a
@@ -919,7 +950,8 @@ class DecisionPipeline:
     """The six pipeline nodes wired over one bus, driven one decision at a time.
 
     The pipeline owns the run-scoped accounting (clock, ledger, CPU tracker,
-    traces) and exposes :meth:`step` — publish one sensor tick and drain the
+    traces: one :class:`~repro.analysis.trace.DecisionRecord` per decision)
+    and exposes :meth:`step` — publish one sensor tick and drain the
     executor until the cascade completes.  The mission façade owns mission-
     level policy: termination, distance integration and metric assembly.
     """
@@ -936,6 +968,7 @@ class DecisionPipeline:
         rig: CameraRig,
         sensors: StateSensorSuite,
         follower: PurePursuitFollower,
+        energy_model: EnergyModel,
         faults: Optional[FaultSet] = None,
         *,
         namespace: Optional[TopicNamespace] = None,
@@ -959,7 +992,7 @@ class DecisionPipeline:
         self.topics = PipelineTopics.for_namespace(self.namespace)
         self.ledger = LatencyLedger()
         self.cpu = CpuUtilizationTracker(sensor_period_s=config.sensor_period_s)
-        self.traces: List[DecisionTrace] = []
+        self.traces: List[DecisionRecord] = []
         self.faults = faults or FaultSet()
         # One orchestrator per pipeline: schedule jitter resolves against the
         # mission seed, so serial and pooled campaign runs agree.
@@ -1016,10 +1049,12 @@ class DecisionPipeline:
             operators,
             self.ledger,
             self.cpu,
+            energy_model,
             self.traces,
             orchestrator=self.orchestrator,
             topics=topics,
             name=ns.node("flight"),
+            drone_id=drone_id,
         )
         self.nodes = (
             self.sense,
@@ -1029,19 +1064,19 @@ class DecisionPipeline:
             self.planning,
             self.flight,
         )
-        # Passive step observers (repro.obs taps).  Empty by default, so an
-        # uninstrumented mission pays only two truthiness checks per decision.
+        # Passive step observers (the trace recorder, repro.obs taps).  Empty
+        # by default, so an uninstrumented mission pays only two truthiness
+        # checks per decision.
         self.observers: List[Any] = []
 
-    def add_tap(self, tap, energy_model=None) -> None:
+    def add_tap(self, tap) -> None:
         """Attach a passive observer (e.g. a trace recorder) to the graph.
 
-        A tap is anything with an ``attach(pipeline, energy_model=None)``
-        method; it subscribes to the bus topics as an ordinary subscriber and
-        must not publish.  Missions without taps carry no tracing overhead —
-        nothing is subscribed, so there is nothing to skip.
+        A tap is anything with an ``attach(pipeline)`` method; it registers
+        itself in :attr:`observers` and must neither subscribe to nor publish
+        on the bus, so the dispatch log is the same with or without it.
         """
-        tap.attach(self, energy_model=energy_model)
+        tap.attach(self)
 
     def step(self, decision_index: int) -> FlightResult:
         """Run one full decision cascade through the graph."""

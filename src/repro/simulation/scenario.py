@@ -113,7 +113,7 @@ class ScenarioSpec:
         The environment is built through the worlds registry: for the
         default :class:`~repro.worlds.spec.WorldSpec` this is the paper
         corridor with a bit-identical obstacle list to the pre-worlds
-        generator, plus the heterogeneity field the trace recorder samples.
+        generator, plus the heterogeneity field each decision record samples.
         A single-drone spec is a fleet of one, which flies and records
         exactly as a :class:`~repro.simulation.mission.MissionSimulator`.
         """

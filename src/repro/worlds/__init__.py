@@ -12,7 +12,7 @@ registry builds a fully wired
 * the obstacle :class:`~repro.environment.world.World` and
   :class:`~repro.environment.zones.ZoneMap` the mission flies through;
 * a continuous :class:`HeterogeneityField` — local difficulty sampled
-  along the corridor, recorded per decision by the trace recorder; and
+  along the corridor, stamped into every decision record; and
 * a :class:`DynamicObstacleSet` of kinematic movers, stepped once per
   decision epoch at the Sense node boundary and re-marked into the
   occupancy map through the incremental spatial index.

@@ -36,7 +36,7 @@ simulated seconds of motion one decision epoch represents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.environment.world import Obstacle, World

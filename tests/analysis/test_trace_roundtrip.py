@@ -29,6 +29,7 @@ from repro.analysis import (
     read_traces,
     trace_path,
 )
+from repro.analysis.io import is_complete_trace
 from repro.analysis.trace import DecisionRecord, MissionRecord, record_from_line, record_to_line
 
 TINY_ENV = EnvironmentConfig(
@@ -81,15 +82,13 @@ class TestRecorder:
         assert record.stage_latencies["runtime"] >= 0
 
     def test_records_match_pipeline_traces(self, traced_mission):
-        """The tap sees exactly what the pipeline's own traces saw."""
+        """The recorder emits the pipeline's own records, spec name aside."""
         recorder = traced_mission["recorder"]
         result = traced_mission["result"]
+        assert len(recorder.records) == len(result.traces)
         for record, trace in zip(recorder.records, result.traces):
-            assert record.index == trace.index
-            assert record.stage_latencies == trace.stage_latencies
-            assert record.end_to_end_latency == trace.end_to_end_latency
-            assert record.time_budget == trace.time_budget
-            assert record.zone == trace.zone
+            assert trace.spec_name == ""
+            assert dataclasses.replace(record, spec_name="") == trace
 
     def test_mission_record_metrics_match(self, traced_mission):
         mission = traced_mission["recorder"].mission_record
@@ -123,6 +122,24 @@ class TestRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             record_from_line('{"kind": "mystery"}')
+
+    def test_missing_field_is_named(self):
+        with pytest.raises(ValueError, match="'spec_name'"):
+            record_from_line('{"kind": "decision"}')
+
+    def test_non_object_line_rejected(self):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            record_from_line("[1, 2]")
+
+    @pytest.mark.parametrize("bad_line", ['{"kind": "decision"}', "[1, 2]"])
+    def test_bad_line_makes_the_trace_incomplete(
+        self, traced_mission, tmp_path, bad_line
+    ):
+        lines = traced_mission["path"].read_text().splitlines()
+        assert is_complete_trace(traced_mission["path"])
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("\n".join(lines[:-1] + [bad_line, lines[-1]]) + "\n")
+        assert not is_complete_trace(torn)
 
     def test_clear_traces(self, tmp_path):
         (tmp_path / "old.jsonl").write_text("{}")
@@ -239,11 +256,14 @@ class TestCampaignTraceDeterminism:
             CampaignRunner(max_workers=1).run(specs, trace_dir=tmp_path)
 
     def test_traced_mission_equals_untraced(self):
-        """Tracing must not perturb the mission (same seed, same metrics)."""
-        plain = tiny_spec(name="t", seed=3).run()
-        recorder = TraceRecorder(spec=tiny_spec(name="t", seed=3))
-        traced = tiny_spec(name="t", seed=3).run(recorder=recorder)
-        assert traced.metrics.as_dict() == plain.metrics.as_dict()
+        """Tracing must not perturb the mission: same metrics, and the same
+        dispatch log (the recorder subscribes to no topic)."""
+        for n_drones in (1, 2):
+            spec = dataclasses.replace(tiny_spec(name="t", seed=3), n_drones=n_drones)
+            plain = spec.run()
+            traced = spec.run(recorder=TraceRecorder(spec=spec))
+            assert traced.metrics.as_dict() == plain.metrics.as_dict()
+            assert traced.pipeline.dispatch_log() == plain.pipeline.dispatch_log()
 
 
 class TestMissionRecordFromResult:

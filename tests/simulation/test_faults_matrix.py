@@ -146,7 +146,7 @@ def trace_signature(result):
     return [
         (
             trace.index,
-            (trace.position.x, trace.position.y, trace.position.z),
+            tuple(trace.position),
             trace.time_budget,
             trace.velocity_cap,
             dict(trace.policy),

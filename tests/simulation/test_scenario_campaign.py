@@ -222,6 +222,20 @@ BAD_SPECS = {
         _spec_with_mover({**CROSSER, "sped_mps": 3.0}), r"'world\.movers\[0\]'.*sped_mps"
     ),
     "mover_not_an_object": (_spec_with_mover(3), r"'world\.movers\[0\]'"),
+    "schedule_not_a_list": (
+        {**tiny_spec().to_dict(), "faults": {"schedule": 5}}, "'schedule'"
+    ),
+    "schedule_params_not_an_object": (
+        {
+            **tiny_spec().to_dict(),
+            "faults": {"schedule": [{"fault": "power_brownout", "params": [1]}]},
+        },
+        "'params'",
+    ),
+    "sensor_dropout_without_every_n": (
+        {**tiny_spec().to_dict(), "faults": {"sensor_dropout": {"start_decision": 1}}},
+        "'sensor_dropout'.*every_n",
+    ),
 }
 
 BAD_GRIDS = {
