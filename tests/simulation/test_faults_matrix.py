@@ -44,7 +44,13 @@ from repro import (
 )
 from repro.analysis.recorder import TraceRecorder
 from repro.middleware.latency import COMM_STAGES, is_comm_stage
-from repro.simulation.faults import get_fault, is_registered_fault, register_fault
+from repro.simulation import faults as faults_module
+from repro.simulation.faults import (
+    Fault,
+    get_fault,
+    is_registered_fault,
+    register_fault,
+)
 
 TINY_ENV = EnvironmentConfig(
     obstacle_density=0.3, obstacle_spread=30.0, goal_distance=60.0, seed=7
@@ -388,6 +394,28 @@ class TestFaultEffects:
             else:
                 assert seconds == golden_stage[stage]
         assert set(COMM_STAGES) <= set(trace.stage_latencies)
+
+    def test_negative_hook_latency_is_rejected(self, monkeypatch):
+        """A fault hook that returns a negative latency fails by name."""
+
+        class NegativeComm(Fault):
+            fault_name = "negative_comm"
+
+            def comm_seconds(self, stage, seconds, index, active_for):
+                return -1.0
+
+            def to_dict(self):
+                return {}
+
+        monkeypatch.setitem(faults_module._FAULTS, "negative_comm", NegativeComm)
+        spec = ScenarioSpec(
+            name="negative",
+            environment=TINY_ENV,
+            mission=dataclasses.replace(TINY_CFG, max_decisions=4),
+            faults=scheduled_set(NegativeComm(), activate_at=1),
+        )
+        with pytest.raises(ValueError, match="negative"):
+            spec.run()
 
     def test_brownout_scales_the_recorded_budget(self, goldens):
         golden_traces, _ = goldens[WorldSpec()]
