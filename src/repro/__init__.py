@@ -84,7 +84,7 @@ from repro.simulation.fleet import FleetMetrics, FleetResult, FleetSimulator
 from repro.simulation.orchestrator import FaultOrchestrator
 from repro.simulation.metrics import MissionMetrics
 from repro.simulation.mission import MissionConfig, MissionResult, MissionSimulator
-from repro.simulation.pipeline import DecisionPipeline, PipelineHop
+from repro.simulation.pipeline import DecisionPipeline
 from repro.simulation.scenario import ScenarioSpec, scenario_grid
 from repro.worlds import (
     DynamicObstacleSet,
@@ -139,7 +139,6 @@ __all__ = [
     "MoverSpec",
     "ObsTap",
     "OperatorSet",
-    "PipelineHop",
     "PowerBrownout",
     "ProfilerSuite",
     "RoboRunRuntime",

@@ -26,10 +26,8 @@ from repro.compute.latency_model import (
     StageLatencyModel,
     fit_stage_model,
 )
-from repro.compute.utilization import CpuUtilizationTracker
 
 __all__ = [
-    "CpuUtilizationTracker",
     "KernelWork",
     "PipelineLatencyModel",
     "StageLatencyModel",

@@ -16,74 +16,19 @@ before new sensor data exists).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import Sequence
 
 
-@dataclass(frozen=True, slots=True)
-class DecisionUtilization:
-    """Utilisation of one decision."""
+def mean_utilization(busy_seconds: Sequence[float], sensor_period_s: float) -> float:
+    """Average per-decision utilisation (0 when there are no decisions).
 
-    decision_index: int
-    busy_seconds: float
-    interval_seconds: float
-
-    def __post_init__(self) -> None:
-        if self.busy_seconds < 0:
-            raise ValueError("busy time cannot be negative")
-        if self.interval_seconds <= 0:
-            raise ValueError("decision interval must be positive")
-
-    @property
-    def utilization(self) -> float:
-        """Busy fraction of the decision interval, clamped to [0, 1]."""
-        return min(1.0, self.busy_seconds / self.interval_seconds)
-
-
-class CpuUtilizationTracker:
-    """Collects per-decision utilisation samples across a mission."""
-
-    def __init__(self, sensor_period_s: float = 0.5) -> None:
-        if sensor_period_s <= 0:
-            raise ValueError("sensor period must be positive")
-        self.sensor_period_s = sensor_period_s
-        self._samples: List[DecisionUtilization] = []
-
-    def record_decision(self, decision_index: int, busy_seconds: float) -> DecisionUtilization:
-        """Record one decision's busy time.
-
-        The decision interval is the larger of the busy time and the sensor
-        sampling period: a decision that finishes early must still wait for
-        fresh sensor data, which is exactly the idle time RoboRun frees up for
-        other tasks.
-        """
-        interval = max(busy_seconds, self.sensor_period_s)
-        sample = DecisionUtilization(
-            decision_index=decision_index,
-            busy_seconds=busy_seconds,
-            interval_seconds=interval,
-        )
-        self._samples.append(sample)
-        return sample
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def samples(self) -> List[DecisionUtilization]:
-        """All recorded samples in decision order."""
-        return list(self._samples)
-
-    def mean_utilization(self) -> float:
-        """Average per-decision utilisation (0 when nothing recorded)."""
-        if not self._samples:
-            return 0.0
-        return sum(s.utilization for s in self._samples) / len(self._samples)
-
-    def total_busy_seconds(self) -> float:
-        """Total CPU-busy seconds across the mission."""
-        return sum(s.busy_seconds for s in self._samples)
-
-    def headroom(self) -> float:
-        """Average idle fraction per decision — the capacity freed for
-        higher-level cognitive tasks such as semantic labelling."""
-        return 1.0 - self.mean_utilization()
+    Each decision's interval is the larger of its busy time and the sensor
+    sampling period: a decision that finishes early must still wait for
+    fresh sensor data, which is exactly the idle time RoboRun frees up for
+    other tasks.
+    """
+    if not busy_seconds:
+        return 0.0
+    return sum(
+        min(1.0, busy / max(busy, sensor_period_s)) for busy in busy_seconds
+    ) / len(busy_seconds)

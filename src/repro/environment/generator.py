@@ -34,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - the worlds package imports us, not vice 
     from repro.worlds.movers import DynamicObstacleSet
     from repro.worlds.spec import WorldSpec
 from repro.environment.zones import ZoneMap
+from repro.fields import check_number_fields
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
 
@@ -73,6 +74,7 @@ class EnvironmentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         for knob in (
             "obstacle_density",
             "obstacle_spread",

@@ -10,17 +10,17 @@ RoboRun actually relies on:
   and experiments are exactly reproducible;
 * **topics, messages and nodes**
   (:mod:`~repro.middleware.topic`, :mod:`~repro.middleware.node`) implementing
-  typed publish/subscribe with latched topics;
+  typed publish/subscribe;
 * a **single-threaded executor** (:class:`~repro.middleware.executor.Executor`)
   that dispatches callbacks deterministically in publication order; and
-* a **latency ledger** (:class:`~repro.middleware.latency.LatencyLedger`)
-  that records the per-stage compute and communication times that Figure 11's
-  latency breakdown is built from.
+* the **stage names** of Figure 11's latency breakdown and the
+  :class:`~repro.middleware.latency.LatencyLedger`, a read-only fold of one
+  mission's decision records into per-stage compute and communication times.
 """
 
 from repro.middleware.clock import SimClock
 from repro.middleware.executor import Executor
-from repro.middleware.latency import LatencyLedger, LatencyRecord
+from repro.middleware.latency import LatencyLedger
 from repro.middleware.message import Header, Message
 from repro.middleware.node import Node
 from repro.middleware.topic import Topic, TopicBus
@@ -29,7 +29,6 @@ __all__ = [
     "Executor",
     "Header",
     "LatencyLedger",
-    "LatencyRecord",
     "Message",
     "Node",
     "SimClock",

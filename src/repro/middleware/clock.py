@@ -4,30 +4,23 @@ All latency, deadline and mission-time accounting in the reproduction is
 charged against a simulated clock rather than wall-clock time.  This keeps
 the experiments deterministic and lets the compute-cost model (the substitute
 for the paper's Intel i9 measurements) advance time by exactly the latency it
-predicts for each kernel invocation.
+predicts for each decision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
 
 
 class SimClock:
     """A monotonically non-decreasing simulated clock.
 
-    Time is advanced explicitly by the simulation loop (flight time) and by
-    the compute model (processing latency).  Callbacks can be scheduled to
-    fire when the clock passes a given timestamp; the mission simulator uses
-    this for sensor sampling rates and watchdog timers.
+    The decision loop advances it explicitly, once per epoch, by the
+    decision interval.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise ValueError("clock cannot start at a negative time")
         self._now = float(start)
-        self._timers: List[Tuple[float, int, Callable[[float], None]]] = []
-        self._timer_seq = 0
 
     @property
     def now(self) -> float:
@@ -35,7 +28,7 @@ class SimClock:
         return self._now
 
     def advance(self, dt: float) -> float:
-        """Advance the clock by ``dt`` seconds and fire any due timers.
+        """Advance the clock by ``dt`` seconds.
 
         Args:
             dt: non-negative time increment.
@@ -45,63 +38,5 @@ class SimClock:
         """
         if dt < 0:
             raise ValueError(f"cannot advance the clock by a negative amount ({dt})")
-        target = self._now + dt
-        self._run_timers_until(target)
-        self._now = target
+        self._now += dt
         return self._now
-
-    def advance_to(self, timestamp: float) -> float:
-        """Advance the clock to an absolute timestamp (no-op if in the past)."""
-        if timestamp <= self._now:
-            return self._now
-        return self.advance(timestamp - self._now)
-
-    def schedule_at(self, timestamp: float, callback: Callable[[float], None]) -> None:
-        """Register a callback fired the first time the clock reaches ``timestamp``.
-
-        The callback receives the firing time.  Timers scheduled for a time
-        already in the past fire on the next ``advance`` call.
-        """
-        self._timer_seq += 1
-        self._timers.append((timestamp, self._timer_seq, callback))
-        self._timers.sort(key=lambda item: (item[0], item[1]))
-
-    def schedule_after(self, delay: float, callback: Callable[[float], None]) -> None:
-        """Register a callback fired ``delay`` seconds from the current time."""
-        if delay < 0:
-            raise ValueError("timer delay must be non-negative")
-        self.schedule_at(self._now + delay, callback)
-
-    def _run_timers_until(self, target: float) -> None:
-        while self._timers and self._timers[0][0] <= target:
-            timestamp, _, callback = self._timers.pop(0)
-            # The clock logically sits at the timer's timestamp while it fires.
-            self._now = max(self._now, timestamp)
-            callback(self._now)
-
-
-@dataclass
-class Stopwatch:
-    """Accumulates named durations against a :class:`SimClock`.
-
-    Used by the mission simulator to split total mission time into flight
-    time, hover time (waiting for compute) and per-stage processing time.
-    """
-
-    clock: SimClock
-    totals: dict = field(default_factory=dict)
-
-    def charge(self, label: str, duration: float) -> None:
-        """Add ``duration`` seconds to the bucket ``label`` and advance the clock."""
-        if duration < 0:
-            raise ValueError("cannot charge a negative duration")
-        self.totals[label] = self.totals.get(label, 0.0) + duration
-        self.clock.advance(duration)
-
-    def total(self, label: str) -> float:
-        """Total seconds charged to a bucket (0 when the bucket is empty)."""
-        return self.totals.get(label, 0.0)
-
-    def grand_total(self) -> float:
-        """Sum of every bucket."""
-        return sum(self.totals.values())

@@ -103,7 +103,7 @@ class Executor:
         """
         topic = self.bus.topic(topic_name)
         message = Message.create(payload, stamp=self.clock.now, frame_id=frame_id)
-        for callback in topic.publish(message):
+        for callback in topic.publish():
             self._queue.append(_PendingDispatch(topic_name, callback, message))
         if len(self._queue) > self._queue_high_water:
             self._queue_high_water = len(self._queue)

@@ -2,9 +2,7 @@
 
 Messages mirror ROS messages at the level RoboRun cares about: a header with
 a timestamp, a sequence number and the name of the publishing node, plus an
-arbitrary typed payload.  The governor's profilers read header timestamps to
-measure stage-to-stage communication latency (the "comm" components of the
-Figure 11 breakdown).
+arbitrary typed payload.
 """
 
 from __future__ import annotations
@@ -49,12 +47,3 @@ class Message(Generic[PayloadT]):
     def create(payload: Any, stamp: float, frame_id: str) -> "Message[Any]":
         """Convenience constructor building the header inline."""
         return Message(Header(stamp=stamp, frame_id=frame_id), payload)
-
-    @property
-    def stamp(self) -> float:
-        """Shortcut for ``header.stamp``."""
-        return self.header.stamp
-
-    def age(self, now: float) -> float:
-        """Seconds elapsed between production and ``now`` (never negative)."""
-        return max(0.0, now - self.header.stamp)

@@ -3,35 +3,28 @@
 A node corresponds to one ROS node in the paper's stack — the point-cloud
 kernel, OctoMap, the planner, the smoother, the controller and the RoboRun
 governor are each hosted in a node.  Nodes publish and subscribe through the
-executor and record how much compute time they have been charged, which feeds
-the CPU-utilisation metric of Figure 7.
+executor; the node's name is the frame id stamped on what it publishes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable
 
 from repro.middleware.executor import Executor
 from repro.middleware.message import Message
 
 
 class Node:
-    """A named publisher/subscriber with per-node compute accounting."""
+    """A named publisher/subscriber on one executor."""
 
     def __init__(self, name: str, executor: Executor) -> None:
         if not name:
             raise ValueError("node name must be non-empty")
         self.name = name
         self.executor = executor
-        self._compute_seconds = 0.0
-        self._publish_counts: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # Pub/sub
-    # ------------------------------------------------------------------
     def publish(self, topic_name: str, payload: Any) -> Message[Any]:
         """Publish a payload on a topic, stamped with this node's name."""
-        self._publish_counts[topic_name] = self._publish_counts.get(topic_name, 0) + 1
         return self.executor.publish(topic_name, payload, frame_id=self.name)
 
     def subscribe(
@@ -40,34 +33,5 @@ class Node:
         """Subscribe a callback to a topic."""
         self.executor.subscribe(topic_name, callback)
 
-    def latest(self, topic_name: str) -> Optional[Message[Any]]:
-        """The most recent message on a topic, or ``None`` if nothing published."""
-        if topic_name not in self.executor.bus:
-            return None
-        return self.executor.bus.topic(topic_name).latest
-
-    # ------------------------------------------------------------------
-    # Compute accounting
-    # ------------------------------------------------------------------
-    def charge_compute(self, seconds: float) -> None:
-        """Record ``seconds`` of compute attributed to this node.
-
-        The mission simulator calls this with the latency predicted by the
-        compute model each time the node's kernel runs; the totals feed the
-        CPU-utilisation metric.
-        """
-        if seconds < 0:
-            raise ValueError("compute time cannot be negative")
-        self._compute_seconds += seconds
-
-    @property
-    def compute_seconds(self) -> float:
-        """Total compute seconds charged to this node."""
-        return self._compute_seconds
-
-    def publish_count(self, topic_name: str) -> int:
-        """Messages this node has published on the given topic."""
-        return self._publish_counts.get(topic_name, 0)
-
     def __repr__(self) -> str:
-        return f"Node(name={self.name!r}, compute={self._compute_seconds:.3f}s)"
+        return f"Node(name={self.name!r})"

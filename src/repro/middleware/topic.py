@@ -1,6 +1,6 @@
 """Topics and the topic bus.
 
-A :class:`Topic` is a named, typed channel with a bounded history; a
+A :class:`Topic` is a named channel with its subscribers; a
 :class:`TopicBus` is the registry connecting publishers to subscribers.  The
 bus is deliberately synchronous and single-process: publishing a message
 enqueues subscriber callbacks on the executor, which dispatches them in
@@ -11,9 +11,8 @@ compute model, which is how the "comm" bars of Figure 11 arise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.middleware.message import Message
 
@@ -78,16 +77,12 @@ class TopicNamespace:
 
 
 class Topic:
-    """A named channel with subscribers and a bounded message history."""
+    """A named channel with subscribers and a publication count."""
 
-    def __init__(self, name: str, history_depth: int = 16, latched: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         if not name or not name.startswith("/"):
             raise ValueError(f"topic names must be non-empty and start with '/': {name!r}")
-        if history_depth < 1:
-            raise ValueError("history depth must be at least 1")
         self.name = name
-        self.latched = latched
-        self._history: Deque[Message[Any]] = deque(maxlen=history_depth)
         self._subscribers: List[SubscriberCallback] = []
         self._publish_count = 0
 
@@ -95,23 +90,16 @@ class Topic:
     # Publication / subscription
     # ------------------------------------------------------------------
     def subscribe(self, callback: SubscriberCallback) -> None:
-        """Register a callback invoked for every future message.
-
-        For latched topics the most recent message (if any) is delivered
-        immediately, mirroring ROS latched publishers.
-        """
+        """Register a callback invoked for every future message."""
         self._subscribers.append(callback)
-        if self.latched and self._history:
-            callback(self._history[-1])
 
-    def publish(self, message: Message[Any]) -> List[SubscriberCallback]:
-        """Record the message and return the callbacks that should receive it.
+    def publish(self) -> List[SubscriberCallback]:
+        """Count one publication and return the callbacks that should receive it.
 
         Dispatch itself is owned by the :class:`~repro.middleware.executor.
         Executor` so that callback ordering is centralised; the topic only
         answers "who is interested".
         """
-        self._history.append(message)
         self._publish_count += 1
         return list(self._subscribers)
 
@@ -119,18 +107,9 @@ class Topic:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def latest(self) -> Optional[Message[Any]]:
-        """The most recently published message, or ``None``."""
-        return self._history[-1] if self._history else None
-
-    @property
     def publish_count(self) -> int:
         """Total messages ever published on the topic."""
         return self._publish_count
-
-    def history(self) -> List[Message[Any]]:
-        """A copy of the retained message history (oldest first)."""
-        return list(self._history)
 
 
 @dataclass
@@ -139,21 +118,14 @@ class TopicBus:
 
     _topics: Dict[str, Topic] = field(default_factory=dict)
 
-    def topic(self, name: str, history_depth: int = 16, latched: bool = False) -> Topic:
-        """Return the named topic, creating it on first use.
-
-        The latched flag and history depth are fixed by the first creator;
-        later callers receive the existing topic unchanged.
-        """
+    def topic(self, name: str) -> Topic:
+        """Return the named topic, creating it on first use."""
         existing = self._topics.get(name)
         if existing is not None:
             return existing
-        created = Topic(name, history_depth=history_depth, latched=latched)
+        created = Topic(name)
         self._topics[name] = created
         return created
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._topics
 
     def names(self) -> List[str]:
         """Names of every registered topic, sorted."""

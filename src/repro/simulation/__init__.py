@@ -7,9 +7,8 @@ simulated-clock decision pipeline built on the in-process middleware:
 
 * :mod:`repro.simulation.pipeline` — the six pipeline nodes (sense, profile,
   governor, perception, planning, flight) exchanging typed messages over the
-  executor; one decision is one message cascade, and the ``comm_*`` latency
-  entries are hop records anchored to the messages that actually crossed the
-  bus.
+  executor; one decision is one message cascade, and its flight node writes
+  the decision's one record, stage latencies included.
 * :mod:`repro.simulation.fleet` — the one decision loop: N drones'
   pipelines on one shared bus, executor and clock, one sensor tick per drone
   per epoch, mission-level termination and metric assembly.
@@ -61,7 +60,6 @@ from repro.simulation.pipeline import (
     FlightNode,
     GovernorNode,
     PerceptionNode,
-    PipelineHop,
     PlanningNode,
     ProfileNode,
     SenseNode,
@@ -87,7 +85,6 @@ __all__ = [
     "MissionResult",
     "MissionSimulator",
     "PerceptionNode",
-    "PipelineHop",
     "PlanningNode",
     "PowerBrownout",
     "ProfileNode",

@@ -10,7 +10,7 @@ whose instances act at their natural pipeline layer:
   lost frames and reduced capture resolution (the original two faults).
 * :class:`CommsDropout` / :class:`CommsLatencySpike` — the pipeline hops:
   messages dropped (and retransmitted) or delayed on the TopicBus between
-  nodes, visible in the ``comm_*`` ledger entries.
+  nodes, visible in each decision's ``comm_*`` stage latencies.
 * :class:`PowerBrownout` — the compute platform: the per-decision time
   budget fed to the governor/solver shrinks (DVFS under a sagging supply).
 * :class:`ThermalThrottle` — the compute platform: the charged compute
@@ -275,7 +275,7 @@ class CameraDegradation(Fault):
 
 
 # ----------------------------------------------------------------------
-# Pipeline-hop faults (the comm_* ledger entries)
+# Pipeline-hop faults (the comm_* stage latencies)
 # ----------------------------------------------------------------------
 #: Valid hop selectors for the comm faults: one canonical stage, or all four.
 COMM_HOPS: Tuple[str, ...] = tuple(COMM_STAGES) + ("all",)

@@ -32,12 +32,14 @@ no peers, the root namespace, and a mission record without fleet fields.
 from __future__ import annotations
 
 import itertools
+import statistics
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.dynamics.drone import QuadrotorKinematics
 from repro.dynamics.energy import EnergyModel
 from repro.compute.costs import WorkloadCostModel
+from repro.compute.utilization import mean_utilization
 from repro.core.profilers import ProfilerSuite
 from repro.environment.generator import GeneratedEnvironment
 from repro.environment.world import Obstacle
@@ -445,16 +447,16 @@ def _drone_result(
     hit: bool,
     reached_goal: bool,
 ) -> MissionResult:
-    """One drone's metrics, traces and ledger once the loop has ended."""
+    """One drone's metrics and traces once the loop has ended."""
     traces = pipeline.traces
-    ledger = pipeline.ledger
+    busy = [t.compute_latency for t in traces]
+    latencies = [t.end_to_end_latency for t in traces]
     mean_velocity = distance / mission_time if mission_time > 0 else 0.0
     energy = sim.energy_model.mission_energy(
         flight_time_s=mission_time,
         mean_speed=mean_velocity,
-        compute_busy_s=pipeline.cpu.total_busy_seconds(),
+        compute_busy_s=sum(busy),
     )
-    latencies = ledger.end_to_end_latencies()
     deadline_misses = sum(1 for t in traces if not t.deadline_met)
     metrics = MissionMetrics(
         design=sim.runtime.name,
@@ -464,9 +466,9 @@ def _drone_result(
         distance_travelled_m=distance,
         mean_velocity_mps=mean_velocity,
         energy_j=energy,
-        mean_cpu_utilization=pipeline.cpu.mean_utilization(),
+        mean_cpu_utilization=mean_utilization(busy, sim.config.sensor_period_s),
         decision_count=len(traces),
-        median_latency_s=ledger.median_latency(),
+        median_latency_s=statistics.median(latencies) if latencies else 0.0,
         max_latency_s=max(latencies) if latencies else 0.0,
         deadline_miss_rate=deadline_misses / len(traces) if traces else 0.0,
         replan_count=sim.operators.plan_count,
@@ -474,7 +476,6 @@ def _drone_result(
     return MissionResult(
         metrics=metrics,
         traces=traces,
-        ledger=ledger,
         environment=sim.environment,
         design=sim.runtime.name,
         pipeline=pipeline,

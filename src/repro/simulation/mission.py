@@ -13,8 +13,7 @@ governor, perception, planning, flight — over the middleware bus.  Its
 loop (:func:`repro.simulation.fleet.fly_epochs`), which drives one sensor
 tick per decision and owns the mission-level policy: termination (goal,
 collision, plan-failure and time limits), distance integration and metric
-assembly.  Stage logic, latency charging and the comm hops all live in the
-nodes.
+assembly.  Stage logic and latency charging live in the nodes.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from repro.core.profilers import ProfilerSuite, SpaceProfile
 from repro.dynamics.drone import QuadrotorKinematics
 from repro.dynamics.energy import EnergyModel
 from repro.environment.generator import GeneratedEnvironment
+from repro.fields import check_number_fields
 from repro.middleware.latency import LatencyLedger
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.point_cloud import PointCloudKernel
@@ -127,6 +127,7 @@ class MissionConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.sensor_period_s <= 0 or self.control_dt_s <= 0:
             raise ValueError("periods must be positive")
         if self.goal_tolerance_m <= 0:
@@ -182,8 +183,6 @@ class MissionResult:
             metres, energy in joules).
         traces: one :class:`~repro.analysis.trace.DecisionRecord` per
             decision, in decision order (``spec_name`` left empty).
-        ledger: the per-stage latency ledger (seconds per stage per
-            decision).
         environment: the generated world the mission flew through.
         design: name of the runtime evaluated.
         pipeline: the live node graph (``None`` once a result has crossed a
@@ -192,10 +191,14 @@ class MissionResult:
 
     metrics: MissionMetrics
     traces: List[DecisionRecord]
-    ledger: LatencyLedger
     environment: GeneratedEnvironment
     design: str
     pipeline: Optional[DecisionPipeline] = None
+
+    @property
+    def ledger(self) -> LatencyLedger:
+        """The per-stage latency fold of :attr:`traces` (seconds)."""
+        return LatencyLedger(self.traces)
 
 
 class MissionSimulator:

@@ -20,16 +20,13 @@ Topic graph (one cascade per decision, FIFO-dispatched)::
         │                                  ▲
         └──────────/flight/result──────────┘   (stall recovery drops the trajectory)
 
-Latency accounting: each node charges its own compute latency (via
-:meth:`~repro.middleware.node.Node.charge_compute`), and the FlightNode —
-the last stage of the cascade — assembles the canonical per-stage breakdown
-for the ledger.  The four ``comm_*`` ledger entries are produced as
-:class:`PipelineHop` records anchored to the actual :class:`~repro.
-middleware.message.Message` that crossed each hop: the hop stores the
-message's sequence number and publication stamp, and its delivery stamp is
-the publication stamp plus the serialisation cost of the payloads that
-really flowed on the bus that decision, so the entry is the hop's stamp
-delta rather than a free-floating constant.
+Latency accounting: the FlightNode — the last stage of the cascade —
+charges the canonical per-stage breakdown of the decision's merged work
+(compute stages plus the four ``comm_*`` hops, each sized by the payloads
+that crossed the bus that decision) and stores it in the decision's
+:class:`~repro.analysis.trace.DecisionRecord`, the one per-decision account
+the mission metrics and the :class:`~repro.middleware.latency.LatencyLedger`
+fold.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import numpy as np
 
 from repro.analysis.trace import DecisionRecord
 from repro.compute.costs import WorkloadCostModel
-from repro.compute.utilization import CpuUtilizationTracker
 from repro.control.follower import PurePursuitFollower
 from repro.core.governor import GovernorDecision
 from repro.core.operators import (
@@ -59,7 +55,7 @@ from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
 from repro.middleware.clock import SimClock
 from repro.middleware.executor import Executor
-from repro.middleware.latency import LatencyLedger, compute_seconds
+from repro.middleware.latency import compute_seconds
 from repro.middleware.message import Message
 from repro.middleware.node import Node
 from repro.middleware.topic import TopicBus, TopicNamespace
@@ -86,17 +82,6 @@ TOPIC_FLIGHT = "/flight/result"
 # before the policy exists and its cost is part of the runtime overhead
 # already charged by the cost model.
 PROFILING_RESOLUTION = 0.6
-
-# Which topic's message carries each comm hop.  The hop names are the
-# canonical comm stages of the Figure 11 breakdown; the topics are where the
-# corresponding payload actually crosses the bus in this graph.
-COMM_HOP_TOPICS: Dict[str, str] = {
-    "comm_point_cloud": TOPIC_SCAN,
-    "comm_octomap": TOPIC_PERCEPTION,
-    "comm_planning": TOPIC_PLANNING,
-    "comm_control": TOPIC_TRAJECTORY,
-}
-
 
 @dataclass(frozen=True, slots=True)
 class PipelineTopics:
@@ -127,15 +112,6 @@ class PipelineTopics:
             trajectory=namespace.topic(TOPIC_TRAJECTORY),
             flight=namespace.topic(TOPIC_FLIGHT),
         )
-
-    def comm_hop_topics(self) -> Dict[str, str]:
-        """Per-instance analogue of :data:`COMM_HOP_TOPICS`."""
-        return {
-            "comm_point_cloud": self.scan,
-            "comm_octomap": self.perception,
-            "comm_planning": self.planning,
-            "comm_control": self.trajectory,
-        }
 
 
 #: The root (single-drone) topic bundle: exactly the module constants.
@@ -212,39 +188,6 @@ class FlightResult:
     drop_trajectory: bool
 
 
-@dataclass(frozen=True, slots=True)
-class PipelineHop:
-    """One ``comm_*`` ledger entry anchored to the message that crossed the hop.
-
-    Attributes:
-        decision_index: the decision the hop belongs to.
-        stage: the canonical comm stage name.
-        topic: the topic the message crossed.
-        message_seq: the sequence number of the actual :class:`Message`.
-        published_stamp: the message's header stamp (publication time).
-        comm_seconds: the hop's serialisation cost — the share of the
-            decision's communication budget, sized by the payloads that flowed
-            on the bus this decision.
-    """
-
-    decision_index: int
-    stage: str
-    topic: str
-    message_seq: int
-    published_stamp: float
-    comm_seconds: float
-
-    @property
-    def delivered_stamp(self) -> float:
-        """When the payload finished crossing the hop (publish + serialisation)."""
-        return self.published_stamp + self.comm_seconds
-
-    @property
-    def stamp_delta(self) -> float:
-        """Delivery minus publication stamp — the measured hop latency."""
-        return self.delivered_stamp - self.published_stamp
-
-
 # ----------------------------------------------------------------------
 # Nodes
 # ----------------------------------------------------------------------
@@ -290,7 +233,6 @@ class SenseNode(Node):
         )
         self.dynamics = getattr(environment, "dynamics", None)
         self._octree = octree
-        self.dropped_decisions: List[int] = []
         self._position = environment.start
         self._velocity = Vec3.zero()
         self._degraded_rigs: Dict[tuple[int, int], CameraRig] = {}
@@ -337,7 +279,6 @@ class SenseNode(Node):
         )
         if dropped:
             scan = rig.empty_scan(self._position)
-            self.dropped_decisions.append(decision_index)
         else:
             scan = rig.capture(self.environment.world, self._position)
         estimate = self.sensors.estimate(
@@ -400,7 +341,6 @@ class GovernorNode(Node):
         self,
         executor: Executor,
         runtime: "Runtime",
-        cost_model: WorkloadCostModel,
         *,
         orchestrator: Optional[FaultOrchestrator] = None,
         topics: PipelineTopics = ROOT_TOPICS,
@@ -409,7 +349,6 @@ class GovernorNode(Node):
         super().__init__(name, executor)
         self.topics = topics
         self.runtime = runtime
-        self.cost_model = cost_model
         self.orchestrator = orchestrator
         self.subscribe(topics.profile, self._on_profile)
 
@@ -424,7 +363,6 @@ class GovernorNode(Node):
             decision = self.runtime.decide(message.payload.profile, budget_scale=scale)
         else:
             decision = self.runtime.decide(message.payload.profile)
-        self.charge_compute(self.cost_model.runtime_latency(self.runtime.spatial_aware))
         self.publish(
             self.topics.decision, DecisionSample(message.payload.index, decision)
         )
@@ -437,7 +375,6 @@ class PerceptionNode(Node):
         self,
         executor: Executor,
         operators: OperatorSet,
-        cost_model: WorkloadCostModel,
         *,
         topics: PipelineTopics = ROOT_TOPICS,
         name: str = "perception",
@@ -445,7 +382,6 @@ class PerceptionNode(Node):
         super().__init__(name, executor)
         self.topics = topics
         self.operators = operators
-        self.cost_model = cost_model
         self._scan: Optional[SenseSample] = None
         self._trajectory: Optional[Trajectory] = None
         self.subscribe(topics.scan, self._on_scan)
@@ -471,10 +407,6 @@ class PerceptionNode(Node):
         output = self.operators.run_perception(
             sample.scan, message.payload.decision.policy, focus=focus
         )
-        self.charge_compute(
-            self.cost_model.point_cloud_latency(output.work)
-            + self.cost_model.octomap_latency(output.work)
-        )
         self.publish(
             self.topics.perception, PerceptionSample(sample.index, output, position)
         )
@@ -489,7 +421,6 @@ class PlanningNode(Node):
         operators: OperatorSet,
         config: "MissionConfig",
         environment: GeneratedEnvironment,
-        cost_model: WorkloadCostModel,
         *,
         topics: PipelineTopics = ROOT_TOPICS,
         name: str = "planning",
@@ -499,7 +430,6 @@ class PlanningNode(Node):
         self.operators = operators
         self.config = config
         self.environment = environment
-        self.cost_model = cost_model
         self.consecutive_plan_failures = 0
         self._decisions_since_plan = 0
         self._trajectory: Optional[Trajectory] = None
@@ -664,12 +594,6 @@ class PlanningNode(Node):
         if trajectory is not None and self.trajectory_blocked(trajectory, position):
             trajectory = None
         self._trajectory = trajectory
-
-        self.charge_compute(
-            self.cost_model.perception_to_planning_latency(planning.work)
-            + self.cost_model.planning_latency(planning.work)
-            + self.cost_model.smoothing_latency(planning.work)
-        )
         self.publish(
             self.topics.trajectory, TrajectorySample(sample.index, trajectory)
         )
@@ -682,12 +606,12 @@ class PlanningNode(Node):
 class FlightNode(Node):
     """Charges the decision's latency and flies the drone for its duration.
 
-    The last stage of the cascade: it merges the pipeline's work, records the
-    canonical latency breakdown (compute stages from the cost model, comm
-    stages as :class:`PipelineHop` records anchored to the bus messages),
-    integrates flight for the decision interval with the pure-pursuit
-    follower and the emergency brake, then appends the decision's
-    :class:`~repro.analysis.trace.DecisionRecord` to ``traces``.
+    The last stage of the cascade: it merges the pipeline's work, charges the
+    canonical latency breakdown from the cost model (fault-adjusted when a
+    fault window covers the decision), integrates flight for the decision
+    interval with the pure-pursuit follower and the emergency brake, then
+    appends the decision's :class:`~repro.analysis.trace.DecisionRecord` to
+    ``traces``.
     """
 
     def __init__(
@@ -700,8 +624,6 @@ class FlightNode(Node):
         kinematics: QuadrotorKinematics,
         follower: PurePursuitFollower,
         operators: OperatorSet,
-        ledger: LatencyLedger,
-        cpu: CpuUtilizationTracker,
         energy_model: EnergyModel,
         traces: List[DecisionRecord],
         *,
@@ -719,13 +641,10 @@ class FlightNode(Node):
         self.kinematics = kinematics
         self.follower = follower
         self.operators = operators
-        self.ledger = ledger
-        self.cpu = cpu
         self.energy_model = energy_model
         self.traces = traces
         self.orchestrator = orchestrator
         self.drone_id = drone_id
-        self.hops: List[PipelineHop] = []
         self.state = DroneState(
             time=0.0, position=environment.start, velocity=Vec3.zero()
         )
@@ -772,15 +691,20 @@ class FlightNode(Node):
         )
         # Platform/transport faults land here, after the nominal model and
         # before any accounting, so thermal throttling inflates the compute
-        # stages and comm faults show up in the comm_* ledger entries.
+        # stages and comm faults show up in the comm_* stages.  Fault hooks
+        # come from an open registry, so their output is checked here.
         if faulted:
             stage_latencies = orchestrator.apply_stage_latencies(
                 index, stage_latencies
             )
+            for stage, seconds in stage_latencies.items():
+                if seconds < 0:
+                    raise ValueError(
+                        f"decision {index}: the active faults made stage "
+                        f"{stage!r} take a negative latency ({seconds} s)"
+                    )
         end_to_end = sum(stage_latencies.values())
-        self._record_latencies(index, stage_latencies)
         busy = compute_seconds(stage_latencies)
-        self.cpu.record_decision(index, busy)
 
         # Fly for the duration of the decision.
         interval = max(end_to_end, cfg.sensor_period_s)
@@ -853,32 +777,6 @@ class FlightNode(Node):
         self.last_result = result
         self.publish(self.topics.flight, result)
 
-    # -- latency recording ----------------------------------------------
-    def _record_latencies(
-        self, decision_index: int, stage_latencies: Dict[str, float]
-    ) -> None:
-        """Record the breakdown: compute stages directly, comm stages as hops."""
-        now = self.executor.clock.now
-        hop_topics = self.topics.comm_hop_topics()
-        for stage, seconds in stage_latencies.items():
-            hop_topic = hop_topics.get(stage)
-            if hop_topic is None:
-                self.ledger.record(decision_index, stage, seconds, now)
-                continue
-            message = self.executor.bus.topic(hop_topic).latest
-            if message is None:  # pragma: no cover - the cascade always publishes
-                raise RuntimeError(f"no message ever crossed hop {stage} ({hop_topic})")
-            hop = PipelineHop(
-                decision_index=decision_index,
-                stage=stage,
-                topic=hop_topic,
-                message_seq=message.header.seq,
-                published_stamp=message.stamp,
-                comm_seconds=seconds,
-            )
-            self.hops.append(hop)
-            self.ledger.record(decision_index, stage, hop.comm_seconds, now)
-
     # -- flight integration ----------------------------------------------
     def _motion_blocked(self, position: Vec3, motion: Vec3) -> bool:
         """True when mapped obstacles lie within a small tube around the motion.
@@ -949,11 +847,11 @@ class FlightNode(Node):
 class DecisionPipeline:
     """The six pipeline nodes wired over one bus, driven one decision at a time.
 
-    The pipeline owns the run-scoped accounting (clock, ledger, CPU tracker,
-    traces: one :class:`~repro.analysis.trace.DecisionRecord` per decision)
-    and exposes :meth:`step` — publish one sensor tick and drain the
-    executor until the cascade completes.  The mission façade owns mission-
-    level policy: termination, distance integration and metric assembly.
+    The pipeline owns the run-scoped accounting (clock and traces: one
+    :class:`~repro.analysis.trace.DecisionRecord` per decision) and exposes
+    :meth:`step` — publish one sensor tick and drain the executor until the
+    cascade completes.  The mission façade owns mission-level policy:
+    termination, distance integration and metric assembly.
     """
 
     def __init__(
@@ -990,8 +888,6 @@ class DecisionPipeline:
             self.bus = executor.bus
             self.clock = executor.clock
         self.topics = PipelineTopics.for_namespace(self.namespace)
-        self.ledger = LatencyLedger()
-        self.cpu = CpuUtilizationTracker(sensor_period_s=config.sensor_period_s)
         self.traces: List[DecisionRecord] = []
         self.faults = faults or FaultSet()
         # One orchestrator per pipeline: schedule jitter resolves against the
@@ -1025,17 +921,15 @@ class DecisionPipeline:
         self.governor = GovernorNode(
             self.executor,
             runtime,
-            cost_model,
             orchestrator=self.orchestrator,
             topics=topics,
             name=ns.node("governor"),
         )
         self.perception = PerceptionNode(
-            self.executor, operators, cost_model, topics=topics,
-            name=ns.node("perception"),
+            self.executor, operators, topics=topics, name=ns.node("perception")
         )
         self.planning = PlanningNode(
-            self.executor, operators, config, environment, cost_model,
+            self.executor, operators, config, environment,
             topics=topics, name=ns.node("planning"),
         )
         self.flight = FlightNode(
@@ -1047,8 +941,6 @@ class DecisionPipeline:
             kinematics,
             follower,
             operators,
-            self.ledger,
-            self.cpu,
             energy_model,
             self.traces,
             orchestrator=self.orchestrator,
@@ -1095,15 +987,6 @@ class DecisionPipeline:
             for observer in self.observers:
                 observer.on_decision_end(self, decision_index, result)
         return result
-
-    @property
-    def hops(self) -> List[PipelineHop]:
-        """Every comm hop record produced so far, in decision order."""
-        return list(self.flight.hops)
-
-    def node_compute_seconds(self) -> Dict[str, float]:
-        """Compute seconds charged per node (the Figure 7 CPU attribution)."""
-        return {node.name: node.compute_seconds for node in self.nodes}
 
     def dispatch_log(self) -> List[tuple[str, str]]:
         """(topic, frame) per delivered callback — the determinism witness."""

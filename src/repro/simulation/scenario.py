@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.environment.generator import EnvironmentConfig
+from repro.fields import check_number_fields
 from repro.simulation.faults import FAULT_SET_KEYS, FaultSet
 from repro.simulation.fleet import FleetResult, FleetSimulator
 from repro.simulation.mission import MissionConfig
@@ -74,6 +75,7 @@ class ScenarioSpec:
     n_drones: int = 1
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if self.design not in DESIGNS:
@@ -191,7 +193,7 @@ class ScenarioSpec:
             # default paper corridor, exactly what they meant.  Pre-fleet
             # dictionaries likewise have no "n_drones": a single drone.
             world=WorldSpec.from_dict(_checked_world(data.get("world"), "world")),
-            n_drones=int(data.get("n_drones", 1)),
+            n_drones=data.get("n_drones", 1),
         )
 
     def to_json(self) -> str:

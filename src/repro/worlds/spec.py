@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.fields import check_number_fields
 from repro.worlds.movers import MoverSpec
 
 #: The archetype every spec (and every pre-worlds scenario) defaults to.
@@ -48,6 +49,7 @@ class WorldSpec:
     movers: Tuple[MoverSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if not self.archetype:
             raise ValueError("world archetype name must be non-empty")
         for key, value in dict(self.params).items():
@@ -101,10 +103,9 @@ class WorldSpec:
         """Build a spec from plain data; ``None``/``{}`` give the default world."""
         if not data:
             return cls()
-        seed = data.get("seed")
         return cls(
             archetype=data.get("archetype", DEFAULT_ARCHETYPE),
-            seed=int(seed) if seed is not None else None,
+            seed=data.get("seed"),
             params=dict(data.get("params") or {}),
             movers=tuple(
                 MoverSpec.from_dict(dict(m)) for m in data.get("movers") or ()

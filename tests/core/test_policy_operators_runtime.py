@@ -12,7 +12,7 @@ from repro.compute.latency_model import (
     fit_stage_model,
     model_mse,
 )
-from repro.compute.utilization import CpuUtilizationTracker
+from repro.compute.utilization import mean_utilization
 from repro.core.baseline import BaselineDesignPoint, SpatialObliviousRuntime
 from repro.core.operators import OperatorSet, merge_work
 from repro.core.policy import (
@@ -208,13 +208,13 @@ class TestComputeModels:
         total = model.end_to_end(precisions, volumes)
         assert total > 1.0  # worst-case static latency lands in the seconds range
 
-    def test_cpu_utilization_tracker(self):
-        tracker = CpuUtilizationTracker(sensor_period_s=0.5)
-        tracker.record_decision(0, busy_seconds=0.25)
-        tracker.record_decision(1, busy_seconds=1.0)
-        assert tracker.mean_utilization() == pytest.approx((0.5 + 1.0) / 2)
-        assert tracker.total_busy_seconds() == pytest.approx(1.25)
-        assert tracker.headroom() == pytest.approx(1 - (0.5 + 1.0) / 2)
+    def test_mean_cpu_utilization(self):
+        # 0.25 s busy of a 0.5 s sensor period is half busy; a decision busy
+        # for longer than the period is saturated.
+        assert mean_utilization([0.25, 1.0], sensor_period_s=0.5) == pytest.approx(
+            (0.5 + 1.0) / 2
+        )
+        assert mean_utilization([], sensor_period_s=0.5) == 0.0
 
 
 class TestOperators:

@@ -123,7 +123,9 @@ class TestSingleDroneIdentity:
         ).run(recorder=solo_recorder)
         fleet = tiny_fleet(1).run(recorder=fleet_recorder)
         assert fleet.metrics.as_dict() == solo.metrics.as_dict()
-        assert len(fleet.ledger) == len(solo.ledger)
+        assert [t.stage_latencies for t in fleet.traces] == [
+            t.stage_latencies for t in solo.traces
+        ]
         assert (
             fleet.pipeline.executor.dispatch_log
             == solo.pipeline.executor.dispatch_log

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ TINY_ENV = EnvironmentConfig(
     obstacle_density=0.3, obstacle_spread=30.0, goal_distance=60.0, seed=7
 )
 TINY_CFG = MissionConfig(max_decisions=15, max_mission_time_s=100.0)
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def tiny_spec(name="tiny", design="roborun", **overrides):
@@ -236,6 +238,23 @@ BAD_SPECS = {
         {**tiny_spec().to_dict(), "faults": {"sensor_dropout": {"start_decision": 1}}},
         "'sensor_dropout'.*every_n",
     ),
+    "environment_float_is_a_string": (
+        _spec_with("environment", "obstacle_density", "x"), "obstacle_density"
+    ),
+    "environment_int_is_a_float": (_spec_with("environment", "seed", 1.5), "seed"),
+    "mission_int_is_a_string": (_spec_with("mission", "max_decisions", "10"), "max_decisions"),
+    "mission_int_is_a_float": (_spec_with("mission", "max_decisions", 2.5), "max_decisions"),
+    "mission_int_is_a_bool": (_spec_with("mission", "max_decisions", True), "max_decisions"),
+    "mission_camera_width_is_a_string": (
+        _spec_with("mission", "camera_width", "x"), "camera_width"
+    ),
+    "mission_float_is_a_list": (
+        _spec_with("mission", "max_mission_time_s", [1.0]), "max_mission_time_s"
+    ),
+    "world_seed_is_a_list": (
+        {**tiny_spec().to_dict(), "world": {"archetype": "forest", "seed": [1]}}, "seed"
+    ),
+    "n_drones_is_a_string": ({**tiny_spec().to_dict(), "n_drones": "2"}, "n_drones"),
 }
 
 BAD_GRIDS = {
@@ -300,6 +319,12 @@ class TestMalformedInput:
         path.write_text(json.dumps({"grid": grid}))
         with pytest.raises(ValueError, match=field):
             load_grid_file(path)
+
+    @pytest.mark.parametrize("folder", ["examples", "perfbench"])
+    def test_shipped_grid_files_still_load(self, folder):
+        specs = load_grid_file(REPO_ROOT / folder / "grid_small.json")
+        assert len(specs) == 16
+        assert all(spec.mission.max_decisions == 40 for spec in specs)
 
     def test_well_formed_grid_still_loads(self, tmp_path):
         path = tmp_path / "grid.json"
