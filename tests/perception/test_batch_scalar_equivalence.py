@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import EnvironmentConfig, EnvironmentGenerator, MissionConfig, MissionSimulator
 from repro import MoverSpec, RoboRunRuntime
@@ -552,3 +553,396 @@ class TestPlanningKernels:
             # The rewire pass reads the same array in the other direction.
             assert distances == [q.distance_to(p) for p in positions]
             assert buffer.nearest(q) == distances.index(min(distances))
+
+
+# ----------------------------------------------------------------------
+# Occupancy-map oracles: the octree's per-element loops over Python sets.
+# ----------------------------------------------------------------------
+def octree_state(octree):
+    """The octree's occupied and free voxel keys as two sets of tuples."""
+    return set(octree._occupied), set(octree._free)
+
+
+def key_list(keys):
+    """Voxel keys returned by the octree, as a list of tuples in order."""
+    return list(keys)
+
+
+def coarse_keys(octree, precision):
+    """The occupied coarse keys at ``precision``, as a set of tuples."""
+    return set(octree.coarse_occupied_cells(precision))
+
+
+def cloud_of(origin, points):
+    """A point cloud holding exactly ``points``, in order (no downsampling)."""
+    return PointCloud(origin, tuple(points), len(points), 0.3)
+
+
+def downsampled(points, resolution):
+    """The grid-average downsampler's output as a list of Vec3."""
+    from repro.geometry.grid import downsample_points
+
+    return downsample_points(points, resolution)
+
+
+def octree_with(occupied, free, vox_min=0.3, free_resolution=None, levels=4):
+    """An octree holding exactly the given occupied and free voxel keys."""
+    octree = OccupancyOctree(vox_min=vox_min, levels=levels, free_resolution=free_resolution)
+    for key in sorted(occupied):
+        octree.mark_occupied(voxel_center(key, vox_min))
+    for key in sorted(free):
+        octree.mark_free(voxel_center(key, octree.free_resolution))
+    assert octree_state(octree) == (set(occupied), set(free))
+    return octree
+
+
+def downsample_oracle(points, resolution):
+    """Grid averages from per-cell running sums, cells in first-seen order."""
+    cells = {}
+    for p in points:
+        cell = cells.setdefault(voxel_key(p, resolution), [0, 0.0, 0.0, 0.0])
+        cell[0] += 1
+        cell[1] += p.x
+        cell[2] += p.y
+        cell[3] += p.z
+    return [Vec3(sx / n, sy / n, sz / n) for n, sx, sy, sz in cells.values()]
+
+
+def insert_oracle(occupied, free, vox_min, free_resolution, origin, points,
+                  ray_step=None, max_volume=None, focus=None):
+    """One ray at a time, nearest to ``focus`` first, mutating the two sets.
+
+    Returns the insertion statistics.  Each ray carves its samples free and
+    erases the unprotected occupied voxels they pass through, then marks its
+    endpoint occupied; once the integrated volume reaches ``max_volume`` the
+    remaining rays only mark their endpoints.
+    """
+    anchor = focus if focus is not None else origin
+    ordered = sorted(points, key=lambda p: anchor.distance_to(p))
+    protected = {voxel_key(p, vox_min) for p in ordered}
+    effective_step = max(ray_step if ray_step is not None else vox_min, vox_min)
+    bookkeeping_step = max(effective_step, free_resolution)
+    new_volume, integrated, skipped, cells = 0.0, 0, 0, 0
+    for point in ordered:
+        if max_volume is not None and new_volume >= max_volume:
+            occupied.add(voxel_key(point, vox_min))
+            free.discard(voxel_key(point, free_resolution))
+            cells += 1
+            skipped += 1
+            continue
+        cells += int(origin.distance_to(point) / effective_step) + 1
+        volume = vox_min**3
+        for sample in sample_ray(origin, point, bookkeeping_step)[:-1]:
+            free.add(voxel_key(sample, free_resolution))
+            volume += free_resolution**3
+            key = voxel_key(sample, vox_min)
+            if key not in protected:
+                occupied.discard(key)
+        occupied.add(voxel_key(point, vox_min))
+        free.discard(voxel_key(point, free_resolution))
+        new_volume += volume
+        integrated += 1
+    return {
+        "points_integrated": float(integrated),
+        "points_skipped": float(skipped),
+        "cells_updated": float(cells),
+        "integrated_volume": new_volume,
+    }
+
+
+def mark_box_oracle(occupied, free, vox_min, free_resolution, box):
+    """The nested i/j/k loop over the box's voxels; returns the new keys."""
+    lo = voxel_key(box.min_corner, vox_min)
+    hi = voxel_key(box.max_corner, vox_min)
+    keys = []
+    for i in range(lo[0], hi[0] + 1):
+        for j in range(lo[1], hi[1] + 1):
+            for k in range(lo[2], hi[2] + 1):
+                key = (i, j, k)
+                if key in occupied:
+                    continue
+                occupied.add(key)
+                free.discard(voxel_key(voxel_center(key, vox_min), free_resolution))
+                keys.append(key)
+    return keys
+
+
+def clear_cells_oracle(occupied, keys):
+    cleared = 0
+    for key in keys:
+        if key in occupied:
+            occupied.remove(key)
+            cleared += 1
+    return cleared
+
+
+def forget_oracle(occupied, free, vox_min, free_resolution, center, radius):
+    """Keep the cells whose centre lies within ``radius``; returns the count dropped."""
+    radius_sq = radius * radius
+
+    def keep(key, resolution):
+        c = voxel_center(key, resolution)
+        dx, dy, dz = c.x - center.x, c.y - center.y, c.z - center.z
+        return dx * dx + dy * dy + dz * dz <= radius_sq
+
+    before = len(occupied) + len(free)
+    occupied.intersection_update({k for k in occupied if keep(k, vox_min)})
+    free.intersection_update({k for k in free if keep(k, free_resolution)})
+    return before - len(occupied) - len(free)
+
+
+def nearest_oracle(occupied, vox_min, point, max_radius):
+    best_sq = max_radius * max_radius
+    for (i, j, k) in occupied:
+        dx = (i + 0.5) * vox_min - point.x
+        dy = (j + 0.5) * vox_min - point.y
+        dz = (k + 0.5) * vox_min - point.z
+        best_sq = min(best_sq, dx * dx + dy * dy + dz * dz)
+    return math.sqrt(best_sq)
+
+
+def segment_walk_oracle(occupied, vox_min, start, end, step, lateral, include_start):
+    """The scalar segment walk, with its 8-voxel bucket grid as broad phase."""
+    factor = 8
+    bres = vox_min * factor
+    buckets = {(i // factor, j // factor, k // factor) for (i, j, k) in occupied}
+    if not occupied:
+        return False
+    dx, dy, dz = end.x - start.x, end.y - start.y, end.z - start.z
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if include_start:
+        intervals, first = max(1, int(length / step)), 0
+    else:
+        intervals, first = max(2, int(length / step) + 1), 1
+    floor = math.floor
+    for n in range(first, intervals + 1):
+        t = n / intervals
+        px, py, pz = start.x + dx * t, start.y + dy * t, start.z + dz * t
+        bucket = (floor(px / bres), floor(py / bres), floor(pz / bres))
+        if bucket not in buckets:
+            if lateral == 0.0:
+                continue
+            fx, fy = px - bucket[0] * bres, py - bucket[1] * bres
+            if lateral < fx < bres - lateral and lateral < fy < bres - lateral:
+                continue
+        i, j, k = floor(px / vox_min), floor(py / vox_min), floor(pz / vox_min)
+        probes = [(i, j, k)]
+        if lateral:
+            probes += [
+                (floor((px + lateral) / vox_min), j, k),
+                (floor((px - lateral) / vox_min), j, k),
+                (i, floor((py + lateral) / vox_min), k),
+                (i, floor((py - lateral) / vox_min), k),
+            ]
+        if any(p in occupied for p in probes):
+            return True
+    return False
+
+
+OCTREE_RESOLUTIONS = [(0.3, None), (0.25, 1.0), (0.2, 0.2), (0.5, 4.0)]
+
+
+class TestOccupancyMapOracles:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_downsample_matches_cell_accumulators(self, seed):
+        rng = random.Random(1100 + seed)
+        points = [random_vec(rng, -20.0, 20.0) for _ in range(rng.choice([1, 2, 30, 400]))]
+        # Exact duplicates and near neighbours share cells out of order.
+        points += [rng.choice(points) for _ in range(5)]
+        points += [p + Vec3(1e-3, -1e-3, 0.0) for p in rng.sample(points, 3)]
+        rng.shuffle(points)
+        for resolution in (0.2, 0.3, 1.7, 4.8):
+            assert downsampled(points, resolution) == downsample_oracle(points, resolution)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_insert_point_cloud_matches_set_loop(self, seed):
+        rng = random.Random(1200 + seed)
+        vox_min, free_resolution = OCTREE_RESOLUTIONS[seed % 4]
+        origin = random_vec(rng, -3.0, 3.0)
+        points = [random_vec(rng, -15.0, 15.0) for _ in range(rng.choice([1, 6, 40, 120]))]
+        points.append(origin)  # a zero-length ray
+        points += [rng.choice(points) for _ in range(3)]  # duplicate endpoints
+        points += [p + Vec3(0.01, 0.0, -0.01) for p in points[:3]]  # shared voxels
+        rng.shuffle(points)
+        # Occupied cells on the rays (to be erased) and at endpoints (to be
+        # kept), free cells at endpoints (to be discarded) and elsewhere.
+        seed_octree = OccupancyOctree(vox_min=vox_min, levels=4, free_resolution=free_resolution)
+        for p in points[:12]:
+            seed_octree.mark_occupied(origin.lerp(p, rng.random()))
+            seed_octree.mark_free(origin.lerp(p, rng.random()))
+        for p in points[:4]:
+            seed_octree.mark_occupied(p)
+        for p in points[4:8]:
+            seed_octree.mark_free(p)
+        for _ in range(10):
+            seed_octree.mark_occupied(random_vec(rng, -15.0, 15.0))
+            seed_octree.mark_free(random_vec(rng, -15.0, 15.0))
+        occupied, free = octree_state(seed_octree)
+        res_free = seed_octree.free_resolution
+        focus = random_vec(rng, -5.0, 5.0)
+
+        def run(ray_step, max_volume, anchor):
+            octree = octree_with(occupied, free, vox_min, free_resolution)
+            stats = octree.insert_point_cloud(cloud_of(origin, points), ray_step, max_volume, anchor)
+            occ, fr = set(occupied), set(free)
+            expected = insert_oracle(
+                occ, fr, vox_min, res_free, origin, points, ray_step, max_volume, anchor
+            )
+            assert stats == expected
+            assert octree_state(octree) == (occ, fr)
+            return stats
+
+        nearest_half = sorted(points, key=lambda p: origin.distance_to(p))[: len(points) // 2]
+        for ray_step in (None, 0.6, 3.7):
+            full = run(ray_step, None, focus)["integrated_volume"]
+            # The running total after the nearer half of the rays: a budget
+            # equal to it stops right after that ray, one ulp above it lets
+            # one more ray in.
+            half = insert_oracle(
+                set(), set(), vox_min, res_free, origin, nearest_half, ray_step
+            )["integrated_volume"]
+            assert 0 < run(ray_step, half, None)["points_skipped"] < len(points)
+            for budget in (math.nextafter(half, 0.0), math.nextafter(half, math.inf)):
+                run(ray_step, budget, None)
+            for budget in (0.0, full * rng.uniform(0.2, 0.8), full, 2.0 * full):
+                run(ray_step, budget, focus)
+
+    def test_insert_empty_cloud_changes_nothing(self):
+        octree = octree_with({(1, 2, 3)}, {(0, 0, 0)})
+        stats = octree.insert_point_cloud(cloud_of(Vec3(1.0, 1.0, 1.0), []), max_volume=5.0)
+        assert stats == insert_oracle(set(), set(), 0.3, 2.4, Vec3.zero(), [])
+        assert octree_state(octree) == ({(1, 2, 3)}, {(0, 0, 0)})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mark_box_and_clear_cells_match_set_loops(self, seed):
+        rng = random.Random(1300 + seed)
+        vox_min, free_resolution = OCTREE_RESOLUTIONS[seed]
+        occupied, free = random_keys(rng, 60, spread=10), random_keys(rng, 20, spread=3)
+        octree = octree_with(occupied, free, vox_min, free_resolution)
+        res_free = octree.free_resolution
+        marked = []
+        for _ in range(8):
+            centre = random_vec(rng, -2.5, 2.5)
+            size = Vec3(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0))
+            box = AABB.from_center(centre, size)
+            expected = mark_box_oracle(occupied, free, vox_min, res_free, box)
+            keys = octree.mark_box(box)
+            assert key_list(keys) == expected
+            assert octree_state(octree) == (occupied, free)
+            marked.append((keys, expected))
+        # A box whose corners sit exactly on voxel faces.
+        box = AABB(Vec3(-vox_min, 0.0, vox_min), Vec3(vox_min, 2 * vox_min, 3 * vox_min))
+        expected = mark_box_oracle(occupied, free, vox_min, res_free, box)
+        assert key_list(octree.mark_box(box)) == expected
+        # Clearing twice: the second pass finds the cells already gone.
+        for keys, expected in marked + marked[:2]:
+            assert octree.clear_cells(keys) == clear_cells_oracle(occupied, expected)
+            assert octree_state(octree) == (occupied, free)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forget_beyond_matches_per_cell_predicate(self, seed):
+        rng = random.Random(1400 + seed)
+        vox_min, free_resolution = OCTREE_RESOLUTIONS[seed]
+        occupied, free = random_keys(rng, 300, spread=30), random_keys(rng, 60, spread=6)
+        for radius in (0.1, 3.0, 7.5, 12.0, 100.0):
+            octree = octree_with(occupied, free, vox_min, free_resolution)
+            centre = random_vec(rng, -4.0, 4.0)
+            occ, fr = set(occupied), set(free)
+            expected = forget_oracle(occ, fr, vox_min, octree.free_resolution, centre, radius)
+            assert octree.forget_beyond(centre, radius) == expected
+            assert octree_state(octree) == (occ, fr)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_segment_probes_match_scalar_walk(self, seed):
+        rng = random.Random(1500 + seed)
+        occupied = random_keys(rng, rng.choice([0, 1, 40, 400]))
+        octree = octree_with(occupied, set(), vox_min=0.25)
+        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(60)]
+        p = random_vec(rng)
+        pairs.append((p, p))  # zero length
+        starts, ends = segment_batch_arrays(pairs)
+        for step in (0.1, 0.3, 1.7):
+            for lateral in (0.0, 0.4):
+                for include_start in (True, False):
+                    expected = [
+                        segment_walk_oracle(occupied, 0.25, a, b, step, lateral, include_start)
+                        for a, b in pairs
+                    ]
+                    scalar = [
+                        octree.segment_occupied(a, b, step, lateral, include_start)
+                        for a, b in pairs
+                    ]
+                    batch = octree.segment_occupied_batch(starts, ends, step, lateral, include_start)
+                    assert scalar == expected
+                    assert batch.tolist() == expected
+
+
+MAP_COORD = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+MAP_POINT = st.builds(Vec3, MAP_COORD, MAP_COORD, MAP_COORD)
+MAP_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("mark"), MAP_POINT),
+        st.tuples(st.just("free"), MAP_POINT),
+        st.tuples(st.just("box"), MAP_POINT, st.floats(min_value=0.05, max_value=2.0)),
+        st.tuples(st.just("clear")),
+        st.tuples(
+            st.just("insert"),
+            MAP_POINT,
+            st.lists(MAP_POINT, max_size=12),
+            st.one_of(st.none(), st.floats(min_value=0.0, max_value=40.0)),
+        ),
+        st.tuples(st.just("forget"), MAP_POINT, st.floats(min_value=0.5, max_value=8.0)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@given(MAP_OPS, MAP_POINT)
+@settings(max_examples=60, deadline=None)
+def test_octree_matches_set_model_under_random_workload(ops, query):
+    vox_min, res_free = 0.3, 1.2
+    octree = OccupancyOctree(vox_min=vox_min, levels=5, free_resolution=res_free)
+    occupied, free = set(), set()
+    boxes = []  # (octree keys, oracle keys) of each mark_box
+    for op in ops:
+        kind = op[0]
+        if kind == "mark":
+            octree.mark_occupied(op[1])
+            occupied.add(voxel_key(op[1], vox_min))
+            free.discard(voxel_key(op[1], res_free))
+        elif kind == "free":
+            octree.mark_free(op[1])
+            free.add(voxel_key(op[1], res_free))
+        elif kind == "box":
+            box = AABB.cube(op[1], op[2])
+            keys = octree.mark_box(box)
+            expected = mark_box_oracle(occupied, free, vox_min, res_free, box)
+            assert key_list(keys) == expected
+            boxes.append((keys, expected))
+        elif kind == "clear" and boxes:
+            keys, expected = boxes.pop(0)
+            assert octree.clear_cells(keys) == clear_cells_oracle(occupied, expected)
+        elif kind == "insert":
+            _, origin, points, budget = op
+            stats = octree.insert_point_cloud(cloud_of(origin, points), max_volume=budget)
+            assert stats == insert_oracle(
+                occupied, free, vox_min, res_free, origin, points, max_volume=budget
+            )
+        elif kind == "forget":
+            assert octree.forget_beyond(op[1], op[2]) == forget_oracle(
+                occupied, free, vox_min, res_free, op[1], op[2]
+            )
+        assert octree_state(octree) == (occupied, free)
+    assert octree.occupied_voxel_count() == len(occupied)
+    assert octree.observed_voxel_count() == len(occupied) + len(free)
+    for level in range(5):
+        precision = vox_min * 2**level
+        factor = 2**level
+        assert coarse_keys(octree, precision) == {
+            (i // factor, j // factor, k // factor) for (i, j, k) in occupied
+        }
+    for radius in (0.5, 4.0, 50.0):
+        assert octree.nearest_occupied_distance(query, radius) == nearest_oracle(
+            occupied, vox_min, query, radius
+        )
