@@ -25,13 +25,12 @@ Planner volume                        the RRT* volume monitor that stops search
 :class:`~repro.core.policy.KnobPolicy` to each invocation and reports the work
 each kernel actually performed so the compute model can charge its latency.
 
-The perception→planning operators are enforced against the occupancy map's
-incrementally maintained :class:`~repro.perception.spatial_index.SpatialIndex`:
-the coarsening behind :func:`~repro.perception.planning_view.build_planning_view`
-reads the maintained level maps, and the per-decision locality eviction
-(:meth:`OccupancyOctree.forget_beyond`) prunes whole index buckets, so the
-Python-side enforcement cost tracks the *local* map rather than mission
-length — only the charged (modelled) cost follows the knobs.
+The occupancy map keeps its voxels as sorted arrays of packed keys: the
+coarsening behind :func:`~repro.perception.planning_view.build_planning_view`
+is one ``np.unique`` of the shifted keys, and the per-decision locality
+eviction (:meth:`OccupancyOctree.forget_beyond`) is one vectorised distance
+filter, so the Python-side enforcement cost tracks the *local* map rather
+than mission length — only the charged (modelled) cost follows the knobs.
 """
 
 from __future__ import annotations
@@ -131,8 +130,7 @@ class OperatorSet:
             focus=focus if focus is not None else scan.position,
         )
         # Keep the map local so its cost tracks the volume knob rather than
-        # mission length; the eviction itself is bucket-pruned by the spatial
-        # index, so this per-decision call stays cheap as the map fills up.
+        # mission length.
         self.octree.forget_beyond(scan.position, self.local_map_radius)
 
         work = KernelWork(

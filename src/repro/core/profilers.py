@@ -121,15 +121,14 @@ class ProfilerSuite:
         on; the minimum gap lower-bounds the precision needed to see a path
         between them (Eq. 3's ``g_min`` and ``g_avg``).
         """
-        nearby = cloud.points_within(self.gap_neighbourhood)
-        if len(nearby) < 2:
+        pts = cloud.points_within(self.gap_neighbourhood)
+        if pts.shape[0] < 2:
             return (self.open_space_gap, self.open_space_gap)
         # Nearest-neighbour distance per point from one pairwise distance
         # matrix (the cloud is already grid downsampled, so it stays small).
         # The elementwise arithmetic matches Vec3.distance_to, and the mean is
         # summed sequentially (tolist + sum) rather than with numpy's pairwise
         # reduction, so both statistics equal the per-pair Python loop's.
-        pts = np.array([(p.x, p.y, p.z) for p in nearby], dtype=np.float64)
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt(
             (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
@@ -154,9 +153,9 @@ class ProfilerSuite:
 
         The freshest estimate comes from the current point cloud; the map is
         consulted only when the cloud is empty (nothing currently in view),
-        capped at the profiler's visibility limit.  The map query is the
-        spatial index's expanding-ring search, which already returns the
-        visibility cap on an empty map, so no emptiness guard is needed.
+        capped at the profiler's visibility limit.  The map query already
+        returns the visibility cap on an empty map, so no emptiness guard is
+        needed.
         """
         cloud_distance = cloud.nearest_distance()
         if math.isfinite(cloud_distance):

@@ -11,15 +11,15 @@ a sensor can observe.  This package provides those primitives:
   :func:`~repro.geometry.ray.traverse_voxels` — Amanatides–Woo voxel
   traversal used by the OctoMap ray-caster and the planner's collision
   checker.
-* :class:`~repro.geometry.grid.VoxelGrid` — a uniform grid index used by the
-  point-cloud precision operator.
+* :func:`~repro.geometry.grid.downsample` — the grid-average downsampling
+  behind the point-cloud precision operator.
 * :class:`~repro.geometry.frustum.Frustum` — a camera viewing frustum used by
   the sensor models and the space-volume profilers.
 """
 
 from repro.geometry.aabb import AABB
 from repro.geometry.frustum import Frustum
-from repro.geometry.grid import VoxelGrid, voxel_key
+from repro.geometry.grid import downsample, voxel_key
 from repro.geometry.ray import Ray, ray_aabb_intersect, traverse_voxels
 from repro.geometry.vec3 import Vec3
 
@@ -28,7 +28,7 @@ __all__ = [
     "Frustum",
     "Ray",
     "Vec3",
-    "VoxelGrid",
+    "downsample",
     "ray_aabb_intersect",
     "traverse_voxels",
     "voxel_key",

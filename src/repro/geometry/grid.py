@@ -1,19 +1,21 @@
-"""Uniform voxel grids and voxel indexing.
+"""Voxel indexing and grid-average downsampling.
 
 The paper's point-cloud precision operator works by "gridding the space into
 cells, mapping the points onto the cells using their coordinates, and then
-reducing each cell to a single average point" (§III-B).  ``VoxelGrid``
-implements exactly that bucketing, and ``voxel_key`` is the shared
-world-coordinate → integer-cell mapping used by the grid, the octree ray
-caster and the collision checker so that all of them agree on voxel
-boundaries.
+reducing each cell to a single average point" (§III-B).  :func:`downsample`
+implements exactly that bucketing on an ``(N, 3)`` point array, and
+``voxel_key`` is the shared world-coordinate → integer-cell mapping used by
+the downsampler, the octree and the collision checkers so that all of them
+agree on voxel boundaries.  :func:`pack_keys` encodes a key as one int64, the
+form the occupancy map stores and sorts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
@@ -56,135 +58,64 @@ def voxel_bounds(key: VoxelKey, resolution: float) -> AABB:
     return AABB(lo, hi)
 
 
-@dataclass
-class _CellAccumulator:
-    """Running sum used to average the points that fall in one grid cell."""
-
-    count: int = 0
-    sum_x: float = 0.0
-    sum_y: float = 0.0
-    sum_z: float = 0.0
-
-    def add(self, point: Vec3) -> None:
-        self.count += 1
-        self.sum_x += point.x
-        self.sum_y += point.y
-        self.sum_z += point.z
-
-    def mean(self) -> Vec3:
-        return Vec3(self.sum_x / self.count, self.sum_y / self.count, self.sum_z / self.count)
+# Packed-key encoding: one int64 per (i, j, k) voxel key.  Components are
+# shifted by _PACK_OFF and mixed in base _PACK_BASE, supporting |i| < 2**19
+# (±157 km at 0.3 m voxels) without overflowing the 63-bit positive range.
+# Packed order is the lexicographic order of (i, j, k).
+_PACK_BITS = 20
+_PACK_OFF = 1 << 19
+_PACK_BASE = 1 << _PACK_BITS
 
 
-@dataclass
-class VoxelGrid:
-    """A sparse uniform grid that buckets points by voxel.
+def pack_keys(ijk: np.ndarray) -> np.ndarray:
+    """Encode an ``(N, 3)`` int voxel-key array into ``(N,)`` int64 scalars."""
+    ijk = np.asarray(ijk, dtype=np.int64)
+    return (
+        (ijk[..., 0] + _PACK_OFF) * _PACK_BASE + (ijk[..., 1] + _PACK_OFF)
+    ) * _PACK_BASE + (ijk[..., 2] + _PACK_OFF)
 
-    This is the data structure behind the point-cloud precision operator:
-    points inserted into the grid are grouped by cell and each occupied cell
-    can be reduced to its average point.  The grid is sparse (a dictionary
-    keyed by voxel index), so memory scales with the number of occupied cells
-    rather than the bounding volume.
+
+def unpack_keys(packed: np.ndarray) -> np.ndarray:
+    """Decode ``(N,)`` packed keys back into an ``(N, 3)`` int64 key array."""
+    packed = np.asarray(packed, dtype=np.int64)
+    ijk = np.empty(packed.shape + (3,), dtype=np.int64)
+    ijk[..., 0] = packed >> (2 * _PACK_BITS)
+    ijk[..., 1] = (packed >> _PACK_BITS) & (_PACK_BASE - 1)
+    ijk[..., 2] = packed & (_PACK_BASE - 1)
+    ijk -= _PACK_OFF
+    return ijk
+
+
+def packed_voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
+    """Packed keys of the voxels containing each row of an ``(N, 3)`` array.
+
+    Row by row equal to packing :func:`voxel_key` of the same point.
     """
-
-    resolution: float
-    _cells: Dict[VoxelKey, _CellAccumulator] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.resolution <= 0:
-            raise ValueError("voxel resolution must be positive")
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def insert(self, point: Vec3) -> VoxelKey:
-        """Insert a point, returning the key of the cell it landed in."""
-        key = voxel_key(point, self.resolution)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = _CellAccumulator()
-            self._cells[key] = cell
-        cell.add(point)
-        return key
-
-    def insert_many(self, points: Iterable[Vec3]) -> None:
-        """Insert every point in the iterable."""
-        for p in points:
-            self.insert(p)
-
-    def clear(self) -> None:
-        """Remove every cell."""
-        self._cells.clear()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __contains__(self, key: VoxelKey) -> bool:
-        return key in self._cells
-
-    def occupied_keys(self) -> Iterator[VoxelKey]:
-        """Iterate over the indices of occupied cells."""
-        return iter(self._cells.keys())
-
-    def total_points(self) -> int:
-        """Total number of points inserted across all cells."""
-        return sum(cell.count for cell in self._cells.values())
-
-    def averaged_points(self) -> List[Vec3]:
-        """Reduce every occupied cell to its average point.
-
-        This is the core of the point-cloud precision operator: the output
-        has at most one point per ``resolution``-sized cell, so the downstream
-        OctoMap insertion cost scales with the requested precision rather than
-        the raw sensor density.
-        """
-        return [cell.mean() for cell in self._cells.values()]
-
-    def occupied_volume(self) -> float:
-        """Total volume (m^3) of occupied cells."""
-        return len(self._cells) * self.resolution**3
-
-    def bounds(self) -> AABB:
-        """The tight AABB of occupied voxels.
-
-        Raises:
-            ValueError: when the grid is empty.
-        """
-        if not self._cells:
-            raise ValueError("bounds of an empty grid are undefined")
-        keys = list(self._cells.keys())
-        lo_key = (
-            min(k[0] for k in keys),
-            min(k[1] for k in keys),
-            min(k[2] for k in keys),
-        )
-        hi_key = (
-            max(k[0] for k in keys),
-            max(k[1] for k in keys),
-            max(k[2] for k in keys),
-        )
-        lo = Vec3(
-            lo_key[0] * self.resolution,
-            lo_key[1] * self.resolution,
-            lo_key[2] * self.resolution,
-        )
-        hi = Vec3(
-            (hi_key[0] + 1) * self.resolution,
-            (hi_key[1] + 1) * self.resolution,
-            (hi_key[2] + 1) * self.resolution,
-        )
-        return AABB(lo, hi)
+    return pack_keys(np.floor(points / resolution).astype(np.int64))
 
 
-def downsample_points(points: Iterable[Vec3], resolution: float) -> List[Vec3]:
-    """Grid-average downsampling of a point cloud at the given precision.
+def downsample(points: np.ndarray, resolution: float) -> np.ndarray:
+    """Grid-average downsampling of an ``(N, 3)`` point array.
 
-    Convenience wrapper used by the point-cloud precision operator: builds a
-    temporary :class:`VoxelGrid`, inserts every point and returns the cell
-    averages.
+    Each ``resolution``-sized cell that holds a point becomes the mean of its
+    points; cells come out in the order their first point went in.  The
+    per-axis sums are accumulated by :func:`np.bincount`, which adds the
+    weights one by one in input order, so every mean equals a running
+    ``sum += x`` per cell divided by the cell's count.
     """
-    grid = VoxelGrid(resolution)
-    grid.insert_many(points)
-    return grid.averaged_points()
+    if resolution <= 0:
+        raise ValueError("voxel resolution must be positive")
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if points.shape[0] == 0:
+        return points
+    _, first, inverse = np.unique(
+        packed_voxel_keys(points, resolution), return_index=True, return_inverse=True
+    )
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    cell = rank[inverse]
+    counts = np.bincount(cell)
+    means = np.empty((first.shape[0], 3), dtype=np.float64)
+    for axis in range(3):
+        means[:, axis] = np.bincount(cell, weights=points[:, axis]) / counts
+    return means

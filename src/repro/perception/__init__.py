@@ -16,14 +16,12 @@ budget, and sub-sampling / volume bounding for the map handed to the planner.
 from repro.perception.octomap import OccupancyOctree, allowed_precisions
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
-from repro.perception.spatial_index import SpatialIndex
 
 __all__ = [
     "OccupancyOctree",
     "PlanningView",
     "PointCloud",
     "PointCloudKernel",
-    "SpatialIndex",
     "allowed_precisions",
     "build_planning_view",
 ]

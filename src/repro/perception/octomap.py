@@ -15,7 +15,7 @@ with the specific hooks RoboRun's operators require:
   threshold", §III-B).
 * **Perception→planning precision operator** — the map can be *coarsened*
   to any power-of-two multiple of the minimum voxel size
-  (:meth:`coarse_occupied_cells`); the volume operator that bounds the
+  (:meth:`coarse_occupied_keys`); the volume operator that bounds the
   reduced view handed to the planner is
   :func:`~repro.perception.planning_view.build_planning_view`.
 
@@ -32,25 +32,50 @@ the behaviour the runtime observes:
   compute model charges the true precision-dependent cost even though the
   Python-side bookkeeping is coarse.
 
-Every mutation of the occupied set also updates a
-:class:`~repro.perception.spatial_index.SpatialIndex`, so the per-decision
-queries — nearest obstacle, coarse aggregation, segment probes and
-locality eviction — run against incrementally maintained
-structures instead of rescanning the map.
+Both stores are sorted, unique int64 arrays of packed voxel keys
+(:func:`~repro.geometry.grid.pack_keys`).  Every update — a cloud
+insertion, a mover's box, a forget pass — is one batch of array operations,
+and every query (membership, segment probes, nearest obstacle, coarse keys)
+reads the arrays directly, so no per-voxel Python loop and no rebuilt query
+structure remains.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import VoxelKey, voxel_center, voxel_key
+from repro.geometry.grid import (
+    VoxelKey,
+    pack_keys,
+    packed_voxel_keys,
+    unpack_keys,
+    voxel_key,
+)
 from repro.geometry.vec3 import Vec3
 from repro.perception.point_cloud import PointCloud
-from repro.perception.spatial_index import SpatialIndex
+from repro.perception.spatial_index import contains, insert_keys, remove_keys
+
+
+def _pack_one(key: VoxelKey) -> np.ndarray:
+    return pack_keys(np.array([key], dtype=np.int64))
+
+
+def _xyz(point: Vec3) -> np.ndarray:
+    return np.array((point.x, point.y, point.z), dtype=np.float64)
+
+
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """Squared row lengths of an ``(N, 3)`` array, summed as ``Vec3.dot`` does."""
+    return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+
+
+def _centre_distances_sq(packed: np.ndarray, resolution: float, point: Vec3) -> np.ndarray:
+    """Squared distance from each cell centre ``(k + 0.5) * resolution`` to ``point``."""
+    return _squared_norms((unpack_keys(packed) + 0.5) * resolution - _xyz(point))
 
 
 def allowed_precisions(vox_min: float, levels: int) -> List[float]:
@@ -93,43 +118,33 @@ class OccupancyOctree:
         )
         if self.free_resolution < vox_min:
             raise ValueError("free-space resolution cannot be finer than vox_min")
-        self._occupied: Set[VoxelKey] = set()
-        self._free: Set[VoxelKey] = set()
-        self._index = SpatialIndex(self.vox_min, self.levels)
-        self._last_insert_stats: Dict[str, float] = {}
+        # Sorted, unique packed keys: occupied voxels at vox_min and
+        # observed-free regions at free_resolution.
+        self._occupied = np.empty(0, dtype=np.int64)
+        self._free = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Basic cell operations
     # ------------------------------------------------------------------
-    def _add_occupied(self, key: VoxelKey) -> None:
-        """Add one occupied voxel, keeping the spatial index in sync."""
-        if key not in self._occupied:
-            self._occupied.add(key)
-            self._index.add(key)
-
-    def _remove_occupied(self, key: VoxelKey) -> None:
-        """Remove one occupied voxel, keeping the spatial index in sync."""
-        if key in self._occupied:
-            self._occupied.remove(key)
-            self._index.remove(key)
-
     def mark_occupied(self, point: Vec3) -> VoxelKey:
         """Mark the minimum-resolution voxel containing ``point`` as occupied."""
         key = voxel_key(point, self.vox_min)
-        self._add_occupied(key)
-        self._free.discard(voxel_key(point, self.free_resolution))
+        self._occupied = insert_keys(self._occupied, _pack_one(key))
+        self._free = remove_keys(
+            self._free, _pack_one(voxel_key(point, self.free_resolution))
+        )
         return key
 
-    def mark_box(self, box: "AABB") -> List[VoxelKey]:
+    def mark_box(self, box: AABB) -> np.ndarray:
         """Mark every minimum-resolution voxel overlapping a box as occupied.
 
         The dynamic-obstacle path: each mover's footprint is stamped into
-        the map once per decision epoch.  Every mark flows through the
-        incremental spatial index, so downstream probes (nearest obstacle,
-        segment occupancy, coarse aggregation) see the box with no rebuild.
+        the map once per decision epoch, as one batch: the box's voxel keys
+        come from one ``meshgrid``, in the same i-major order as nested
+        ``i``/``j``/``k`` loops, which is also sorted packed order.
 
         Returns:
-            The voxel keys this call *newly* occupied — hand them back to
+            The packed keys this call *newly* occupied — hand them back to
             :meth:`clear_cells` to un-mark the footprint before re-marking
             it elsewhere.  Voxels that were already occupied (e.g. a static
             wall the box overlaps, integrated from sensor data) are not
@@ -137,32 +152,29 @@ class OccupancyOctree:
         """
         lo = voxel_key(box.min_corner, self.vox_min)
         hi = voxel_key(box.max_corner, self.vox_min)
-        keys: List[VoxelKey] = []
-        for i in range(lo[0], hi[0] + 1):
-            for j in range(lo[1], hi[1] + 1):
-                for k in range(lo[2], hi[2] + 1):
-                    key = (i, j, k)
-                    if key in self._occupied:
-                        continue
-                    self._add_occupied(key)
-                    self._free.discard(
-                        voxel_key(voxel_center(key, self.vox_min), self.free_resolution)
-                    )
-                    keys.append(key)
-        return keys
+        axes = [np.arange(lo[axis], hi[axis] + 1, dtype=np.int64) for axis in range(3)]
+        ijk = np.stack(
+            [grid.ravel() for grid in np.meshgrid(*axes, indexing="ij")], axis=1
+        )
+        packed = pack_keys(ijk)
+        new = ~contains(self._occupied, packed)
+        packed = packed[new]
+        self._occupied = insert_keys(self._occupied, packed)
+        centres = (ijk[new] + 0.5) * self.vox_min
+        self._free = remove_keys(
+            self._free, packed_voxel_keys(centres, self.free_resolution)
+        )
+        return packed
 
-    def clear_cells(self, keys: Iterable[VoxelKey]) -> int:
-        """Un-mark the given voxels (index-maintained); returns the count cleared.
+    def clear_cells(self, keys: np.ndarray) -> int:
+        """Un-mark the given packed voxel keys; returns the count cleared.
 
         Voxels that are no longer occupied (e.g. already erased by a
         measurement ray passing through) are skipped silently.
         """
-        cleared = 0
-        for key in keys:
-            if key in self._occupied:
-                self._remove_occupied(key)
-                cleared += 1
-        return cleared
+        before = self._occupied.shape[0]
+        self._occupied = remove_keys(self._occupied, np.asarray(keys, dtype=np.int64))
+        return before - self._occupied.shape[0]
 
     def mark_free(self, point: Vec3) -> VoxelKey:
         """Mark the coarse region containing ``point`` as observed-free.
@@ -171,24 +183,24 @@ class OccupancyOctree:
         voxels; the free mark only records that the region has been observed.
         """
         key = voxel_key(point, self.free_resolution)
-        self._free.add(key)
+        self._free = insert_keys(self._free, _pack_one(key))
         return key
 
     def is_occupied(self, point: Vec3) -> bool:
         """True when the minimum-resolution voxel containing the point is occupied."""
-        return voxel_key(point, self.vox_min) in self._occupied
+        return bool(contains(self._occupied, _pack_one(voxel_key(point, self.vox_min)))[0])
+
+    def _in_free_region(self, point: Vec3) -> bool:
+        key = _pack_one(voxel_key(point, self.free_resolution))
+        return bool(contains(self._free, key)[0])
 
     def is_free(self, point: Vec3) -> bool:
         """True when the point's region has been observed and holds no occupied voxel."""
-        if self.is_occupied(point):
-            return False
-        return voxel_key(point, self.free_resolution) in self._free
+        return not self.is_occupied(point) and self._in_free_region(point)
 
     def is_unknown(self, point: Vec3) -> bool:
         """True when the point's region has never been observed."""
-        if voxel_key(point, self.vox_min) in self._occupied:
-            return False
-        return voxel_key(point, self.free_resolution) not in self._free
+        return not self.is_occupied(point) and not self._in_free_region(point)
 
     # ------------------------------------------------------------------
     # Point-cloud insertion (the OctoMap kernel proper)
@@ -203,7 +215,9 @@ class OccupancyOctree:
         """Integrate a point cloud into the map.
 
         For every point, the space between the sensor origin and the point is
-        carved as free and the endpoint voxel is marked occupied.
+        carved as free and the endpoint voxel is marked occupied.  Rays are
+        integrated one by one in order of increasing distance to ``focus``;
+        this method computes the state that sequence leaves in one batch.
 
         Args:
             cloud: the point cloud to integrate.
@@ -230,194 +244,133 @@ class OccupancyOctree:
         if max_volume is not None and max_volume < 0:
             raise ValueError("volume budget cannot be negative")
 
-        origin = cloud.origin
-        anchor = focus if focus is not None else origin
-        ordered = sorted(cloud.points, key=lambda p: anchor.distance_to(p))
-        # Endpoints observed in this very cloud are protected from the
-        # free-space clearing below: one ray grazing another ray's endpoint
-        # must not erase an obstacle we are observing right now.
-        protected = {voxel_key(p, self.vox_min) for p in ordered}
-
-        # Precompute every ray's sample keys in one array pass.  Rays past
-        # the volume budget simply leave their entry unused; the set mutations
-        # themselves are replayed sequentially per ray below, because clearing
-        # depends on the occupancy state left by earlier rays.
+        points = cloud.points
+        count = points.shape[0]
+        if count == 0:
+            return {
+                "points_integrated": 0.0,
+                "points_skipped": 0.0,
+                "cells_updated": 0.0,
+                "integrated_volume": 0.0,
+            }
+        origin = _xyz(cloud.origin)
+        anchor = _xyz(focus) if focus is not None else origin
+        # A stable sort keeps the cloud's order among equally distant points.
+        points = points[np.argsort(np.sqrt(_squared_norms(anchor - points)), kind="stable")]
         effective_step = max(
             ray_step if ray_step is not None else self.vox_min, self.vox_min
         )
         bookkeeping_step = max(effective_step, self.free_resolution)
-        bulk = self._ray_sample_keys_bulk(origin, ordered, bookkeeping_step)
 
-        new_volume = 0.0
-        integrated = 0
-        skipped = 0
-        cells_updated = 0
-
-        for index, point in enumerate(ordered):
-            if max_volume is not None and new_volume >= max_volume:
-                # Budget exhausted: the expensive free-space carving is skipped
-                # for the remaining (farther) points, but their endpoint voxels
-                # are still recorded so the obstacle map stays complete — the
-                # volume operator trades away free-space knowledge, not the
-                # obstacles themselves.
-                endpoint_key = voxel_key(point, self.vox_min)
-                self._add_occupied(endpoint_key)
-                self._free.discard(voxel_key(point, self.free_resolution))
-                cells_updated += 1
-                skipped += 1
-                continue
-            charged, added_volume = self._integrate_single(
-                origin, point, effective_step, protected, bulk[index]
-            )
-            cells_updated += charged
-            new_volume += added_volume
-            integrated += 1
-
-        self._last_insert_stats = {
-            "points_integrated": float(integrated),
-            "points_skipped": float(skipped),
-            "cells_updated": float(cells_updated),
-            "integrated_volume": new_volume,
-        }
-        return dict(self._last_insert_stats)
-
-    def _integrate_single(
-        self,
-        origin: Vec3,
-        point: Vec3,
-        effective_step: float,
-        protected: Set[VoxelKey],
-        sample_keys: Tuple[List[VoxelKey], List[VoxelKey]],
-    ) -> Tuple[int, float]:
-        """Integrate one measurement ray.
-
-        Args:
-            effective_step: the insertion ray step, already clamped to at
-                least ``vox_min``.
-            protected: endpoint voxels of the current cloud, never cleared.
-            sample_keys: the ray's free-space sample keys at the free and the
-                occupied resolution, from :meth:`_ray_sample_keys_bulk`.
-
-        Returns:
-            ``(charged_cells, integrated_volume)``: the number of cells a real
-            ray caster would touch at the requested step, and the volume of
-            space covered by this ray's traversal (counted whether or not the
-            space had been observed before — re-processing known space is what
-            the volume operator exists to bound).
-        """
-        distance = origin.distance_to(point)
-        charged_cells = int(distance / effective_step) + 1
-
-        integrated_volume = self.vox_min**3
-        free_cell_volume = self.free_resolution**3
-        free_keys, occ_keys = sample_keys
-        for key, sample_key in zip(free_keys, occ_keys):
-            self._free.add(key)
-            integrated_volume += free_cell_volume
-            # A measurement ray passing through a voxel previously believed
-            # occupied is evidence that the voxel is actually free — the
-            # counterpart of OctoMap's probabilistic clearing.  This erases
-            # phantom cells created by coarse point-cloud averaging once the
-            # drone observes the area again.  Endpoints of the current cloud
-            # are protected.
-            if sample_key not in protected:
-                self._remove_occupied(sample_key)
-
-        endpoint_key = voxel_key(point, self.vox_min)
-        self._add_occupied(endpoint_key)
-        self._free.discard(voxel_key(point, self.free_resolution))
-        return charged_cells, integrated_volume
-
-    def _ray_sample_keys_bulk(
-        self, origin: Vec3, points: List[Vec3], step: float
-    ) -> List[Tuple[List[VoxelKey], List[VoxelKey]]]:
-        """Per-ray free-space sample keys for a whole cloud insertion.
-
-        Every ray shares the insertion origin and bookkeeping step, so all
-        sample coordinates come from one ragged broadcast.  Ray ``r`` samples
-        ``origin + unit * t`` for every ``t = 0, step, step + step, ...``
-        below its length (the end point excluded; none for a zero-length
-        ray), and each sample is quantised with ``floor(x / resolution)`` at
-        the free and at the occupied resolution.  The ``t`` values come from
-        a cumulative sum, the same sequential accumulation as stepping
-        ``t += step`` along :func:`~repro.geometry.ray.sample_ray`, so the
-        keys equal ``voxel_key`` of each of its samples.
-        """
-        o = np.array((origin.x, origin.y, origin.z), dtype=np.float64)
-        targets = np.array(
-            [(p.x, p.y, p.z) for p in points], dtype=np.float64
-        ).reshape(len(points), 3)
-        d = targets - o
-        lengths = np.sqrt(
-            (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
-        )
+        # Ray r samples origin + unit * t for t = 0, step, step + step, ...
+        # below its length (none for a zero-length ray).  The t values are a
+        # cumulative sum, the same sequential accumulation as stepping
+        # t += step along repro.geometry.ray.sample_ray.
+        d = points - origin
+        lengths = np.sqrt(_squared_norms(d))
         live = lengths > 1e-12
-        counts = np.zeros(len(points), dtype=np.int64)
+        samples = np.zeros(count, dtype=np.int64)
+        ts = np.zeros(1)
         if live.any():
-            max_probes = int(float(lengths[live].max()) / step) + 2
+            max_probes = int(float(lengths[live].max()) / bookkeeping_step) + 2
             ts = np.concatenate(
-                ([0.0], np.cumsum(np.full(max_probes, step, dtype=np.float64)))
+                ([0.0], np.cumsum(np.full(max_probes, bookkeeping_step)))
             )
-            counts[live] = np.searchsorted(ts, lengths[live], side="left")
-        total = int(counts.sum())
-        if total == 0:
-            return [([], []) for _ in points]
-        seg = np.repeat(np.arange(len(points)), counts)
-        offsets = np.cumsum(counts) - counts
-        t = ts[np.arange(total) - np.repeat(offsets, counts)]
+            samples[live] = np.searchsorted(ts, lengths[live], side="left")
+
+        # A ray with n samples covers its endpoint voxel plus n free regions,
+        # added one += at a time: ray_volume[n].  The rays integrated are
+        # those that start while the running total is still under the budget.
+        free_regions = np.full(int(samples.max()), self.free_resolution**3)
+        ray_volume = np.cumsum(np.concatenate(([self.vox_min**3], free_regions)))
+        running = np.cumsum(ray_volume[samples])
+        integrated = count
+        if max_volume is not None:
+            started = np.concatenate(([0.0], running[:-1]))
+            integrated = int(np.searchsorted(started, max_volume, side="left"))
+        charged = (lengths[:integrated] / effective_step).astype(np.int64) + 1
+
+        # Samples of the integrated rays, ray by ray.
+        per_ray = samples[:integrated]
+        ray = np.repeat(np.arange(integrated), per_ray)
+        offsets = np.cumsum(per_ray) - per_ray
+        t = ts[np.arange(ray.shape[0]) - np.repeat(offsets, per_ray)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            unit = np.where(live[:, None], d / lengths[:, None], 0.0)
-        pts = o + unit[seg] * t[:, None]
-        free_rows = np.floor(pts / self.free_resolution).astype(np.int64).tolist()
-        occ_rows = np.floor(pts / self.vox_min).astype(np.int64).tolist()
-        results: List[Tuple[List[VoxelKey], List[VoxelKey]]] = []
-        for index in range(len(points)):
-            a = int(offsets[index])
-            b = a + int(counts[index])
-            results.append(
-                (
-                    [tuple(row) for row in free_rows[a:b]],
-                    [tuple(row) for row in occ_rows[a:b]],
-                )
+            unit = d[:integrated] / lengths[:integrated, None]
+        positions = origin + unit[ray] * t[:, None]
+
+        # Occupied: a ray erases the occupied voxels its samples pass through,
+        # except the endpoints of this very cloud, which every ray marks.
+        # The two key sets are disjoint, so the order of events is moot.
+        endpoints = packed_voxel_keys(points, self.vox_min)
+        passed = packed_voxel_keys(positions, self.vox_min)
+        passed = passed[~np.isin(passed, endpoints)]
+        self._occupied = insert_keys(
+            remove_keys(self._occupied, passed), np.unique(endpoints)
+        )
+
+        # Free: ray r's samples add their regions (event 2r), then its
+        # endpoint's region is discarded (event 2r + 1); per region the last
+        # event wins, and regions no ray touches keep their state.
+        keys = np.concatenate(
+            (
+                packed_voxel_keys(positions, self.free_resolution),
+                packed_voxel_keys(points, self.free_resolution),
             )
-        return results
+        )
+        events = np.concatenate((2 * ray, 2 * np.arange(count) + 1))
+        order = np.argsort(keys)
+        keys = keys[order]
+        firsts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        last = np.maximum.reduceat(events[order], firsts)
+        keys = keys[firsts]
+        added = last % 2 == 0
+        self._free = insert_keys(remove_keys(self._free, keys[~added]), keys[added])
+
+        return {
+            "points_integrated": float(integrated),
+            "points_skipped": float(count - integrated),
+            "cells_updated": float(int(charged.sum()) + count - integrated),
+            "integrated_volume": float(running[integrated - 1]) if integrated else 0.0,
+        }
 
     # ------------------------------------------------------------------
     # Aggregate queries
     # ------------------------------------------------------------------
-    def occupied_keys(self) -> Set[VoxelKey]:
-        """Copy of the occupied minimum-resolution voxel keys."""
-        return set(self._occupied)
+    def occupied_keys(self) -> np.ndarray:
+        """Copy of the occupied voxels' packed keys, sorted."""
+        return self._occupied.copy()
 
     def occupied_voxel_count(self) -> int:
         """Number of occupied minimum-resolution voxels."""
-        return len(self._occupied)
+        return int(self._occupied.shape[0])
 
     def observed_voxel_count(self) -> int:
         """Number of observed cells (occupied voxels plus free regions)."""
-        return len(self._occupied) + len(self._free)
+        return int(self._occupied.shape[0] + self._free.shape[0])
 
     def occupied_volume(self) -> float:
         """Total occupied volume, m^3."""
-        return len(self._occupied) * self.vox_min**3
+        return self.occupied_voxel_count() * self.vox_min**3
 
     def observed_volume(self) -> float:
         """Total observed (occupied + free) volume, m^3 — the paper's v_map."""
         return (
-            len(self._occupied) * self.vox_min**3
-            + len(self._free) * self.free_resolution**3
+            self.occupied_voxel_count() * self.vox_min**3
+            + int(self._free.shape[0]) * self.free_resolution**3
         )
 
     def nearest_occupied_distance(self, point: Vec3, max_radius: float = 100.0) -> float:
         """Distance from ``point`` to the nearest occupied voxel centre.
 
-        An expanding-ring search over the spatial index's bucket grid, so the
-        cost tracks the distance to the nearest obstacle rather than the total
-        number of occupied voxels.  Returns ``max_radius`` when the map has no
-        occupied voxel within the radius (or no occupied voxels at all), which
-        the profilers interpret as "no known obstacle nearby".
+        One pass over the occupied array.  Returns ``max_radius`` when the
+        map has no occupied voxel within the radius (or no occupied voxels at
+        all), which the profilers interpret as "no known obstacle nearby".
         """
-        return self._index.nearest_occupied_distance(point, max_radius)
+        if max_radius <= 0 or self._occupied.shape[0] == 0:
+            return max(max_radius, 0.0)
+        d_sq = _centre_distances_sq(self._occupied, self.vox_min, point)
+        return math.sqrt(min(max_radius * max_radius, float(d_sq.min())))
 
     def segment_occupied(
         self,
@@ -427,33 +380,86 @@ class OccupancyOctree:
         lateral: float = 0.0,
         include_start: bool = True,
     ) -> bool:
-        """Sampled occupancy probe along a segment (index-backed).
+        """Sampled occupancy probe along a segment.
 
-        Used by the simulator's blocked-trajectory and emergency-brake checks:
-        probes the segment at ``step`` spacing (default the minimum voxel
-        size), optionally widening the probe by ``±lateral`` along x and y,
-        against the occupancy map at its native resolution.  The spatial
-        index's bucket grid acts as a broad phase, so probes through empty
-        space cost one dictionary lookup each.
+        Used by the simulator's emergency-brake check: probes the segment
+        at ``step`` spacing (default the minimum voxel size), optionally
+        widening the probe by ``±lateral`` along x and y, against the
+        occupancy map at its native resolution.
+
+        Probes ``intervals + 1`` evenly spaced points with
+        ``intervals = max(1, int(length / step))``, so both endpoints are
+        always probed but the spacing between probes can reach up to twice
+        ``step`` on segments shorter than ``2 * step`` (a sampled, not exact,
+        traversal).  At each probe the voxel containing it — and, when
+        ``lateral > 0``, the four voxels at ``±lateral`` along x and y — is
+        tested.  With ``include_start=False`` the probe at ``start`` itself
+        is skipped (the brake excludes the drone's own voxel) and the
+        spacing is tightened by one extra interval so coverage is preserved.
         """
-        effective = step if step is not None else self.vox_min
-        return self._index.segment_occupied(
-            start, end, effective, lateral=lateral, include_start=include_start
+        return bool(
+            self._probe_segments(
+                _xyz(start)[None, :], _xyz(end)[None, :], step, lateral, include_start
+            )[0]
         )
 
     def segment_occupied_batch(
         self,
-        starts,
-        ends,
+        starts: np.ndarray,
+        ends: np.ndarray,
         step: Optional[float] = None,
         lateral: float = 0.0,
         include_start: bool = True,
-    ):
+    ) -> np.ndarray:
         """Batched :meth:`segment_occupied`: one boolean per ``(S, 3)`` segment."""
-        effective = step if step is not None else self.vox_min
-        return self._index.segment_occupied_batch(
-            starts, ends, effective, lateral=lateral, include_start=include_start
-        )
+        return self._probe_segments(starts, ends, step, lateral, include_start)
+
+    def _probe_segments(
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        step: Optional[float],
+        lateral: float,
+        include_start: bool,
+    ) -> np.ndarray:
+        """Every probe of every segment, in one membership pass.
+
+        The parameter of probe ``n`` is ``n / intervals``, so each segment's
+        probes are the points ``start + (end - start) * n / intervals``.
+        """
+        step = step if step is not None else self.vox_min
+        if step <= 0:
+            raise ValueError("probe step must be positive")
+        s = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
+        e = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
+        count = s.shape[0]
+        if count == 0 or self._occupied.shape[0] == 0:
+            return np.zeros(count, dtype=bool)
+        d = e - s
+        length = np.sqrt(_squared_norms(d))
+        if include_start:
+            intervals = np.maximum(1, (length / step).astype(np.int64))
+            first = 0
+        else:
+            intervals = np.maximum(2, (length / step).astype(np.int64) + 1)
+            first = 1
+        probes_per_seg = intervals - first + 1
+        total = int(probes_per_seg.sum())
+        seg = np.repeat(np.arange(count), probes_per_seg)
+        offsets = np.cumsum(probes_per_seg) - probes_per_seg
+        n = np.arange(total) - np.repeat(offsets, probes_per_seg) + first
+        t = n / intervals[seg]
+        p = s[seg] + d[seg] * t[:, None]
+
+        vox = self.vox_min
+        keys = np.floor(p / vox).astype(np.int64)
+        hit = contains(self._occupied, pack_keys(keys))
+        if lateral:
+            for axis, delta in ((0, lateral), (0, -lateral), (1, lateral), (1, -lateral)):
+                shifted = keys.copy()
+                shifted[:, axis] = np.floor((p[:, axis] + delta) / vox).astype(np.int64)
+                hit |= contains(self._occupied, pack_keys(shifted))
+        return np.bincount(seg, weights=hit, minlength=count) > 0
 
     def forget_beyond(self, center: Vec3, radius: float) -> int:
         """Drop observed cells further than ``radius`` from ``center``.
@@ -468,22 +474,14 @@ class OccupancyOctree:
         if radius <= 0:
             raise ValueError("radius must be positive")
         radius_sq = radius * radius
-
-        before = len(self._occupied) + len(self._free)
-        # The index prunes whole buckets against the radius, so only the
-        # boundary shell of the occupied set is tested voxel by voxel.
-        for key in self._index.keys_outside(center, radius):
-            self._remove_occupied(key)
-
-        def keep(key: VoxelKey, resolution: float) -> bool:
-            c = voxel_center(key, resolution)
-            dx = c.x - center.x
-            dy = c.y - center.y
-            dz = c.z - center.z
-            return dx * dx + dy * dy + dz * dz <= radius_sq
-
-        self._free = {k for k in self._free if keep(k, self.free_resolution)}
-        return before - (len(self._occupied) + len(self._free))
+        before = self.observed_voxel_count()
+        self._occupied = self._occupied[
+            _centre_distances_sq(self._occupied, self.vox_min, center) <= radius_sq
+        ]
+        self._free = self._free[
+            _centre_distances_sq(self._free, self.free_resolution, center) <= radius_sq
+        ]
+        return before - self.observed_voxel_count()
 
     # ------------------------------------------------------------------
     # Coarsening (perception→planning precision operator)
@@ -495,14 +493,16 @@ class OccupancyOctree:
         level = int(round(math.log2(precision / self.vox_min)))
         return max(0, min(level, self.levels - 1))
 
-    def coarse_occupied_cells(self, precision: float) -> Dict[VoxelKey, int]:
-        """Occupied cells aggregated to a coarser, power-of-two resolution.
+    def coarse_occupied_keys(self, precision: float) -> np.ndarray:
+        """Occupied cells at a coarser, power-of-two resolution.
 
-        Returns a mapping from coarse voxel key (at ``precision``) to the
-        number of occupied minimum-resolution voxels it aggregates.  This is
-        the sub-sampling precision operator for the map handed to the planner.
-        The aggregation is maintained incrementally by the spatial index, so
-        this is a snapshot copy rather than a rescan of the occupied set.
+        Returns the ``(K, 3)`` keys, in lexicographic order, of the cells at
+        ``vox_min * 2**level`` (the level closest to ``precision``) that
+        hold at least one occupied minimum-resolution voxel.  This is the
+        sub-sampling precision operator for the map handed to the planner.
         """
+        keys = unpack_keys(self._occupied)
         level = self.coarsen_level_for(precision)
-        return dict(self._index.level_cells(level))
+        if level == 0:
+            return keys
+        return unpack_keys(np.unique(pack_keys(keys >> level)))

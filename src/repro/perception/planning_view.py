@@ -7,16 +7,19 @@ allowed to see.  :class:`PlanningView` is that reduced map: a set of occupied
 grid cells at the chosen precision, bounded in total volume, with the
 collision queries the planner needs.
 
-Because the cells live on a regular grid, collision queries are O(1) set
-lookups per probed point; the planner's precision operator (its collision
-ray-cast step) directly controls how many points each segment check probes.
+The view is built every decision but read by the planner only on the
+decisions that plan, so it holds its cells as a key array and builds the
+``frozenset`` its scalar collision queries use on first access.  Because the
+cells live on a regular grid, collision queries are O(1) set lookups per
+probed point; the planner's precision operator (its collision ray-cast step)
+directly controls how many points each segment check probes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -30,29 +33,42 @@ from repro.perception.spatial_index import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PlanningView:
     """An immutable snapshot of the map given to the planner.
 
     Attributes:
         precision: edge length of the occupied cells, metres.
-        cells: occupied cell keys at ``precision``.
+        keys: the ``(K, 3)`` occupied cell keys at ``precision``, nearest to
+            the view's focus first.
         volume_budget: the volume cap applied when building the view (``None``
             when unbounded).
         total_volume: the occupied volume actually included, m^3.
     """
 
     precision: float
-    cells: FrozenSet[VoxelKey]
+    keys: np.ndarray
     volume_budget: Optional[float]
     total_volume: float
+    _cells: Optional[FrozenSet[VoxelKey]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def cells(self) -> FrozenSet[VoxelKey]:
+        """The occupied cell keys as a set of tuples, built on first access."""
+        cells = self._cells
+        if cells is None:
+            cells = frozenset(map(tuple, self.keys.tolist()))
+            object.__setattr__(self, "_cells", cells)
+        return cells
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return int(self.keys.shape[0])
 
     def is_empty(self) -> bool:
         """True when the planner sees no obstacles."""
-        return not self.cells
+        return self.keys.shape[0] == 0
 
     @property
     def boxes(self) -> Tuple[AABB, ...]:
@@ -112,7 +128,7 @@ class PlanningView:
 
     def bounding_box(self) -> Optional[AABB]:
         """The AABB containing every occupied cell, or None when empty."""
-        if not self.cells:
+        if self.is_empty():
             return None
         boxes = self.boxes
         result = boxes[0]
@@ -153,38 +169,37 @@ def build_planning_view(
     resolution = octree.vox_min * (2**level)
     cell_volume = resolution**3
 
-    candidates = list(octree.coarse_occupied_cells(precision).keys())
-    if candidates:
+    # Candidates come in lexicographic key order, so equally distant cells
+    # keep that order through the stable sort and the view depends only on
+    # which voxels are occupied, never on the order they were marked in.
+    keys = octree.coarse_occupied_keys(precision)
+    total = 0.0
+    if keys.shape[0]:
         # Region filter, then a stable sort by distance to the anchor.  Cell
         # centres are (i + 0.5) * resolution exactly as voxel_center computes
-        # them, both distances use Vec3's left-to-right squared sum, and the
-        # stable argsort keeps the candidates' order among equal distances.
-        keys = np.array(candidates, dtype=np.int64)
+        # them, and both distances use Vec3's left-to-right squared sum.
         centres = (keys + 0.5) * resolution
         a = np.array((anchor.x, anchor.y, anchor.z))
         if region_radius is not None:
             d = centres - a
             d_sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
-            mask = d_sq <= region_radius * region_radius
-            kept = np.flatnonzero(mask)
-            candidates = [candidates[i] for i in kept]
+            kept = d_sq <= region_radius * region_radius
+            keys = keys[kept]
             centres = centres[kept]
         d = a - centres
         dist = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
-        order = np.argsort(dist, kind="stable")
-        candidates = [candidates[i] for i in order]
-
-    selected: List[VoxelKey] = []
-    total = 0.0
-    for key in candidates:
-        if max_volume is not None and total >= max_volume and selected:
-            break
-        selected.append(key)
-        total += cell_volume
+        keys = keys[np.argsort(dist, kind="stable")]
+    if keys.shape[0]:
+        # Cells are taken nearest first, always at least one, until the
+        # running total (one += cell_volume per cell) reaches the budget.
+        running = np.cumsum(np.full(keys.shape[0], cell_volume))
+        if max_volume is not None:
+            keys = keys[: int(np.searchsorted(running, max_volume, side="left")) + 1]
+        total = float(running[keys.shape[0] - 1])
 
     return PlanningView(
         precision=resolution,
-        cells=frozenset(selected),
+        keys=keys,
         volume_budget=max_volume,
         total_volume=total,
     )

@@ -6,29 +6,31 @@ captured by the camera rig and produces a :class:`PointCloud`.  Its precision
 operator "is enforced by controlling the sampling distance between points. We
 grid the space into cells, map the points onto the cells using their
 coordinates, and then reduce each cell to a single average point" (§III-B) —
-implemented here via :class:`~repro.geometry.grid.VoxelGrid`.
+implemented here via :func:`~repro.geometry.grid.downsample` on the scan's
+``(N, 3)`` hit-point array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.grid import downsample_points
+from repro.geometry.grid import downsample
 from repro.geometry.vec3 import Vec3, centroid
 from repro.sensors.rig import RigScan
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PointCloud:
     """A set of 3-D obstacle points measured from a single drone pose.
 
     Attributes:
         origin: the sensor position the points were observed from.
-        points: obstacle surface points in world coordinates.
+        points: obstacle surface points in world coordinates, an ``(N, 3)``
+            float64 array.
         raw_point_count: number of points before precision downsampling, used
             by the compute model to charge the fixed point-cloud conversion
             cost the paper reports (about 210 ms regardless of the knobs).
@@ -36,32 +38,19 @@ class PointCloud:
     """
 
     origin: Vec3
-    points: tuple[Vec3, ...]
+    points: np.ndarray
     raw_point_count: int
     resolution: float
-    _array: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _origin_distances: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __len__(self) -> int:
-        return len(self.points)
+        return int(self.points.shape[0])
 
     def is_empty(self) -> bool:
         """True when no obstacle points were observed."""
-        return not self.points
-
-    def as_array(self) -> np.ndarray:
-        """The points as a cached, contiguous ``(N, 3)`` float64 array."""
-        array = self._array
-        if array is None:
-            array = np.array(
-                [(p.x, p.y, p.z) for p in self.points], dtype=np.float64
-            ).reshape(len(self.points), 3)
-            object.__setattr__(self, "_array", array)
-        return array
+        return self.points.shape[0] == 0
 
     def origin_distances(self) -> np.ndarray:
         """Cached per-point distance to the sensor origin, ``(N,)`` float64.
@@ -72,8 +61,7 @@ class PointCloud:
         """
         distances = self._origin_distances
         if distances is None:
-            pts = self.as_array()
-            d = pts - np.array(
+            d = self.points - np.array(
                 (self.origin.x, self.origin.y, self.origin.z), dtype=np.float64
             )
             distances = np.sqrt(
@@ -88,20 +76,19 @@ class PointCloud:
         Returns ``math.inf`` for an empty cloud, signalling "no visible
         obstacle" to the profilers.
         """
-        if not self.points:
+        if self.is_empty():
             return math.inf
         return float(self.origin_distances().min())
 
     def centroid(self) -> Optional[Vec3]:
         """Mean of the observed points, or ``None`` when empty."""
-        if not self.points:
+        if self.is_empty():
             return None
-        return centroid(list(self.points))
+        return centroid([Vec3(*p) for p in self.points.tolist()])
 
-    def points_within(self, radius: float) -> List[Vec3]:
-        """Points within ``radius`` metres of the sensor origin."""
-        mask = self.origin_distances() <= radius
-        return [self.points[i] for i in np.flatnonzero(mask)]
+    def points_within(self, radius: float) -> np.ndarray:
+        """The ``(M, 3)`` points within ``radius`` metres of the sensor origin."""
+        return self.points[self.origin_distances() <= radius]
 
 
 @dataclass
@@ -120,22 +107,13 @@ class PointCloudKernel:
         if self.default_resolution <= 0:
             raise ValueError("point-cloud resolution must be positive")
 
-    def process(
-        self,
-        scan: RigScan,
-        resolution: Optional[float] = None,
-        max_points: Optional[int] = None,
-    ) -> PointCloud:
+    def process(self, scan: RigScan, resolution: Optional[float] = None) -> PointCloud:
         """Convert a rig scan into a point cloud at the requested precision.
 
         Args:
             scan: the merged depth images from the camera rig.
             resolution: grid cell edge used for the precision operator; when
                 ``None`` the kernel's default (static) resolution is used.
-            max_points: optional hard cap applied after downsampling, keeping
-                the points closest to the sensor (a volume-style guard used
-                in stress tests; the paper's volume operators act on the map
-                instead).
 
         Returns:
             The downsampled point cloud.
@@ -143,15 +121,11 @@ class PointCloudKernel:
         res = self.default_resolution if resolution is None else resolution
         if res <= 0:
             raise ValueError("point-cloud resolution must be positive")
-        raw_points = scan.all_hit_points()
-        reduced = downsample_points(raw_points, res) if raw_points else []
-        if max_points is not None and len(reduced) > max_points:
-            reduced.sort(key=lambda p: scan.position.distance_to(p))
-            reduced = reduced[:max_points]
+        raw_points = scan.hit_array()
         return PointCloud(
             origin=scan.position,
-            points=tuple(reduced),
-            raw_point_count=len(raw_points),
+            points=downsample(raw_points, res),
+            raw_point_count=raw_points.shape[0],
             resolution=res,
         )
 
@@ -160,10 +134,10 @@ class PointCloudKernel:
         origin: Vec3, points: Sequence[Vec3], resolution: float
     ) -> PointCloud:
         """Build a cloud directly from points (used heavily by unit tests)."""
-        reduced = downsample_points(list(points), resolution) if points else []
+        array = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64)
         return PointCloud(
             origin=origin,
-            points=tuple(reduced),
+            points=downsample(array.reshape(len(points), 3), resolution),
             raw_point_count=len(points),
             resolution=resolution,
         )

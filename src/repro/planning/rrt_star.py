@@ -24,12 +24,12 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import voxel_key
+from repro.geometry.grid import pack_keys, voxel_key
 from repro.geometry.vec3 import Vec3
 from repro.perception.planning_view import PlanningView
 from repro.perception.spatial_index import (
-    PackedCellTable,
     cell_margin_radius,
+    contains_batch,
     point_hits_cells,
     segment_hits_cells,
 )
@@ -126,7 +126,7 @@ class PlanResult:
 class _CollisionChecker:
     """Counts ray-cast samples while probing the planning view's cell grid.
 
-    The view's cells are packed once into a sorted int64 table, so the
+    The view's cell keys are packed once into a sorted int64 table, so the
     planner's hottest loop (thousands of segment probes per plan) answers
     each segment with one membership pass instead of a Python set lookup
     per sample.
@@ -138,7 +138,7 @@ class _CollisionChecker:
         self.margin = margin
         self.step = ray_step if ray_step is not None else view.precision
         self.samples = 0
-        self._table = PackedCellTable(view.cells)
+        self._table = np.sort(pack_keys(view.keys))
 
     def point(self, point: Vec3) -> bool:
         self.samples += 1
@@ -157,8 +157,7 @@ class _CollisionChecker:
         effective = min(self.step, res)
         charged_step = effective if effective > 0 else res
         self.samples += int(start.distance_to(end) / max(charged_step, 1e-6)) + 2
-        table = self._table
-        if table.size == 0:
+        if self._table.shape[0] == 0:
             return False
         sx, sy, sz = start.x, start.y, start.z
         dx, dy, dz = end.x - sx, end.y - sy, end.z - sz
@@ -178,7 +177,7 @@ class _CollisionChecker:
         p[-1] = (end.x, end.y, end.z)
         keys = np.floor(p / res).astype(np.int64)
         radius = cell_margin_radius(self.margin, res)
-        return bool(table.contains_batch(keys, radius).any())
+        return bool(contains_batch(self._table, keys, radius).any())
 
 
 class _PositionBuffer:

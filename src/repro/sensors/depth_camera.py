@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +52,8 @@ class DepthImage:
         if len(self.depths) != self.width * self.height:
             raise ValueError("pixel count does not match width * height")
 
-    def hit_points(self) -> List[Vec3]:
-        """World-space 3-D points for every pixel that hit an obstacle.
+    def hit_array(self) -> np.ndarray:
+        """World-space 3-D points for every pixel that hit an obstacle, ``(N, 3)``.
 
         Each point is ``origin + direction * depth`` with the same per-axis
         multiply-then-add as the ``Vec3`` arithmetic, so it is bit-identical
@@ -62,15 +62,14 @@ class DepthImage:
         depths = np.array(self.depths, dtype=np.float64)
         idx = np.flatnonzero(np.isfinite(depths))
         if idx.size == 0:
-            return []
+            return np.empty((0, 3), dtype=np.float64)
         directions = self._dir_array
         if directions is None:
             directions = np.array(
                 [(d.x, d.y, d.z) for d in self.directions], dtype=np.float64
             )
         o = np.array((self.origin.x, self.origin.y, self.origin.z))
-        pts = o + directions[idx] * depths[idx][:, None]
-        return [Vec3(x, y, z) for x, y, z in pts.tolist()]
+        return o + directions[idx] * depths[idx][:, None]
 
     def hit_count(self) -> int:
         """Number of pixels that measured a finite depth."""

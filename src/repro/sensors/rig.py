@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from repro.environment.world import World
 from repro.geometry.vec3 import Vec3
 from repro.sensors.depth_camera import DepthCamera, DepthImage
@@ -24,12 +26,14 @@ class RigScan:
     position: Vec3
     images: tuple[DepthImage, ...]
 
-    def all_hit_points(self) -> List[Vec3]:
-        """World-space obstacle points across every camera."""
-        points: List[Vec3] = []
-        for image in self.images:
-            points.extend(image.hit_points())
-        return points
+    def hit_array(self) -> np.ndarray:
+        """World-space obstacle points across every camera, ``(N, 3)``.
+
+        Cameras in rig order, each camera's pixels in row-major order.
+        """
+        if not self.images:
+            return np.empty((0, 3), dtype=np.float64)
+        return np.concatenate([image.hit_array() for image in self.images])
 
     def total_pixels(self) -> int:
         """Total rays cast across every camera in this scan."""

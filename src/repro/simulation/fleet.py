@@ -18,10 +18,10 @@ keeps the fleet time-synchronised the way a lock-stepped HIL rig would be.
 Peers appear to each other as obstacles.  Before each drone's turn its
 peers' current positions are folded into the world's *agent* obstacle layer
 (ground truth for depth cameras and collision probes) and re-marked into
-that drone's occupancy octree through the same incremental
-``mark_box``/``clear_cells`` spatial-index path the kinematic movers use —
-so each drone's octomap, governor profile and planner all see the rest of
-the fleet where it currently is.
+that drone's occupancy octree through the same batched
+``mark_box``/``clear_cells`` path the kinematic movers use — so each
+drone's octomap, governor profile and planner all see the rest of the fleet
+where it currently is.
 
 :func:`fly_epochs` is the package's only decision loop.
 :meth:`MissionSimulator.run <repro.simulation.mission.MissionSimulator.run>`
@@ -35,6 +35,8 @@ import itertools
 import statistics
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from repro.dynamics.drone import QuadrotorKinematics
 from repro.dynamics.energy import EnergyModel
@@ -296,7 +298,7 @@ def fly_epochs(
     reached = [False] * n
     finish_time: List[Optional[float]] = [None] * n
     last_outcome = [None] * n
-    peer_marks: List[List[tuple]] = [[] for _ in range(n)]
+    peer_marks = [np.empty(0, dtype=np.int64) for _ in range(n)]
     active = list(range(n))
     min_separation: Optional[float] = None
     airspace_conflicts = 0
@@ -359,7 +361,7 @@ def fly_epochs(
     if n > 1:
         world.set_agent_obstacles([])
         for drone_id in range(n):
-            if peer_marks[drone_id]:
+            if peer_marks[drone_id].size:
                 pipelines[drone_id].flight.operators.octree.clear_cells(
                     peer_marks[drone_id]
                 )
@@ -409,15 +411,14 @@ def _expose_peers(
     drone_id: int,
     active: List[int],
     pipelines: List[DecisionPipeline],
-    peer_marks: List[List[tuple]],
+    peer_marks: List[np.ndarray],
     peer_box_m: float,
 ) -> None:
     """Fold the other active drones into this drone's view of the world.
 
     Updates the shared world's agent obstacle layer (ground truth) and
-    re-marks the peers' boxes into this drone's octree through the
-    incremental spatial index, clearing the previous epoch's footprints
-    first.
+    re-marks the peers' boxes into this drone's octree, clearing the
+    previous epoch's footprints first.
     """
     size = Vec3(peer_box_m, peer_box_m, peer_box_m)
     obstacles = [
@@ -431,12 +432,11 @@ def _expose_peers(
     pipeline = pipelines[drone_id]
     pipeline.environment.world.set_agent_obstacles(obstacles)
     octree = pipeline.flight.operators.octree
-    if peer_marks[drone_id]:
+    if peer_marks[drone_id].size:
         octree.clear_cells(peer_marks[drone_id])
-    keys: List[tuple] = []
-    for obstacle in obstacles:
-        keys.extend(octree.mark_box(obstacle.box))
-    peer_marks[drone_id] = keys
+    marks = [octree.mark_box(obstacle.box) for obstacle in obstacles]
+    # With every peer finished there is nothing to mark.
+    peer_marks[drone_id] = np.concatenate(marks) if marks else np.empty(0, dtype=np.int64)
 
 
 def _drone_result(

@@ -202,9 +202,9 @@ class SenseNode(Node):
     advance: each tick first steps the
     :class:`~repro.worlds.movers.DynamicObstacleSet` to the decision epoch —
     updating the ground-truth world and re-marking the movers' footprints
-    into the occupancy octree through its incremental spatial index — so the
-    capture, the planner and the collision probes of this decision all see
-    the movers at the same position.
+    into the occupancy octree — so the capture, the planner and the
+    collision probes of this decision all see the movers at the same
+    position.
     """
 
     def __init__(

@@ -15,7 +15,7 @@ registry builds a fully wired
   along the corridor, stamped into every decision record; and
 * a :class:`DynamicObstacleSet` of kinematic movers, stepped once per
   decision epoch at the Sense node boundary and re-marked into the
-  occupancy map through the incremental spatial index.
+  occupancy map, one batch of voxel keys per mover.
 
 The subsystem plugs into every downstream layer:
 :class:`~repro.simulation.scenario.ScenarioSpec` carries a ``world`` field

@@ -25,9 +25,8 @@ Sense node boundary (before the cameras capture):
    queries see the mover where it *is*; and
 2. re-marks each mover's footprint into the
    :class:`~repro.perception.octomap.OccupancyOctree` (clear old voxels,
-   mark new ones), each mutation flowing through the octree's incremental
-   spatial index — planning and collision probes see the move without any
-   rebuild.
+   mark new ones), one batch of packed keys per box — planning and
+   collision probes see the move without any rebuild.
 
 All distances are metres, speeds metres/second, and ``epoch_s`` is the
 simulated seconds of motion one decision epoch represents.
@@ -36,20 +35,35 @@ simulated seconds of motion one decision epoch represents.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.environment.world import Obstacle, World
+from repro.fields import check_number_fields
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.perception.octomap import OccupancyOctree
 
 #: The supported mover kinds.
 MOVER_KINDS = ("waypoint_loop", "crosser")
 
 Point = Tuple[float, float, float]
+
+
+def _point(field: str, value: Any) -> Point:
+    """``value`` as three floats; a ``ValueError`` naming ``field`` otherwise."""
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 3
+        or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value)
+    ):
+        raise ValueError(f"{field} must be three real numbers, got {value!r}")
+    return (float(value[0]), float(value[1]), float(value[2]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,11 +96,25 @@ class MoverSpec:
     name: str = "mover"
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
+        if not isinstance(self.waypoints, (list, tuple)):
+            raise ValueError(f"waypoints must be a list of points, got {self.waypoints!r}")
+        # Normalise JSON numbers to floats and lists to float tuples so specs
+        # compare equal across serialisation round-trips.
+        for field in ("epoch_s", "speed_mps", "span_m"):
+            object.__setattr__(self, field, float(getattr(self, field)))
+        for field in ("size", "velocity", "origin"):
+            object.__setattr__(self, field, _point(field, getattr(self, field)))
+        object.__setattr__(
+            self,
+            "waypoints",
+            tuple(_point(f"waypoints[{n}]", p) for n, p in enumerate(self.waypoints)),
+        )
         if self.kind not in MOVER_KINDS:
             raise ValueError(
                 f"unknown mover kind {self.kind!r}; expected one of {MOVER_KINDS}"
             )
-        if len(self.size) != 3 or any(s <= 0 for s in self.size):
+        if any(s <= 0 for s in self.size):
             raise ValueError("mover size must be three positive edge lengths")
         if self.epoch_s <= 0:
             raise ValueError("epoch_s must be positive seconds")
@@ -100,14 +128,6 @@ class MoverSpec:
                 raise ValueError("a crosser needs a non-zero velocity")
             if self.span_m < 0:
                 raise ValueError("span_m cannot be negative")
-        # Normalise JSON lists to tuples so specs compare equal across
-        # serialisation round-trips.
-        object.__setattr__(self, "size", tuple(float(v) for v in self.size))
-        object.__setattr__(
-            self, "waypoints", tuple(tuple(float(v) for v in p) for p in self.waypoints)
-        )
-        object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -126,13 +146,13 @@ class MoverSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "MoverSpec":
         return cls(
             kind=data.get("kind", "crosser"),
-            size=tuple(data.get("size", (2.0, 2.0, 2.0))),
-            epoch_s=float(data.get("epoch_s", 0.5)),
-            speed_mps=float(data.get("speed_mps", 2.0)),
-            waypoints=tuple(tuple(p) for p in data.get("waypoints", ())),
-            velocity=tuple(data.get("velocity", (0.0, 0.0, 0.0))),
-            origin=tuple(data.get("origin", (0.0, 0.0, 0.0))),
-            span_m=float(data.get("span_m", 0.0)),
+            size=data.get("size", (2.0, 2.0, 2.0)),
+            epoch_s=data.get("epoch_s", 0.5),
+            speed_mps=data.get("speed_mps", 2.0),
+            waypoints=data.get("waypoints", ()),
+            velocity=data.get("velocity", (0.0, 0.0, 0.0)),
+            origin=data.get("origin", (0.0, 0.0, 0.0)),
+            span_m=data.get("span_m", 0.0),
             name=str(data.get("name", "mover")),
         )
 
@@ -197,12 +217,12 @@ class DynamicObstacleSet:
         self.movers: List[KinematicMover] = list(movers)
         self.world = world
         self.epoch: Optional[int] = None
-        # Octree voxel keys currently marked, per octree then per mover, for
-        # exact un-marking.  Keyed by id(octree) because a fleet steps one
+        # Packed octree voxel keys currently marked, per octree then per
+        # mover, for exact un-marking.  Keyed by id(octree) because a fleet steps one
         # mover set against N octomaps (one per drone) and each must track
         # its own footprints.  The octrees outlive this set (both belong to
         # the mission), so id reuse is not a concern in practice.
-        self._marked: Dict[int, Dict[str, List[Tuple[int, int, int]]]] = {}
+        self._marked: Dict[int, Dict[str, "np.ndarray"]] = {}
         self.last_step_stats: Dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -218,8 +238,7 @@ class DynamicObstacleSet:
 
         Updates the world's dynamic obstacle layer (ground truth) and, when
         an octree is given, clears each mover's previously marked voxels and
-        marks its new footprint — both through the octree's incremental
-        spatial index, so no query structure is rebuilt.
+        marks its new footprint, one batch of keys per mover.
 
         Args:
             epoch: the decision epoch every mover advances to.
@@ -257,7 +276,7 @@ class DynamicObstacleSet:
             # voxel an earlier mover just marked where their paths cross.
             for mover in self.movers:
                 previous = marked.get(mover.name)
-                if previous:
+                if previous is not None and previous.size:
                     stats["voxels_cleared"] += octree.clear_cells(previous)
             for mover, box in zip(self.movers, boxes):
                 keys = octree.mark_box(box)

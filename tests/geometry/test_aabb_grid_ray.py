@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.aabb import AABB
 from repro.geometry.frustum import Frustum
-from repro.geometry.grid import VoxelGrid, downsample_points, voxel_bounds, voxel_center, voxel_key
+from repro.geometry.grid import downsample, voxel_bounds, voxel_center, voxel_key
 from repro.geometry.ray import (
     Ray,
     ray_aabb_intersect,
@@ -19,6 +20,10 @@ from repro.geometry.vec3 import Vec3
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 points = st.builds(Vec3, coords, coords, coords)
+
+
+def as_array(pts):
+    return np.array([(p.x, p.y, p.z) for p in pts], dtype=np.float64).reshape(-1, 3)
 
 
 class TestAABB:
@@ -98,40 +103,29 @@ class TestVoxelGrid:
         with pytest.raises(ValueError):
             voxel_key(Vec3(0, 0, 0), 0.0)
         with pytest.raises(ValueError):
-            VoxelGrid(-1.0)
+            downsample(np.zeros((1, 3)), -1.0)
 
     def test_insert_and_average(self):
-        grid = VoxelGrid(1.0)
-        grid.insert(Vec3(0.2, 0.2, 0.2))
-        grid.insert(Vec3(0.8, 0.8, 0.8))
-        grid.insert(Vec3(5.5, 5.5, 5.5))
-        assert len(grid) == 2
-        assert grid.total_points() == 3
-        averaged = grid.averaged_points()
-        assert len(averaged) == 2
-        assert any(p.is_close(Vec3(0.5, 0.5, 0.5)) for p in averaged)
-
-    def test_occupied_volume(self):
-        grid = VoxelGrid(2.0)
-        grid.insert(Vec3(0, 0, 0))
-        assert grid.occupied_volume() == pytest.approx(8.0)
-
-    def test_bounds_empty_raises(self):
-        with pytest.raises(ValueError):
-            VoxelGrid(1.0).bounds()
+        pts = [Vec3(0.2, 0.2, 0.2), Vec3(5.5, 5.5, 5.5), Vec3(0.8, 0.8, 0.8)]
+        averaged = downsample(as_array(pts), 1.0)
+        assert averaged.shape == (2, 3)
+        # Cells come out in the order their first point went in.
+        assert Vec3(*averaged[0]).is_close(Vec3(0.5, 0.5, 0.5))
+        assert Vec3(*averaged[1]) == Vec3(5.5, 5.5, 5.5)
+        assert downsample(np.empty((0, 3)), 1.0).shape == (0, 3)
 
     @given(st.lists(points, min_size=1, max_size=50), st.floats(min_value=0.2, max_value=5))
     @settings(max_examples=50, deadline=None)
     def test_downsample_never_increases_points(self, pts, resolution):
-        reduced = downsample_points(pts, resolution)
+        reduced = downsample(as_array(pts), resolution)
         assert 1 <= len(reduced) <= len(pts)
 
     @given(st.lists(points, min_size=1, max_size=30), st.floats(min_value=0.5, max_value=5))
     @settings(max_examples=50, deadline=None)
     def test_downsample_points_stay_in_cloud_bounds(self, pts, resolution):
         box = AABB.from_points(pts).expanded(1e-6)
-        for p in downsample_points(pts, resolution):
-            assert box.contains(p)
+        for p in downsample(as_array(pts), resolution).tolist():
+            assert box.contains(Vec3(*p))
 
 
 class TestRay:

@@ -20,16 +20,15 @@ from repro import MoverSpec, RoboRunRuntime
 from repro.core.profilers import ProfilerSuite
 from repro.environment.world import World, Obstacle
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import voxel_center, voxel_key
+from repro.geometry.grid import downsample, pack_keys, unpack_keys, voxel_center, voxel_key
 from repro.geometry.ray import _EPS, Ray, ray_aabb_intersect, raycast_aabbs_batch, sample_ray
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud
 from repro.perception.spatial_index import (
-    PackedCellTable,
-    SpatialIndex,
     cell_margin_radius,
+    contains_batch,
     point_hits_cells,
     segment_hits_cells,
 )
@@ -176,15 +175,23 @@ def hit_points_oracle(image):
     ]
 
 
+def vec3s(array):
+    return [Vec3(*p) for p in array.tolist()]
+
+
 def points_within_oracle(cloud, radius):
-    return [p for p in cloud.points if cloud.origin.distance_to(p) <= radius]
+    return [p for p in vec3s(cloud.points) if cloud.origin.distance_to(p) <= radius]
 
 
 def planning_view_oracle(octree, precision, max_volume, focus, region_radius):
     """(cells, total volume, resolution) from a per-cell filter and list.sort."""
     anchor = focus if focus is not None else Vec3.zero()
-    resolution = octree.vox_min * (2 ** octree.coarsen_level_for(precision))
-    candidates = list(octree.coarse_occupied_cells(precision))
+    level = octree.coarsen_level_for(precision)
+    resolution = octree.vox_min * (2**level)
+    factor = 2**level
+    candidates = sorted(
+        {(i // factor, j // factor, k // factor) for (i, j, k) in occupied_set(octree)}
+    )
     if region_radius is not None:
         radius_sq = region_radius * region_radius
         candidates = [
@@ -280,55 +287,12 @@ def _mover_world(rng):
     return world
 
 
-class TestSpatialIndexBatches:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_segment_occupied_batch_matches_scalar(self, seed):
-        rng = random.Random(100 + seed)
-        index = SpatialIndex(vox_min=0.25, levels=4)
-        for key in random_keys(rng, rng.choice([0, 1, 40, 400])):
-            index.add(key)
-        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(60)]
-        # Degenerate segments (zero length) must agree too.
-        p = random_vec(rng)
-        pairs.append((p, p))
-        starts, ends = segment_batch_arrays(pairs)
-        for step in (0.1, 0.3, 1.7):
-            for lateral in (0.0, 0.4):
-                for include_start in (True, False):
-                    scalar = [
-                        index.segment_occupied(a, b, step, lateral, include_start)
-                        for a, b in pairs
-                    ]
-                    batch = index.segment_occupied_batch(
-                        starts, ends, step, lateral, include_start
-                    )
-                    assert batch.tolist() == scalar
-
-    def test_batches_track_mutation(self):
-        # The packed-key table must be rebuilt after every add and remove.
-        index = SpatialIndex(vox_min=0.25, levels=4)
-        index.add((40, 40, 40))
-        a, b = Vec3(0.0, 0.1, 0.1), Vec3(1.0, 0.1, 0.1)
-        starts, ends = segment_batch_arrays([(a, b)])
-
-        def probe():
-            batch = index.segment_occupied_batch(starts, ends, 0.1).tolist()
-            assert batch == [index.segment_occupied(a, b, 0.1)]
-            return batch[0]
-
-        assert not probe()
-        index.add((2, 0, 0))
-        assert probe()
-        index.remove((2, 0, 0))
-        assert not probe()
-
-
 class TestCellTableBatches:
     @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
     def test_contains_batch_matches_point_hits_cells(self, cell_count):
         rng = random.Random(17 + cell_count)
         cells = frozenset(random_keys(rng, cell_count))
-        table = PackedCellTable(cells)
+        table = np.sort(pack_keys(np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)))
         resolution = 0.6
         points = [random_vec(rng) for _ in range(80)]
         points += [voxel_center(key, resolution) for key in sorted(cells)[:5]]
@@ -337,7 +301,7 @@ class TestCellTableBatches:
         ).astype(np.int64)
         for margin in (0.0, 0.5, 1.3):
             scalar = [point_hits_cells(cells, resolution, p, margin) for p in points]
-            batch = table.contains_batch(keys, cell_margin_radius(margin, resolution))
+            batch = contains_batch(table, keys, cell_margin_radius(margin, resolution))
             assert batch.tolist() == scalar
 
     @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
@@ -345,7 +309,8 @@ class TestCellTableBatches:
         rng = random.Random(23 + cell_count)
         res = 0.6
         cells = frozenset(random_keys(rng, cell_count))
-        view = PlanningView(res, cells, None, len(cells) * res**3)
+        keys = np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)
+        view = PlanningView(res, keys, None, len(cells) * res**3)
         pairs = [(random_vec(rng), random_vec(rng)) for _ in range(40)]
         # Segments through or ending in occupied cells, so sparse views see
         # hits too, and zero-length segments inside and outside a cell.
@@ -360,30 +325,6 @@ class TestCellTableBatches:
                 for a, b in pairs:
                     expected = segment_hits_cells(cells, res, a, b, step, margin)
                     assert checker.segment(a, b) == expected
-
-
-@pytest.mark.parametrize("vox_min, free_resolution", [(0.3, None), (0.25, 1.0), (0.2, 0.2)])
-def test_ray_sample_keys_bulk_matches_sample_ray(vox_min, free_resolution):
-    rng = random.Random(int(vox_min * 1000))
-    octree = OccupancyOctree(vox_min=vox_min, levels=4, free_resolution=free_resolution)
-    assert octree._ray_sample_keys_bulk(Vec3.zero(), [], 1.0) == []
-    for origin in [Vec3.zero()] + [random_vec(rng, -20.0, 20.0) for _ in range(5)]:
-        points = [random_vec(rng, -30.0, 30.0) for _ in range(60)]
-        # A zero-length ray, a ray shorter than one step, and rays from the
-        # zero origin whose length is an exact multiple of a step.
-        points += [origin, origin + Vec3(0.01, -0.02, 0.005)]
-        points += [Vec3(4.0, 0.0, 0.0), Vec3(0.0, 3.0, 4.0)]
-        for step in (octree.vox_min, octree.free_resolution, 3.7):
-            expected = []
-            for point in points:
-                samples = sample_ray(origin, point, step)[:-1]
-                expected.append(
-                    (
-                        [voxel_key(s, octree.free_resolution) for s in samples],
-                        [voxel_key(s, octree.vox_min) for s in samples],
-                    )
-                )
-            assert octree._ray_sample_keys_bulk(origin, points, step) == expected
 
 
 class TestWorldAndCameraEquivalence:
@@ -438,8 +379,8 @@ class TestWorldAndCameraEquivalence:
                 image.origin, image.directions, image.depths, image.max_range,
                 image.width, image.height,
             )
-            assert image.hit_points() == rebuilt.hit_points() == hit_points_oracle(image)
-        assert DepthImage(pose, (), (), 40.0, 0, 0).hit_points() == []
+            assert vec3s(image.hit_array()) == vec3s(rebuilt.hit_array()) == hit_points_oracle(image)
+        assert DepthImage(pose, (), (), 40.0, 0, 0).hit_array().shape == (0, 3)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_obstacle_arrays_near_matches_obstacles_near(self, seed):
@@ -464,18 +405,18 @@ class TestWorldAndCameraEquivalence:
 def make_cloud(rng, count, duplicates=0):
     points = [random_vec(rng, -15.0, 15.0) for _ in range(count)]
     points += points[:duplicates]
-    return PointCloud(random_vec(rng), tuple(points), len(points), 0.3)
+    return cloud_of(random_vec(rng), points)
 
 
 class TestPointCloudAndViewEquivalence:
     @pytest.mark.parametrize("count", [0, 1, 2, 50])
     def test_cloud_queries_match_distance_scan(self, count):
         cloud = make_cloud(random.Random(500 + count), count)
-        distances = [cloud.origin.distance_to(p) for p in cloud.points]
+        distances = [cloud.origin.distance_to(p) for p in vec3s(cloud.points)]
         assert cloud.nearest_distance() == min(distances, default=math.inf)
         # Radii equal to a point's distance check the inclusive bound.
         for radius in (0.0, 6.0, 100.0, *distances[:2]):
-            assert cloud.points_within(radius) == points_within_oracle(cloud, radius)
+            assert vec3s(cloud.points_within(radius)) == points_within_oracle(cloud, radius)
 
     @pytest.mark.parametrize("count, duplicates", [(0, 0), (1, 0), (2, 0), (3, 3), (40, 2), (150, 0)])
     def test_gap_statistics_matches_quadratic_loop(self, count, duplicates):
@@ -558,31 +499,37 @@ class TestPlanningKernels:
 # ----------------------------------------------------------------------
 # Occupancy-map oracles: the octree's per-element loops over Python sets.
 # ----------------------------------------------------------------------
+def key_list(keys):
+    """Packed voxel keys returned by the octree, as a list of tuples in order."""
+    return [tuple(k) for k in unpack_keys(keys).tolist()]
+
+
+def occupied_set(octree):
+    return set(key_list(octree.occupied_keys()))
+
+
 def octree_state(octree):
     """The octree's occupied and free voxel keys as two sets of tuples."""
-    return set(octree._occupied), set(octree._free)
-
-
-def key_list(keys):
-    """Voxel keys returned by the octree, as a list of tuples in order."""
-    return list(keys)
+    return occupied_set(octree), set(key_list(octree._free))
 
 
 def coarse_keys(octree, precision):
     """The occupied coarse keys at ``precision``, as a set of tuples."""
-    return set(octree.coarse_occupied_cells(precision))
+    return {tuple(k) for k in octree.coarse_occupied_keys(precision).tolist()}
+
+
+def array_of(points):
+    return np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64).reshape(-1, 3)
 
 
 def cloud_of(origin, points):
     """A point cloud holding exactly ``points``, in order (no downsampling)."""
-    return PointCloud(origin, tuple(points), len(points), 0.3)
+    return PointCloud(origin, array_of(points), len(points), 0.3)
 
 
 def downsampled(points, resolution):
     """The grid-average downsampler's output as a list of Vec3."""
-    from repro.geometry.grid import downsample_points
-
-    return downsample_points(points, resolution)
+    return vec3s(downsample(array_of(points), resolution))
 
 
 def octree_with(occupied, free, vox_min=0.3, free_resolution=None, levels=4):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.environment.world import Obstacle, World
 from repro.geometry.aabb import AABB
+from repro.geometry.grid import voxel_center
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree, allowed_precisions
 from repro.perception.planning_view import build_planning_view
@@ -41,7 +42,7 @@ class TestSensors:
         scan = rig.capture(simple_world(), Vec3(20, 0, 5))
         # The obstacle at x=10 is behind the drone relative to +x; a full rig
         # still observes it with one of its rear-facing cameras.
-        assert len(scan.all_hit_points()) > 0
+        assert scan.hit_array().shape[0] > 0
         assert scan.total_pixels() == 6 * 7 * 5
         assert scan.min_obstacle_distance() < 15.0
 
@@ -85,14 +86,6 @@ class TestPointCloudKernel:
         assert cloud.is_empty()
         assert cloud.nearest_distance() == math.inf
         assert cloud.centroid() is None
-
-    def test_max_points_keeps_closest(self):
-        rig = CameraRig(width=9, height=7, max_range=30.0)
-        scan = rig.capture(simple_world(), Vec3(0, 0, 5))
-        kernel = PointCloudKernel()
-        capped = kernel.process(scan, resolution=0.3, max_points=5)
-        full = kernel.process(scan, resolution=0.3)
-        assert len(capped) == min(5, len(full))
 
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
@@ -164,11 +157,14 @@ class TestOccupancyOctree:
         octree = OccupancyOctree(vox_min=0.3, levels=6)
         for i in range(8):
             octree.mark_occupied(Vec3(0.05 + 0.3 * i, 0.05, 0.05))
-        fine_cells = octree.coarse_occupied_cells(0.3)
-        coarse_cells = octree.coarse_occupied_cells(2.4)
+        fine_cells = octree.coarse_occupied_keys(0.3)
+        coarse_cells = octree.coarse_occupied_keys(2.4)
         assert len(fine_cells) == 8
         assert len(coarse_cells) < 8
-        assert sum(coarse_cells.values()) == 8
+        # Every fine voxel lies in one of the coarse cells (8x the edge).
+        assert {tuple(k) for k in (fine_cells >> 3).tolist()} == {
+            tuple(k) for k in coarse_cells.tolist()
+        }
         assert octree.coarsen_level_for(0.3) == 0
         assert octree.coarsen_level_for(9.6) == 5
         assert octree.coarsen_level_for(100.0) == 5
@@ -254,6 +250,25 @@ class TestPlanningView:
         assert view.is_empty()
         assert not view.segment_in_collision(Vec3(0, 0, 0), Vec3(100, 0, 0))
         assert view.bounding_box() is None
+
+    def test_view_does_not_depend_on_marking_order(self):
+        # Two cells equidistant from the focus and a budget of one cell: the
+        # tie goes to the lexicographically smaller key, whichever of the two
+        # voxels was marked first.
+        keys = [(-1, 0, 0), (0, 0, 0), (5, 5, 0)]
+        views = []
+        for order in (keys, keys[::-1]):
+            octree = OccupancyOctree(vox_min=0.3, levels=6)
+            for key in order:
+                octree.mark_occupied(voxel_center(key, 0.3))
+            views.append(
+                build_planning_view(
+                    octree, precision=0.3, max_volume=0.3**3, focus=Vec3(0.0, 0.15, 0.15)
+                )
+            )
+        first, second = views
+        assert (first.cells, first.total_volume) == (second.cells, second.total_volume)
+        assert first.cells == {(-1, 0, 0)}
 
     def test_coarse_view_inflates_obstacles(self):
         octree = self.build_octree()

@@ -1,22 +1,29 @@
-"""Tests for the incremental spatial index and the index-backed octree paths."""
+"""Tests for the octree's array-backed queries and the grid-cell helpers."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.grid import voxel_center
+from repro.geometry.grid import pack_keys, unpack_keys, voxel_center
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.point_cloud import PointCloudKernel
 from repro.perception.spatial_index import (
-    SpatialIndex,
     cell_margin_radius,
+    contains,
+    insert_keys,
     neighbour_offsets,
     point_hits_cells,
+    remove_keys,
     segment_hits_cells,
 )
+
+
+def occupied_set(octree):
+    return {tuple(k) for k in unpack_keys(octree.occupied_keys()).tolist()}
 
 
 def brute_force_nearest(occupied, vox_min, point, max_radius):
@@ -36,76 +43,7 @@ def brute_force_nearest(occupied, vox_min, point, max_radius):
 
 def brute_force_coarse(occupied, level):
     factor = 2**level
-    cells = {}
-    for (i, j, k) in occupied:
-        coarse = (i // factor, j // factor, k // factor)
-        cells[coarse] = cells.get(coarse, 0) + 1
-    return cells
-
-
-class TestSpatialIndexMaintenance:
-    def test_add_remove_roundtrip(self):
-        index = SpatialIndex(vox_min=0.3, levels=6)
-        assert index.add((1, 2, 3))
-        assert not index.add((1, 2, 3)), "double add must be a no-op"
-        assert (1, 2, 3) in index
-        assert len(index) == 1
-        assert index.remove((1, 2, 3))
-        assert not index.remove((1, 2, 3)), "double remove must be a no-op"
-        assert len(index) == 0
-        assert index.matches(set())
-
-    def test_level_counts_aggregate(self):
-        index = SpatialIndex(vox_min=0.3, levels=4)
-        keys = [(0, 0, 0), (1, 0, 0), (1, 1, 1), (8, 0, 0), (-1, -1, -1)]
-        for key in keys:
-            index.add(key)
-        for level in range(4):
-            assert dict(index.level_cells(level)) == brute_force_coarse(set(keys), level)
-
-    def test_negative_keys_bucket_correctly(self):
-        index = SpatialIndex(vox_min=0.5, levels=3)
-        index.add((-1, -9, -17))
-        assert index.matches({(-1, -9, -17)})
-        index.remove((-1, -9, -17))
-        assert index.matches(set())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpatialIndex(vox_min=0.0, levels=3)
-        with pytest.raises(ValueError):
-            SpatialIndex(vox_min=0.3, levels=0)
-        with pytest.raises(ValueError):
-            SpatialIndex(vox_min=0.3, levels=3, bucket_resolution=0.1)
-        index = SpatialIndex(vox_min=0.3, levels=3)
-        with pytest.raises(ValueError):
-            index.level_cells(3)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=-40, max_value=40),
-                st.integers(min_value=-40, max_value=40),
-                st.integers(min_value=-40, max_value=40),
-                st.booleans(),
-            ),
-            min_size=1,
-            max_size=120,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_index_stays_consistent_under_random_workload(self, ops):
-        index = SpatialIndex(vox_min=0.3, levels=5)
-        shadow = set()
-        for (i, j, k, insert) in ops:
-            key = (i, j, k)
-            if insert:
-                index.add(key)
-                shadow.add(key)
-            else:
-                index.remove(key)
-                shadow.discard(key)
-        assert index.matches(shadow)
+    return sorted({(i // factor, j // factor, k // factor) for (i, j, k) in occupied})
 
 
 class TestNearestOccupiedDistance:
@@ -134,7 +72,7 @@ class TestNearestOccupiedDistance:
         for p in points:
             octree.mark_occupied(p)
         expected = brute_force_nearest(
-            octree.occupied_keys(), octree.vox_min, query, max_radius
+            occupied_set(octree), octree.vox_min, query, max_radius
         )
         actual = octree.nearest_occupied_distance(query, max_radius)
         assert actual == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -167,12 +105,12 @@ class TestIndexBackedOctreePaths:
         )
         octree.insert_point_cloud(cloud, ray_step=0.3)
         octree.forget_beyond(Vec3(0, 0, 5), radius=15.0)
-        occupied = octree.occupied_keys()
+        occupied = occupied_set(octree)
         for precision in (0.3, 0.6, 1.2, 2.4, 4.8, 9.6):
             level = octree.coarsen_level_for(precision)
-            assert octree.coarse_occupied_cells(precision) == brute_force_coarse(
-                occupied, level
-            )
+            assert octree.coarse_occupied_keys(precision).tolist() == [
+                list(key) for key in brute_force_coarse(occupied, level)
+            ]
 
     def test_forget_beyond_matches_direct_predicate(self):
         octree = self.random_octree(seed=9)
@@ -180,11 +118,11 @@ class TestIndexBackedOctreePaths:
         radius = 11.0
         expected_kept = {
             k
-            for k in octree.occupied_keys()
+            for k in occupied_set(octree)
             if voxel_center(k, octree.vox_min).distance_to(center) <= radius
         }
         octree.forget_beyond(center, radius)
-        assert octree.occupied_keys() == expected_kept
+        assert occupied_set(octree) == expected_kept
 
     def test_segment_occupied_matches_pointwise_probes(self):
         octree = OccupancyOctree(vox_min=0.3, levels=6)
@@ -252,6 +190,28 @@ class TestIndexBackedOctreePaths:
 
 
 class TestCellHelpers:
+    def test_pack_keys_round_trip_and_order(self):
+        keys = np.array(
+            [(-1, -9, -17), (0, 0, 0), (3, -2, 1), (3, -2, 2), (-(2**19), 2**19 - 1, 7)],
+            dtype=np.int64,
+        )
+        packed = pack_keys(keys)
+        assert unpack_keys(packed).tolist() == keys.tolist()
+        # Packed order is the lexicographic order of the keys.
+        assert np.argsort(packed).tolist() == sorted(
+            range(len(keys)), key=lambda n: tuple(keys[n])
+        )
+
+    def test_sorted_store_insert_and_remove(self):
+        table = np.empty(0, dtype=np.int64)
+        assert not contains(table, np.array([5])).any()
+        table = insert_keys(table, np.array([3, 7, 9]))
+        table = insert_keys(table, np.array([1, 7, 8]))
+        assert table.tolist() == [1, 3, 7, 8, 9]
+        assert contains(table, np.array([0, 1, 8, 10])).tolist() == [False, True, True, False]
+        table = remove_keys(table, np.array([9, 2, 1, 9]))
+        assert table.tolist() == [3, 7, 8]
+
     def test_neighbour_offsets_sizes(self):
         assert len(neighbour_offsets(0)) == 1
         assert len(neighbour_offsets(1)) == 27

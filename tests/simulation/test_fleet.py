@@ -196,6 +196,22 @@ class TestFleetMission:
             sum(m.energy_j for m in per_drone)
         )
 
+    def test_drone_flies_on_after_its_peer_finishes(self):
+        # Drone 1 reaches the goal at its 34th decision; drone 0 then flies
+        # its last six epochs with no peer left to mark into its map.
+        spec = ScenarioSpec(
+            name="peer_done",
+            design="spatial_oblivious",
+            environment=EnvironmentConfig(
+                obstacle_density=0.3, obstacle_spread=30.0, goal_distance=60.0, seed=17
+            ),
+            mission=MissionConfig(max_decisions=40),
+            n_drones=2,
+        )
+        result = spec.run()
+        assert [d.metrics.decision_count for d in result.drones] == [40, 34]
+        assert [d.metrics.success for d in result.drones] == [False, True]
+
     def test_decision_records_stamp_drone_ids(self, recorded):
         _, recorder = recorded
         decisions = [r for r in recorder.records if isinstance(r, DecisionRecord)]

@@ -255,6 +255,27 @@ BAD_SPECS = {
         {**tiny_spec().to_dict(), "world": {"archetype": "forest", "seed": [1]}}, "seed"
     ),
     "n_drones_is_a_string": ({**tiny_spec().to_dict(), "n_drones": "2"}, "n_drones"),
+    "mover_velocity_has_four_entries": (
+        _spec_with_mover({**CROSSER, "velocity": [0.0, 1.0, 0.0, 0.0]}), "velocity"
+    ),
+    "mover_velocity_has_two_entries": (
+        _spec_with_mover({**CROSSER, "velocity": [0.0, 1.0]}), "velocity"
+    ),
+    "mover_origin_has_two_entries": (_spec_with_mover({**CROSSER, "origin": [1.0, 2.0]}), "origin"),
+    "mover_waypoint_has_two_entries": (
+        _spec_with_mover(
+            {"kind": "waypoint_loop", "waypoints": [[0.0, 0.0, 2.0], [5.0, 0.0]]}
+        ),
+        r"waypoints\[1\]",
+    ),
+    "mover_waypoints_not_a_list": (
+        _spec_with_mover({"kind": "waypoint_loop", "waypoints": 5}), "waypoints"
+    ),
+    "mover_epoch_s_is_a_string": (_spec_with_mover({**CROSSER, "epoch_s": "0.5"}), "epoch_s"),
+    "mover_span_m_is_a_bool": (_spec_with_mover({**CROSSER, "span_m": True}), "span_m"),
+    "mover_size_entry_is_a_string": (_spec_with_mover({**CROSSER, "size": ["a", 1, 1]}), "size"),
+    "mover_size_entry_is_a_bool": (_spec_with_mover({**CROSSER, "size": [True, 1, 1]}), "size"),
+    "mover_velocity_is_null": (_spec_with_mover({**CROSSER, "velocity": None}), "velocity"),
 }
 
 BAD_GRIDS = {

@@ -144,7 +144,7 @@ class TestDynamicObstacleSet:
         dynamics_b = DynamicObstacleSet(build_movers([CROSSER, LOOP]), empty_world())
         dynamics_b.step(0, octree=octree_b)
         dynamics_b.step(7, octree=octree_b)
-        assert octree_a.occupied_keys() == octree_b.occupied_keys()
+        assert octree_a.occupied_keys().tolist() == octree_b.occupied_keys().tolist()
 
     def test_crossing_movers_do_not_erase_each_other(self):
         """A later mover's clear must not erase an earlier mover's new mark.
