@@ -49,15 +49,22 @@ def bench_spec(design: str, env_config: EnvironmentConfig = BENCH_ENV, mission=B
 
 
 @pytest.fixture(scope="session")
-def mission_pair():
+def mission_trace_dir(tmp_path_factory):
+    """Where the :func:`mission_pair` campaign streams its JSONL traces."""
+    return tmp_path_factory.mktemp("mission_pair_traces")
+
+
+@pytest.fixture(scope="session")
+def mission_pair(mission_trace_dir):
     """One RoboRun mission and one baseline mission on the shared environment.
 
     The pair is flown as a two-scenario campaign (on async workers when the
     machine has the cores for it) with full results kept for the trace-level
-    figures.
+    figures, and its traces written to :func:`mission_trace_dir` for the
+    mission-level ones.
     """
     specs = [bench_spec("roborun"), bench_spec("spatial_oblivious")]
-    campaign = CampaignRunner().run(specs, keep_results=True)
+    campaign = CampaignRunner().run(specs, keep_results=True, trace_dir=mission_trace_dir)
     return {
         outcome.spec.design: outcome.result for outcome in campaign.outcomes
     }

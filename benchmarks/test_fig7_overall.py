@@ -3,7 +3,7 @@
 The paper reports, averaged over 27 environments: 5X velocity, 4.5X mission
 time, 4X energy and a 36% CPU-utilisation reduction in RoboRun's favour.  The
 reduced-scale harness flies one environment pair (see ``conftest.BENCH_ENV``),
-folds it through the shared :func:`repro.analysis.figures.fig7_overall`
+folds its saved traces through the shared :func:`repro.analysis.figures.fig7_overall`
 aggregator (the same code path the campaign report CLI uses) and prints the
 same four rows.  ``perfbench/run.py --workload corridor_ab`` prints the
 measured baseline÷RoboRun mission-time and energy ratios for this
@@ -14,18 +14,15 @@ import pytest
 from conftest import print_table
 
 from repro.analysis.figures import fig7_overall
-from repro.analysis.trace import MissionRecord
+from repro.analysis.report import CampaignReport
 
 # Mission-level benchmark: flies full missions through the simulator.
 pytestmark = pytest.mark.slow
 
 
-def test_fig7_mission_level_metrics(benchmark, mission_pair):
+def test_fig7_mission_level_metrics(benchmark, mission_pair, mission_trace_dir):
     def rows():
-        records = [
-            MissionRecord.from_result(result, spec_name=design)
-            for design, result in mission_pair.items()
-        ]
+        records = CampaignReport.from_trace_dir(mission_trace_dir).missions
         return fig7_overall(records).as_rows()
 
     table = benchmark.pedantic(rows, rounds=1, iterations=1)

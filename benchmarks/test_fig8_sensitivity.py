@@ -42,11 +42,12 @@ def test_fig8a_evaluation_scenarios(benchmark):
     assert table[3][1] == [600.0, 900.0, 1200.0]
 
 
-def _sweep(knob, low, high):
+def _sweep(knob, low, high, trace_dir):
     """Fly the 2x2 sweep (design x knob value) as one parallel campaign.
 
-    Aggregation goes through the shared
-    :func:`repro.analysis.figures.fig8_sensitivity` — the same fold the
+    The campaign streams its traces to ``trace_dir``, and aggregation reads
+    them back through :class:`CampaignReport` and the shared
+    :func:`repro.analysis.figures.fig8_sensitivity`: the same fold the
     campaign report CLI applies to saved traces.
     """
     designs = ("spatial_oblivious", "roborun")
@@ -55,26 +56,26 @@ def _sweep(knob, low, high):
         for design in designs
         for value in (low, high)
     ]
-    campaign = CampaignRunner().run(specs)
+    CampaignRunner().run(specs, trace_dir=trace_dir)
 
-    report = CampaignReport.from_campaign(campaign)
+    report = CampaignReport.from_trace_dir(trace_dir)
     table = fig8_sensitivity(report.missions, knob)
     return table.as_rows(), table.meta["ratios"]
 
 
 @pytest.mark.slow
-def test_fig8b_sensitivity_to_density(benchmark):
+def test_fig8b_sensitivity_to_density(benchmark, tmp_path):
     (rows, ratios) = benchmark.pedantic(
-        lambda: _sweep("obstacle_density", 0.3, 0.6), rounds=1, iterations=1
+        lambda: _sweep("obstacle_density", 0.3, 0.6, tmp_path), rounds=1, iterations=1
     )
     print_table("Figure 8b: flight-time sensitivity to obstacle density", rows)
     assert all(r > 0 for r in ratios.values())
 
 
 @pytest.mark.slow
-def test_fig8d_sensitivity_to_goal_distance(benchmark):
+def test_fig8d_sensitivity_to_goal_distance(benchmark, tmp_path):
     (rows, ratios) = benchmark.pedantic(
-        lambda: _sweep("goal_distance", 80.0, 160.0), rounds=1, iterations=1
+        lambda: _sweep("goal_distance", 80.0, 160.0, tmp_path), rounds=1, iterations=1
     )
     print_table("Figure 8d: flight-time sensitivity to goal distance", rows)
     assert all(r > 0 for r in ratios.values())

@@ -49,7 +49,6 @@ from repro.environment.generator import (
     EnvironmentGenerator,
     GeneratedEnvironment,
 )
-from repro.middleware.executor import DispatchRecord
 from repro.middleware.topic import TopicNamespace
 from repro.obs import (
     HeartbeatEmitter,
@@ -93,7 +92,6 @@ from repro.worlds import (
     WorldSpec,
     archetype_names,
     build_environment,
-    build_world,
     register_archetype,
 )
 
@@ -109,7 +107,6 @@ __all__ = [
     "CommsLatencySpike",
     "DecisionPipeline",
     "DecisionRecord",
-    "DispatchRecord",
     "DynamicObstacleSet",
     "EnvironmentConfig",
     "FigureTable",
@@ -161,7 +158,6 @@ __all__ = [
     "__version__",
     "archetype_names",
     "build_environment",
-    "build_world",
     "configure_logging",
     "fault_names",
     "get_logger",

@@ -1,10 +1,9 @@
 """Campaign reports: fold trace records into a self-contained document.
 
 :class:`CampaignReport` is the aggregation endpoint of the analysis
-subsystem: it takes the records of one campaign — from memory, from a
-:class:`~repro.simulation.campaign.CampaignResult`, or from saved JSONL
-trace files — and derives the paper's figure tables (Figures 2, 5, 7 and 8)
-plus a per-mission summary and a partial-failure section.  The markdown
+subsystem: it takes the records of one campaign — from memory or from saved
+JSONL trace files — and derives the paper's figure tables (Figures 2, 5, 7
+and 8) plus a per-mission summary and a partial-failure section.  The markdown
 emitter produces a report that stands alone: everything in it came from the
 trace records, so re-rendering a report never requires re-flying a mission.
 """
@@ -12,7 +11,7 @@ trace records, so re-rendering a report never requires re-flying a mission.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, List, Sequence, Union
+from typing import Any, List, Sequence, Union
 
 from repro.analysis.figures import (
     FIG8_KNOBS,
@@ -27,10 +26,7 @@ from repro.analysis.figures import (
     ok_missions,
 )
 from repro.analysis.io import list_trace_files, read_traces
-from repro.analysis.trace import DecisionRecord, MissionRecord, jsonify
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulation.campaign import CampaignResult
+from repro.analysis.trace import DecisionRecord, MissionRecord
 
 PathLike = Union[str, Path]
 
@@ -86,33 +82,6 @@ class CampaignReport:
             Path(directory) / "telemetry" / HEARTBEAT_FILE
         )
         return cls.from_paths(paths, heartbeats=heartbeats)
-
-    @classmethod
-    def from_campaign(cls, campaign: "CampaignResult") -> "CampaignReport":
-        """Build a mission-level report straight from a campaign's outcomes.
-
-        Mission records come from each outcome's spec and metrics, which is
-        enough for the Figure 7/8 tables and the failure section; no
-        decision records are recovered, so :meth:`fig2` and :meth:`fig5`
-        come out empty.  Campaigns run with a ``trace_dir`` should prefer
-        :meth:`from_trace_dir`, which reads the complete record stream.
-        """
-        missions: List[MissionRecord] = []
-        for outcome in campaign.outcomes:
-            spec = outcome.spec
-            spec_dict = jsonify(spec.to_dict())
-            missions.append(
-                MissionRecord(
-                    spec_name=spec.name,
-                    design=spec.design,
-                    seed=spec.seed,
-                    environment=dict(spec_dict["environment"]),
-                    metrics=dict(outcome.metrics) if outcome.metrics else {},
-                    error=dict(outcome.error) if outcome.error else None,
-                    spec=spec_dict,
-                )
-            )
-        return cls(decisions=[], missions=missions)
 
     # ------------------------------------------------------------------
     # Derived tables

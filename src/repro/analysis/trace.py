@@ -263,38 +263,6 @@ class MissionRecord:
     fleet: Optional[Dict[str, Any]] = None
     drones: Optional[List[Dict[str, Any]]] = None
 
-    @classmethod
-    def from_result(
-        cls,
-        result: Any,
-        spec: Optional[Any] = None,
-        spec_name: str = "",
-    ) -> "MissionRecord":
-        """Build a record from a live :class:`~repro.simulation.mission.
-        MissionResult` (and optionally its scenario spec).
-
-        This is the bridge for callers that flew missions without streaming
-        traces — e.g. the benchmark harness — so they can still feed the
-        shared figure aggregators.
-        """
-        spec_dict = None
-        environment: Dict[str, Any] = {}
-        seed = 0
-        if spec is not None:
-            spec_dict = jsonify(spec.to_dict()) if hasattr(spec, "to_dict") else jsonify(dict(spec))
-            environment = dict(spec_dict.get("environment", {}))
-            seed = int(environment.get("seed", 0))
-            spec_name = spec_name or spec_dict.get("name", "")
-        return cls(
-            spec_name=spec_name,
-            design=result.design,
-            seed=seed,
-            environment=environment,
-            metrics=result.metrics.as_dict(),
-            error=None,
-            spec=spec_dict,
-        )
-
     @property
     def ok(self) -> bool:
         """True when the mission ran to completion (possibly unsuccessfully)."""

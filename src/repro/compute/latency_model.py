@@ -62,10 +62,6 @@ class StageLatencyModel:
     def __call__(self, precision: float, volume: float) -> float:
         return self.latency(precision, volume)
 
-    def coefficients(self) -> Tuple[float, float, float, float]:
-        """The coefficient vector ``q_i`` as a tuple."""
-        return (self.q0, self.q1, self.q2, self.q3)
-
 
 # Default per-stage coefficients, calibrated against the WorkloadCostModel
 # defaults so that the static baseline (0.3 m precision, Table II volumes)

@@ -1,21 +1,12 @@
 """Control: trajectory tracking.
 
-"Control ensures that the MAV closely follows the generated trajectory while
-guaranteeing stability.  We use standard PID control" (§III-A).  Control is
-not a RoboRun knob — neither precision nor volume operators touch it — so the
-reproduction provides a straightforward cascaded PID position/velocity
-controller adequate for tracking the smoother's trajectories on the kinematic
-drone model.
+Control is not a RoboRun knob: neither the precision nor the volume
+operators touch it.  Missions fly :class:`PurePursuitFollower`, which aims at
+a look-ahead point on the smoother's trajectory at the governor's velocity
+cap.  The paper tracks its trajectories with a PID controller; that
+controller is not modelled here.
 """
 
-from repro.control.flight_controller import FlightController
 from repro.control.follower import PurePursuitFollower
-from repro.control.pid import PIDController, PIDGains, Vec3PID
 
-__all__ = [
-    "FlightController",
-    "PIDController",
-    "PIDGains",
-    "PurePursuitFollower",
-    "Vec3PID",
-]
+__all__ = ["PurePursuitFollower"]

@@ -118,16 +118,6 @@ class SpatialObliviousRuntime:
             velocity_ceiling=self.design_point.velocity_ceiling,
         )
 
-    @property
-    def design_velocity(self) -> float:
-        """The statically chosen maximum velocity, m/s."""
-        return self._design_velocity
-
-    @property
-    def design_latency(self) -> float:
-        """The worst-case latency assumed at design time, seconds."""
-        return self._design_latency
-
     # ------------------------------------------------------------------
     # Per-decision interface (same shape as RoboRunRuntime)
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ solver may pick from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 # Table II constants.
@@ -93,10 +93,6 @@ class KnobPolicy:
             "planner_volume": self.planner_volume,
         }
 
-    def with_precision(self, p0: float, p1: float) -> "KnobPolicy":
-        """Copy with new precisions (volumes unchanged)."""
-        return replace(self, point_cloud_precision=p0, map_to_planner_precision=p1)
-
 
 #: The spatial-oblivious baseline's fixed, worst-case policy (Table II "Static").
 STATIC_BASELINE_POLICY = KnobPolicy(
@@ -153,18 +149,3 @@ class KnobLimits:
                 break
             ladder.append(value)
         return ladder
-
-    def clamp_policy(self, policy: KnobPolicy) -> KnobPolicy:
-        """Clamp an arbitrary policy into the dynamic ranges."""
-        p0 = min(max(policy.point_cloud_precision, self.precision_min), self.precision_max)
-        p1 = min(max(policy.map_to_planner_precision, p0), self.precision_max)
-        v0 = min(policy.octomap_volume, self.octomap_volume_max)
-        v1 = min(max(policy.map_to_planner_volume, v0), self.map_to_planner_volume_max)
-        v2 = min(policy.planner_volume, self.planner_volume_max)
-        return KnobPolicy(
-            point_cloud_precision=p0,
-            map_to_planner_precision=p1,
-            octomap_volume=v0,
-            map_to_planner_volume=v1,
-            planner_volume=v2,
-        )

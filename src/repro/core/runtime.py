@@ -9,14 +9,15 @@ through two calls per decision:
 * :meth:`RoboRunRuntime.decide` — run the governor on that profile to obtain
   the knob policy, decision deadline and safe-velocity cap.
 
-The runtime also keeps a trace of every decision it has made, which the
-analysis layer uses to reproduce the precision-over-time and deadline-over-
-time figures (Figures 5 and 10c).
+The runtime keeps no decision history: the flight node folds each decision
+into the mission's :class:`~repro.analysis.trace.DecisionRecord`, which is
+what the precision-over-time and deadline-over-time figures (Figures 5 and
+10c) read.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.governor import Governor, GovernorDecision
 from repro.core.profilers import ProfilerSuite, SpaceProfile
@@ -50,7 +51,6 @@ class RoboRunRuntime:
     ) -> None:
         self.governor = governor or Governor()
         self.profilers = profilers or ProfilerSuite()
-        self._decisions: List[GovernorDecision] = []
 
     # ------------------------------------------------------------------
     # Per-decision interface
@@ -79,35 +79,11 @@ class RoboRunRuntime:
     def decide(
         self, profile: SpaceProfile, budget_scale: float = 1.0
     ) -> GovernorDecision:
-        """Run the governor and record the decision in the trace.
+        """Run the governor on one decision's profile.
 
         ``budget_scale`` shrinks (or stretches) the time budget before the
         solver runs — the spatial-aware runtime *re-solves* its knobs against
         the faulted budget, which is exactly the graceful degradation the
         fault-robustness comparison measures.
         """
-        decision = self.governor.decide(profile, budget_scale=budget_scale)
-        self._decisions.append(decision)
-        return decision
-
-    # ------------------------------------------------------------------
-    # Traces
-    # ------------------------------------------------------------------
-    @property
-    def decisions(self) -> List[GovernorDecision]:
-        """Every decision made so far, in order."""
-        return list(self._decisions)
-
-    def precision_trace(self) -> List[tuple[float, float]]:
-        """(timestamp, point-cloud precision) per decision — Figure 10c's data."""
-        return [
-            (d.timestamp, d.policy.point_cloud_precision) for d in self._decisions
-        ]
-
-    def budget_trace(self) -> List[tuple[float, float]]:
-        """(timestamp, time budget) per decision — Figure 5b's data."""
-        return [(d.timestamp, d.time_budget) for d in self._decisions]
-
-    def reset(self) -> None:
-        """Clear the decision trace (a new mission)."""
-        self._decisions.clear()
+        return self.governor.decide(profile, budget_scale=budget_scale)

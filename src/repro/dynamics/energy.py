@@ -76,12 +76,3 @@ class EnergyModel:
         return self.flight_energy(flight_time_s, mean_speed) + self.compute_energy(
             compute_busy_s
         )
-
-    def compute_energy_fraction(
-        self, flight_time_s: float, mean_speed: float, compute_busy_s: float
-    ) -> float:
-        """Fraction of mission energy consumed by compute (paper: < 0.05%... of total)."""
-        total = self.mission_energy(flight_time_s, mean_speed, compute_busy_s)
-        if total == 0:
-            return 0.0
-        return self.compute_energy(compute_busy_s) / total

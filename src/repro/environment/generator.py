@@ -15,13 +15,13 @@ The paper's evaluation grid uses three values per knob:
 * spread ∈ {40, 80, 120} m
 * goal distance ∈ {600, 900, 1200} m
 
-for 27 environments total.  :meth:`EnvironmentGenerator.generate_suite`
-produces exactly that grid.
+for 27 environments total (``DENSITY_LEVELS``, ``SPREAD_LEVELS_M`` and
+``GOAL_DISTANCE_LEVELS_M`` below); passing them to
+:func:`~repro.simulation.scenario.scenario_grid` sweeps exactly that grid.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -196,8 +196,7 @@ class EnvironmentGenerator:
     zones, parameterised by obstacle density (peak occupied fraction),
     spread (scatter radius, metres) and goal distance (mission length,
     metres).  The same :class:`EnvironmentConfig` and seed always produce
-    the same world; :meth:`generate_suite` builds the paper's 27-environment
-    evaluation grid.
+    the same world.
     """
 
     # Obstacle footprint dimensions: narrow pillars and wider rack-like blocks,
@@ -301,42 +300,8 @@ class EnvironmentGenerator:
         return obstacles
 
     # ------------------------------------------------------------------
-    # Evaluation suites
+    # Figure 9 data
     # ------------------------------------------------------------------
-    def generate_suite(
-        self,
-        densities: Sequence[float] = DENSITY_LEVELS,
-        spreads: Sequence[float] = SPREAD_LEVELS_M,
-        goal_distances: Sequence[float] = GOAL_DISTANCE_LEVELS_M,
-        seed: Optional[int] = None,
-    ) -> List[GeneratedEnvironment]:
-        """Generate the full evaluation grid (27 environments by default)."""
-        base_seed = self.default_seed if seed is None else seed
-        suite: List[GeneratedEnvironment] = []
-        for index, (density, spread, goal) in enumerate(
-            itertools.product(densities, spreads, goal_distances)
-        ):
-            cfg = EnvironmentConfig(
-                obstacle_density=density,
-                obstacle_spread=spread,
-                goal_distance=goal,
-                seed=base_seed + index,
-            )
-            suite.append(self.generate(cfg))
-        return suite
-
-    def suite_configs(
-        self,
-        densities: Sequence[float] = DENSITY_LEVELS,
-        spreads: Sequence[float] = SPREAD_LEVELS_M,
-        goal_distances: Sequence[float] = GOAL_DISTANCE_LEVELS_M,
-    ) -> List[EnvironmentConfig]:
-        """The configuration grid without generating worlds (cheap)."""
-        return [
-            EnvironmentConfig(obstacle_density=d, obstacle_spread=s, goal_distance=g)
-            for d, s, g in itertools.product(densities, spreads, goal_distances)
-        ]
-
     def congestion_map(
         self, environment: GeneratedEnvironment, cell: float = 30.0
     ) -> Dict[Tuple[int, int], float]:

@@ -250,10 +250,6 @@ class World:
                 hi = np.concatenate([hi, dyn_hi[near]])
         return lo, hi
 
-    def obstacle_count(self) -> int:
-        """Number of static obstacles."""
-        return len(self._obstacles)
-
     # ------------------------------------------------------------------
     # Occupancy / collision
     # ------------------------------------------------------------------
@@ -291,22 +287,6 @@ class World:
     # ------------------------------------------------------------------
     # Spatial features (the paper's four heterogeneity features live here)
     # ------------------------------------------------------------------
-    def nearest_obstacle_distance(self, point: Vec3, search_radius: float = 200.0) -> float:
-        """Distance to the closest obstacle surface.
-
-        Returns ``search_radius`` when no obstacle lies within the radius,
-        which mirrors the "no nearby threat" saturation the profilers use.
-        """
-        best = search_radius
-        for idx in self._candidate_indices(point, search_radius):
-            d = self._obstacles[idx].distance_to(point)
-            if d < best:
-                best = d
-        for obstacle in self._unhashed_obstacles():
-            d = obstacle.distance_to(point)
-            if d < best:
-                best = d
-        return best
 
     def visibility_along(self, origin: Vec3, direction: Vec3, max_range: float) -> float:
         """Unobstructed distance along ``direction`` before hitting an obstacle.
@@ -397,19 +377,6 @@ class World:
         if not gaps:
             return (radius, radius)
         return (min(gaps), sum(gaps) / len(gaps))
-
-    def free_space_ratio_along(
-        self, start: Vec3, end: Vec3, samples: int = 50
-    ) -> float:
-        """Fraction of sample points along a segment that are obstacle-free."""
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        free = 0
-        for i in range(samples):
-            t = i / max(samples - 1, 1)
-            if not self.is_occupied(start.lerp(end, t)):
-                free += 1
-        return free / samples
 
 
 def _box_gap(a: AABB, b: AABB) -> float:

@@ -11,7 +11,7 @@ velocities to zones A, B and C when reproducing Figures 10 and 11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.geometry.vec3 import Vec3
 
@@ -78,26 +78,3 @@ class ZoneMap:
             if zone.contains_fraction(fraction):
                 return zone
         return self.zones[-1]
-
-    def zone_named(self, name: str) -> Zone:
-        """Look a zone up by name.
-
-        Raises:
-            KeyError: when no zone has the given name.
-        """
-        for zone in self.zones:
-            if zone.name == name:
-                return zone
-        raise KeyError(f"no zone named {name!r}")
-
-    def congested_zone_names(self) -> List[str]:
-        """Names of the congested zones (A and C in the default layout)."""
-        return [z.name for z in self.zones if z.congested]
-
-    def zone_centers(self) -> Dict[str, Vec3]:
-        """World-space centre point of each zone along the mission axis."""
-        centers: Dict[str, Vec3] = {}
-        for zone in self.zones:
-            mid = 0.5 * (zone.start_fraction + zone.end_fraction)
-            centers[zone.name] = self.start.lerp(self.goal, mid)
-        return centers

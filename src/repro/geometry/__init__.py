@@ -8,9 +8,8 @@ a sensor can observe.  This package provides those primitives:
 * :class:`~repro.geometry.vec3.Vec3` — an immutable 3-D vector.
 * :class:`~repro.geometry.aabb.AABB` — axis-aligned bounding boxes.
 * :class:`~repro.geometry.ray.Ray` and
-  :func:`~repro.geometry.ray.traverse_voxels` — Amanatides–Woo voxel
-  traversal used by the OctoMap ray-caster and the planner's collision
-  checker.
+  :func:`~repro.geometry.ray.ray_aabb_intersect` — the slab test behind the
+  depth cameras' ray cast.
 * :func:`~repro.geometry.grid.downsample` — the grid-average downsampling
   behind the point-cloud precision operator.
 * :class:`~repro.geometry.frustum.Frustum` — a camera viewing frustum used by
@@ -20,7 +19,7 @@ a sensor can observe.  This package provides those primitives:
 from repro.geometry.aabb import AABB
 from repro.geometry.frustum import Frustum
 from repro.geometry.grid import downsample, voxel_key
-from repro.geometry.ray import Ray, ray_aabb_intersect, traverse_voxels
+from repro.geometry.ray import Ray, ray_aabb_intersect
 from repro.geometry.vec3 import Vec3
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "Vec3",
     "downsample",
     "ray_aabb_intersect",
-    "traverse_voxels",
     "voxel_key",
 ]

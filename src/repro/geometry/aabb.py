@@ -9,7 +9,6 @@ metres to match the paper's knob tables (Table II uses m^3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry.vec3 import Vec3
 
@@ -45,24 +44,6 @@ class AABB:
         half = size * 0.5
         return AABB(center - half, center + half)
 
-    @staticmethod
-    def from_points(points: Iterable[Vec3]) -> "AABB":
-        """Return the tightest box containing every point."""
-        pts = list(points)
-        if not pts:
-            raise ValueError("cannot build an AABB from zero points")
-        lo = pts[0]
-        hi = pts[0]
-        for p in pts[1:]:
-            lo = lo.elementwise_min(p)
-            hi = hi.elementwise_max(p)
-        return AABB(lo, hi)
-
-    @staticmethod
-    def cube(center: Vec3, edge: float) -> "AABB":
-        """Build an axis-aligned cube of the given edge length."""
-        return AABB.from_center(center, Vec3(edge, edge, edge))
-
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
@@ -82,16 +63,6 @@ class AABB:
         s = self.size
         return s.x * s.y * s.z
 
-    def corners(self) -> List[Vec3]:
-        """The eight corner points."""
-        lo, hi = self.min_corner, self.max_corner
-        return [
-            Vec3(x, y, z)
-            for x in (lo.x, hi.x)
-            for y in (lo.y, hi.y)
-            for z in (lo.z, hi.z)
-        ]
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -102,32 +73,6 @@ class AABB:
             lo.x <= point.x <= hi.x
             and lo.y <= point.y <= hi.y
             and lo.z <= point.z <= hi.z
-        )
-
-    def intersects(self, other: "AABB") -> bool:
-        """True when the two boxes overlap (sharing a face counts)."""
-        return (
-            self.min_corner.x <= other.max_corner.x
-            and self.max_corner.x >= other.min_corner.x
-            and self.min_corner.y <= other.max_corner.y
-            and self.max_corner.y >= other.min_corner.y
-            and self.min_corner.z <= other.max_corner.z
-            and self.max_corner.z >= other.min_corner.z
-        )
-
-    def intersection(self, other: "AABB") -> Optional["AABB"]:
-        """The overlapping box, or ``None`` when the boxes are disjoint."""
-        lo = self.min_corner.elementwise_max(other.min_corner)
-        hi = self.max_corner.elementwise_min(other.max_corner)
-        if lo.x > hi.x or lo.y > hi.y or lo.z > hi.z:
-            return None
-        return AABB(lo, hi)
-
-    def union(self, other: "AABB") -> "AABB":
-        """The smallest box containing both boxes."""
-        return AABB(
-            self.min_corner.elementwise_min(other.min_corner),
-            self.max_corner.elementwise_max(other.max_corner),
         )
 
     def expanded(self, margin: float) -> "AABB":
@@ -146,16 +91,3 @@ class AABB:
     def clamp_point(self, point: Vec3) -> Vec3:
         """Alias of :meth:`closest_point`, kept for call-site readability."""
         return self.closest_point(point)
-
-    def split_octants(self) -> Tuple["AABB", ...]:
-        """Split the box into its eight octants (used by the octree)."""
-        c = self.center
-        lo, hi = self.min_corner, self.max_corner
-        octants = []
-        for xs in ((lo.x, c.x), (c.x, hi.x)):
-            for ys in ((lo.y, c.y), (c.y, hi.y)):
-                for zs in ((lo.z, c.z), (c.z, hi.z)):
-                    octants.append(
-                        AABB(Vec3(xs[0], ys[0], zs[0]), Vec3(xs[1], ys[1], zs[1]))
-                    )
-        return tuple(octants)

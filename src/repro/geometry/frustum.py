@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
 
 
@@ -80,34 +79,6 @@ class Frustum:
         half_h = self.max_range * math.tan(math.radians(self.vertical_fov_deg) / 2.0)
         base_area = (2.0 * half_w) * (2.0 * half_h)
         return base_area * self.max_range / 3.0
-
-    def clipped_volume(self, visibility: float) -> float:
-        """Volume of the frustum truncated at the given visibility distance.
-
-        When obstacles or weather occlude the view, only the portion of the
-        pyramid up to ``visibility`` metres contributes observable volume.
-        """
-        depth = max(0.0, min(visibility, self.max_range))
-        if depth == 0.0:
-            return 0.0
-        scale = depth / self.max_range
-        return self.volume() * scale**3
-
-    def bounding_box(self) -> AABB:
-        """The AABB of the frustum's corner points (apex plus far plane)."""
-        return AABB.from_points([self.apex, *self.far_plane_corners()])
-
-    def far_plane_corners(self) -> List[Vec3]:
-        """The four corner points of the far plane."""
-        f, r, u = self.basis()
-        center = self.apex + f * self.max_range
-        half_w = self.max_range * math.tan(math.radians(self.horizontal_fov_deg) / 2.0)
-        half_h = self.max_range * math.tan(math.radians(self.vertical_fov_deg) / 2.0)
-        return [
-            center + r * sx * half_w + u * sy * half_h
-            for sx in (-1.0, 1.0)
-            for sy in (-1.0, 1.0)
-        ]
 
     def sample_directions(self, n_horizontal: int, n_vertical: int) -> List[Vec3]:
         """Unit direction vectors on a regular angular grid across the FOV.

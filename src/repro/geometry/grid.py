@@ -17,7 +17,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
 
 VoxelKey = Tuple[int, int, int]
@@ -49,13 +48,6 @@ def voxel_center(key: VoxelKey, resolution: float) -> Vec3:
         (key[1] + 0.5) * resolution,
         (key[2] + 0.5) * resolution,
     )
-
-
-def voxel_bounds(key: VoxelKey, resolution: float) -> AABB:
-    """Return the AABB spanned by the voxel with the given index."""
-    lo = Vec3(key[0] * resolution, key[1] * resolution, key[2] * resolution)
-    hi = lo + Vec3(resolution, resolution, resolution)
-    return AABB(lo, hi)
 
 
 # Packed-key encoding: one int64 per (i, j, k) voxel key.  Components are

@@ -1,4 +1,4 @@
-"""Rays, ray/box intersection and voxel traversal.
+"""Rays, ray/box intersection and ray sampling.
 
 Two of RoboRun's precision operators are ray-caster step-size controls: the
 OctoMap insertion ray caster and the planner's collision ray caster both have
@@ -7,8 +7,6 @@ Operators").  This module provides the underlying machinery:
 
 * :func:`ray_aabb_intersect` — slab-test intersection used for obstacle and
   frustum clipping.
-* :func:`traverse_voxels` — exact Amanatides–Woo voxel walking, the
-  "infinitely fine" reference traversal.
 * :func:`sample_ray` — fixed-step sampling along a ray, whose step size is the
   knob the precision operators turn.
 """
@@ -17,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import VoxelKey, voxel_key
 from repro.geometry.vec3 import Vec3
 
 _EPS = 1e-12
@@ -39,28 +36,19 @@ class Ray:
         if self.direction.norm_sq() <= _EPS:
             raise ValueError("ray direction must be non-zero")
 
-    def point_at(self, t: float) -> Vec3:
-        """The point ``origin + t * direction``."""
-        return self.origin + self.direction * t
-
     def unit(self) -> "Ray":
         """Return a copy with a unit-length direction."""
         return Ray(self.origin, self.direction.normalized())
-
-    @staticmethod
-    def between(start: Vec3, end: Vec3) -> "Ray":
-        """Ray from ``start`` towards ``end`` (t=1 lands exactly on ``end``)."""
-        return Ray(start, end - start)
 
 
 def ray_aabb_intersect(ray: Ray, box: AABB) -> Optional[Tuple[float, float]]:
     """Slab-test ray/box intersection.
 
     Returns:
-        ``(t_enter, t_exit)`` such that ``ray.point_at(t)`` lies inside the
-        box for ``t_enter <= t <= t_exit`` and ``t_exit >= 0``, or ``None``
-        when the ray misses the box entirely or the box lies behind the
-        origin.
+        ``(t_enter, t_exit)`` such that ``origin + t * direction`` lies
+        inside the box for ``t_enter <= t <= t_exit`` and ``t_exit >= 0``,
+        or ``None`` when the ray misses the box entirely or the box lies
+        behind the origin.
     """
     t_min = -math.inf
     t_max = math.inf
@@ -170,70 +158,6 @@ def segment_intersects_aabb(start: Vec3, end: Vec3, box: AABB) -> bool:
         return False
     t_enter, t_exit = hit
     return t_enter <= 1.0 and t_exit >= 0.0
-
-
-def traverse_voxels(
-    start: Vec3,
-    end: Vec3,
-    resolution: float,
-    max_voxels: Optional[int] = None,
-) -> Iterator[VoxelKey]:
-    """Amanatides–Woo traversal of the voxels between two points.
-
-    Yields every voxel the segment passes through, beginning with the voxel
-    containing ``start`` and ending with the voxel containing ``end``.  This
-    is the exact traversal used as the reference (highest precision) ray cast
-    by the OctoMap insertion and the collision checker.
-
-    Args:
-        start: segment start point.
-        end: segment end point.
-        resolution: voxel edge length in metres.
-        max_voxels: optional safety cap on the number of voxels yielded.
-    """
-    if resolution <= 0:
-        raise ValueError("voxel resolution must be positive")
-
-    current = list(voxel_key(start, resolution))
-    last = voxel_key(end, resolution)
-    direction = end - start
-    length = direction.norm()
-
-    yield tuple(current)  # type: ignore[misc]
-    if tuple(current) == last or length <= _EPS:
-        return
-
-    step = [0, 0, 0]
-    t_max = [math.inf, math.inf, math.inf]
-    t_delta = [math.inf, math.inf, math.inf]
-    for axis in range(3):
-        d = direction[axis]
-        if d > _EPS:
-            step[axis] = 1
-            boundary = (current[axis] + 1) * resolution
-            t_max[axis] = (boundary - start[axis]) / d
-            t_delta[axis] = resolution / d
-        elif d < -_EPS:
-            step[axis] = -1
-            boundary = current[axis] * resolution
-            t_max[axis] = (boundary - start[axis]) / d
-            t_delta[axis] = -resolution / d
-
-    count = 1
-    # Traverse until we reach the end voxel or pass t = 1 (the end point).
-    while True:
-        axis = t_max.index(min(t_max))
-        if t_max[axis] > 1.0 + _EPS:
-            return
-        current[axis] += step[axis]
-        t_max[axis] += t_delta[axis]
-        key = (current[0], current[1], current[2])
-        yield key
-        count += 1
-        if key == last:
-            return
-        if max_voxels is not None and count >= max_voxels:
-            return
 
 
 def sample_ray(start: Vec3, end: Vec3, step: float) -> List[Vec3]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,22 +49,9 @@ class Vec3:
         return Vec3(1.0, 0.0, 0.0)
 
     @staticmethod
-    def unit_y() -> "Vec3":
-        """Return the +y unit vector."""
-        return Vec3(0.0, 1.0, 0.0)
-
-    @staticmethod
     def unit_z() -> "Vec3":
         """Return the +z unit vector."""
         return Vec3(0.0, 0.0, 1.0)
-
-    @staticmethod
-    def from_iter(values: Iterable[float]) -> "Vec3":
-        """Build a vector from any length-3 iterable."""
-        vals = list(values)
-        if len(vals) != 3:
-            raise ValueError(f"expected 3 components, got {len(vals)}")
-        return Vec3(float(vals[0]), float(vals[1]), float(vals[2]))
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -79,10 +66,6 @@ class Vec3:
 
     def __len__(self) -> int:
         return 3
-
-    def as_tuple(self) -> Tuple[float, float, float]:
-        """Return the components as a plain tuple."""
-        return (self.x, self.y, self.z)
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -167,26 +150,3 @@ class Vec3:
     def clamp(self, lo: "Vec3", hi: "Vec3") -> "Vec3":
         """Clamp every component into ``[lo, hi]``."""
         return self.elementwise_max(lo).elementwise_min(hi)
-
-    def is_close(self, other: "Vec3", tol: float = 1e-9) -> bool:
-        """Component-wise approximate equality."""
-        return (
-            abs(self.x - other.x) <= tol
-            and abs(self.y - other.y) <= tol
-            and abs(self.z - other.z) <= tol
-        )
-
-    def is_finite(self) -> bool:
-        """True when every component is finite."""
-        return all(math.isfinite(c) for c in self)
-
-
-def centroid(points: Sequence[Vec3]) -> Vec3:
-    """Return the arithmetic mean of a non-empty sequence of points."""
-    if not points:
-        raise ValueError("centroid of an empty point sequence is undefined")
-    sx = sum(p.x for p in points)
-    sy = sum(p.y for p in points)
-    sz = sum(p.z for p in points)
-    n = len(points)
-    return Vec3(sx / n, sy / n, sz / n)

@@ -33,27 +33,6 @@ class _PendingDispatch:
     message: Message[Any]
 
 
-@dataclass(frozen=True, slots=True)
-class DispatchRecord:
-    """One delivered callback, in typed form.
-
-    The raw ``dispatch_log`` stays a ``List[Tuple[str, str]]`` because its
-    JSON serialisation is pinned by SHA-256 goldens; this record is the
-    ergonomic view for new code (obs taps, tests, analysis).
-    """
-
-    topic: str
-    frame_id: str
-
-    @property
-    def drone_id(self) -> str:
-        """The drone namespace of the topic, or "" for un-namespaced topics."""
-        parts = self.topic.split("/")
-        if len(parts) >= 3 and parts[1] == "drone":
-            return parts[2]
-        return ""
-
-
 class Executor:
     """Owns publication and dispatch over a :class:`TopicBus`.
 
@@ -87,10 +66,6 @@ class Executor:
         """
         if observer not in self._observers:
             self._observers.append(observer)
-
-    def remove_observer(self, observer: Any) -> None:
-        if observer in self._observers:
-            self._observers.remove(observer)
 
     # ------------------------------------------------------------------
     # Publication
@@ -196,10 +171,3 @@ class Executor:
         with the same seed must produce identical logs.
         """
         return list(self._dispatch_log)
-
-    def dispatch_records(self) -> List[DispatchRecord]:
-        """The dispatch log as typed :class:`DispatchRecord` rows."""
-        return [
-            DispatchRecord(topic=topic, frame_id=frame)
-            for topic, frame in self._dispatch_log
-        ]

@@ -24,7 +24,6 @@ from repro.obs.heartbeat import (
     HEARTBEAT_FILE,
     HeartbeatEmitter,
     HeartbeatRecord,
-    ListSink,
     peak_rss_mb,
     read_heartbeats,
     runtime_summary,
@@ -51,7 +50,6 @@ __all__ = [
     "HEARTBEAT_FILE",
     "HeartbeatEmitter",
     "HeartbeatRecord",
-    "ListSink",
     "peak_rss_mb",
     "read_heartbeats",
     "runtime_summary",

@@ -175,16 +175,6 @@ class HeartbeatEmitter:
         return record
 
 
-class ListSink:
-    """An in-process heartbeat sink (serial campaigns, tests)."""
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def put(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
-
-
 def write_heartbeats(records: Iterable[Dict[str, Any]], path: PathLike) -> Path:
     """Append heartbeat dicts to a JSONL file (created with parents)."""
     destination = Path(path)

@@ -182,10 +182,6 @@ class Histogram:
         self.total += value
         self.count += 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def cumulative_counts(self) -> List[int]:
         """Per-bucket cumulative counts, ending with the total count."""
         out: List[int] = []

@@ -13,7 +13,7 @@ on: point-cloud grid resolution, ray-caster step size, map insertion volume
 budget, and sub-sampling / volume bounding for the map handed to the planner.
 """
 
-from repro.perception.octomap import OccupancyOctree, allowed_precisions
+from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
 
@@ -22,6 +22,5 @@ __all__ = [
     "PlanningView",
     "PointCloud",
     "PointCloudKernel",
-    "allowed_precisions",
     "build_planning_view",
 ]

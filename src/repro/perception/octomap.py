@@ -43,7 +43,7 @@ structure remains.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -76,19 +76,6 @@ def _squared_norms(d: np.ndarray) -> np.ndarray:
 def _centre_distances_sq(packed: np.ndarray, resolution: float, point: Vec3) -> np.ndarray:
     """Squared distance from each cell centre ``(k + 0.5) * resolution`` to ``point``."""
     return _squared_norms((unpack_keys(packed) + 0.5) * resolution - _xyz(point))
-
-
-def allowed_precisions(vox_min: float, levels: int) -> List[float]:
-    """The power-of-two precision ladder imposed by the OctoMap framework.
-
-    Equation (3)'s constraint set requires every stage precision to be
-    ``vox_min * 2**n`` for ``0 <= n <= d - 1``.
-    """
-    if vox_min <= 0:
-        raise ValueError("minimum voxel size must be positive")
-    if levels < 1:
-        raise ValueError("need at least one precision level")
-    return [vox_min * (2**n) for n in range(levels)]
 
 
 class OccupancyOctree:
@@ -193,10 +180,6 @@ class OccupancyOctree:
     def _in_free_region(self, point: Vec3) -> bool:
         key = _pack_one(voxel_key(point, self.free_resolution))
         return bool(contains(self._free, key)[0])
-
-    def is_free(self, point: Vec3) -> bool:
-        """True when the point's region has been observed and holds no occupied voxel."""
-        return not self.is_occupied(point) and self._in_free_region(point)
 
     def is_unknown(self, point: Vec3) -> bool:
         """True when the point's region has never been observed."""
@@ -348,10 +331,6 @@ class OccupancyOctree:
     def observed_voxel_count(self) -> int:
         """Number of observed cells (occupied voxels plus free regions)."""
         return int(self._occupied.shape[0] + self._free.shape[0])
-
-    def occupied_volume(self) -> float:
-        """Total occupied volume, m^3."""
-        return self.occupied_voxel_count() * self.vox_min**3
 
     def observed_volume(self) -> float:
         """Total observed (occupied + free) volume, m^3 — the paper's v_map."""

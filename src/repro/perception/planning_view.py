@@ -5,7 +5,7 @@ RoboRun's perception→planning operators control both the *precision*
 (pruning the tree to the cells nearest the drone) of the map the planner is
 allowed to see.  :class:`PlanningView` is that reduced map: a set of occupied
 grid cells at the chosen precision, bounded in total volume, with the
-collision queries the planner needs.
+segment collision query the planner needs.
 
 The view is built every decision but read by the planner only on the
 decisions that plan, so it holds its cells as a key array and builds the
@@ -17,20 +17,15 @@ directly controls how many points each segment check probes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 import numpy as np
 
-from repro.geometry.aabb import AABB
-from repro.geometry.grid import VoxelKey, voxel_center
+from repro.geometry.grid import VoxelKey
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
-from repro.perception.spatial_index import (
-    point_hits_cells,
-    segment_hits_cells,
-)
+from repro.perception.spatial_index import segment_hits_cells
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -70,22 +65,6 @@ class PlanningView:
         """True when the planner sees no obstacles."""
         return self.keys.shape[0] == 0
 
-    @property
-    def boxes(self) -> Tuple[AABB, ...]:
-        """The occupied cells as axis-aligned boxes (for analysis/plotting)."""
-        return tuple(
-            AABB.cube(voxel_center(key, self.precision), self.precision)
-            for key in self.cells
-        )
-
-    def point_in_collision(self, point: Vec3, margin: float = 0.0) -> bool:
-        """True when a point lies inside (or within margin of) an occupied cell.
-
-        The margin is applied in grid space (rounded to whole cells and capped
-        at two cells) so that the check stays a handful of set lookups.
-        """
-        return point_hits_cells(self.cells, self.precision, point, margin)
-
     def segment_in_collision(
         self,
         start: Vec3,
@@ -112,29 +91,6 @@ class PlanningView:
         return segment_hits_cells(
             self.cells, self.precision, start, end, ray_step, margin
         )
-
-    def nearest_obstacle_distance(self, point: Vec3, default: float = 100.0) -> float:
-        """Distance from a point to the nearest occupied cell centre."""
-        best_sq = default * default
-        for key in self.cells:
-            center = voxel_center(key, self.precision)
-            dx = center.x - point.x
-            dy = center.y - point.y
-            dz = center.z - point.z
-            d_sq = dx * dx + dy * dy + dz * dz
-            if d_sq < best_sq:
-                best_sq = d_sq
-        return math.sqrt(best_sq)
-
-    def bounding_box(self) -> Optional[AABB]:
-        """The AABB containing every occupied cell, or None when empty."""
-        if self.is_empty():
-            return None
-        boxes = self.boxes
-        result = boxes[0]
-        for box in boxes[1:]:
-            result = result.union(box)
-        return result
 
 
 def build_planning_view(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.geometry.grid import downsample
-from repro.geometry.vec3 import Vec3, centroid
+from repro.geometry.vec3 import Vec3
 from repro.sensors.rig import RigScan
 
 
@@ -79,12 +79,6 @@ class PointCloud:
         if self.is_empty():
             return math.inf
         return float(self.origin_distances().min())
-
-    def centroid(self) -> Optional[Vec3]:
-        """Mean of the observed points, or ``None`` when empty."""
-        if self.is_empty():
-            return None
-        return centroid([Vec3(*p) for p in self.points.tolist()])
 
     def points_within(self, radius: float) -> np.ndarray:
         """The ``(M, 3)`` points within ``radius`` metres of the sensor origin."""

@@ -121,10 +121,6 @@ class Trajectory:
             total += a.position.distance_to(b.position)
         return total
 
-    def max_speed(self) -> float:
-        """Maximum sampled speed along the trajectory."""
-        return max(p.speed for p in self._points)
-
     def mean_speed(self) -> float:
         """Path length divided by duration (0 for zero-duration trajectories)."""
         if self.duration == 0:

@@ -71,10 +71,6 @@ class DepthImage:
         o = np.array((self.origin.x, self.origin.y, self.origin.z))
         return o + directions[idx] * depths[idx][:, None]
 
-    def hit_count(self) -> int:
-        """Number of pixels that measured a finite depth."""
-        return sum(1 for d in self.depths if math.isfinite(d))
-
     def min_depth(self) -> float:
         """The closest measured depth (max range when nothing was hit)."""
         finite = [d for d in self.depths if math.isfinite(d)]

@@ -39,10 +39,6 @@ class RigScan:
         """Total rays cast across every camera in this scan."""
         return sum(img.width * img.height for img in self.images)
 
-    def min_obstacle_distance(self) -> float:
-        """Closest measured obstacle distance across every camera."""
-        return min(image.min_depth() for image in self.images)
-
     def mean_visibility(self) -> float:
         """Average visibility over every camera (metres)."""
         if not self.images:

@@ -269,9 +269,9 @@ class CampaignResult:
         Campaigns can mix outcomes with heterogeneous metric dictionaries
         (a fleet-only metric is absent from single-drone missions), so the
         mean is taken over exactly the outcomes where the key is present —
-        the honest denominator, exposed as :meth:`metric_count` — rather
-        than raising ``KeyError`` on the first outcome without it.  Returns
-        0.0 when no outcome carries the key.
+        the honest denominator — rather than raising ``KeyError`` on the
+        first outcome without it.  Returns 0.0 when no outcome carries the
+        key.
         """
         values = [
             (o.metrics or {})[key]
@@ -281,12 +281,6 @@ class CampaignResult:
         if not values:
             return 0.0
         return sum(values) / len(values)
-
-    def metric_count(self, key: str, design: Optional[str] = None) -> int:
-        """How many outcomes :meth:`mean_metric` averaged for this key."""
-        return sum(
-            1 for o in self._select(design) if o.ok and key in (o.metrics or {})
-        )
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-design mission-level summary (the Figure 7 quantities)."""

@@ -34,10 +34,13 @@ so a typo'd grid JSON fails loudly instead of running fault-free.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
+from repro.fields import check_number_fields
 from repro.middleware.latency import COMM_STAGES
 
 __all__ = [
@@ -128,6 +131,22 @@ def _check_keys(
         raise ValueError(f"{context!r} is missing required key(s) {missing}")
 
 
+def _check_fields(value: Any) -> None:
+    """Reject a numeric field of the wrong type, then store reals as floats.
+
+    A JSON ``2`` is a valid real; storing it as ``2.0`` keeps ``to_dict``,
+    and every trace that embeds the spec, the same whether the value came
+    from JSON or from Python.  A NaN or infinite real is rejected too.
+    """
+    check_number_fields(value)
+    for field in dataclasses.fields(value):
+        if field.type == "float":
+            real = float(getattr(value, field.name))
+            if not math.isfinite(real):
+                raise ValueError(f"{field.name} must be finite, got {real!r}")
+            object.__setattr__(value, field.name, real)
+
+
 # ----------------------------------------------------------------------
 # The fault interface
 # ----------------------------------------------------------------------
@@ -201,6 +220,7 @@ class SensorDropout(Fault):
     start_decision: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.every_n < 2:
             raise ValueError("dropout every_n must be at least 2")
         if self.start_decision < 0:
@@ -222,8 +242,8 @@ class SensorDropout(Fault):
     def from_dict(cls, data: Dict[str, Any]) -> "SensorDropout":
         _check_keys(data, ("every_n", "start_decision"), "sensor_dropout", ("every_n",))
         return cls(
-            every_n=int(data["every_n"]),
-            start_decision=int(data.get("start_decision", 0)),
+            every_n=data["every_n"],
+            start_decision=data.get("start_decision", 0),
         )
 
 
@@ -244,6 +264,7 @@ class CameraDegradation(Fault):
     after_decision: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.width < 1 or self.height < 1:
             raise ValueError("degraded resolution must be at least 1x1")
         if self.after_decision < 0:
@@ -268,9 +289,9 @@ class CameraDegradation(Fault):
         keys = ("width", "height", "after_decision")
         _check_keys(data, keys, "camera_degradation", keys[:2])
         return cls(
-            width=int(data["width"]),
-            height=int(data["height"]),
-            after_decision=int(data.get("after_decision", 0)),
+            width=data["width"],
+            height=data["height"],
+            after_decision=data.get("after_decision", 0),
         )
 
 
@@ -307,6 +328,7 @@ class CommsDropout(Fault):
     retransmit_s: float = 0.05
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.hop not in COMM_HOPS:
             raise ValueError(
                 f"unknown comm hop {self.hop!r}; expected one of {list(COMM_HOPS)}"
@@ -339,9 +361,9 @@ class CommsDropout(Fault):
     def from_dict(cls, data: Dict[str, Any]) -> "CommsDropout":
         _check_keys(data, ("hop", "every_n", "retransmit_s"), "comms_dropout")
         return cls(
-            hop=str(data.get("hop", "all")),
-            every_n=int(data.get("every_n", 1)),
-            retransmit_s=float(data.get("retransmit_s", 0.05)),
+            hop=data.get("hop", "all"),
+            every_n=data.get("every_n", 1),
+            retransmit_s=data.get("retransmit_s", 0.05),
         )
 
 
@@ -360,6 +382,7 @@ class CommsLatencySpike(Fault):
     hop: str = "all"
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.factor <= 1.0:
             raise ValueError("latency spike factor must exceed 1")
         if self.hop not in COMM_HOPS:
@@ -380,10 +403,7 @@ class CommsLatencySpike(Fault):
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CommsLatencySpike":
         _check_keys(data, ("factor", "hop"), "comms_latency_spike")
-        return cls(
-            factor=float(data.get("factor", 4.0)),
-            hop=str(data.get("hop", "all")),
-        )
+        return cls(factor=data.get("factor", 4.0), hop=data.get("hop", "all"))
 
 
 # ----------------------------------------------------------------------
@@ -408,6 +428,7 @@ class PowerBrownout(Fault):
     scale: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not 0.0 < self.scale < 1.0:
             raise ValueError("brownout scale must lie strictly between 0 and 1")
 
@@ -420,7 +441,7 @@ class PowerBrownout(Fault):
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PowerBrownout":
         _check_keys(data, ("scale",), "power_brownout")
-        return cls(scale=float(data.get("scale", 0.5)))
+        return cls(scale=data.get("scale", 0.5))
 
 
 @register_fault("thermal_throttle")
@@ -442,6 +463,7 @@ class ThermalThrottle(Fault):
     max_factor: float = 2.0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.ramp_per_decision <= 0:
             raise ValueError("thermal ramp_per_decision must be positive")
         if self.max_factor < 1.0:
@@ -460,8 +482,8 @@ class ThermalThrottle(Fault):
     def from_dict(cls, data: Dict[str, Any]) -> "ThermalThrottle":
         _check_keys(data, ("ramp_per_decision", "max_factor"), "thermal_throttle")
         return cls(
-            ramp_per_decision=float(data.get("ramp_per_decision", 0.05)),
-            max_factor=float(data.get("max_factor", 2.0)),
+            ramp_per_decision=data.get("ramp_per_decision", 0.05),
+            max_factor=data.get("max_factor", 2.0),
         )
 
 
@@ -487,8 +509,12 @@ class StuckMover(Fault):
     mover: str = "*"
 
     def __post_init__(self) -> None:
-        if not self.mover:
-            raise ValueError("stuck mover pattern must be non-empty ('*' for all)")
+        _check_fields(self)
+        if not isinstance(self.mover, str) or not self.mover:
+            raise ValueError(
+                "stuck mover pattern 'mover' must be a non-empty string "
+                f"('*' for all), got {self.mover!r}"
+            )
 
     def freezes_mover(self, mover_name: str) -> bool:
         return (
@@ -503,7 +529,7 @@ class StuckMover(Fault):
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StuckMover":
         _check_keys(data, ("mover",), "stuck_mover")
-        return cls(mover=str(data.get("mover", "*")))
+        return cls(mover=data.get("mover", "*"))
 
 
 # ----------------------------------------------------------------------
@@ -535,6 +561,7 @@ class FaultSchedule:
     jitter: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         name = getattr(type(self.fault), "fault_name", "")
         if not name or not is_registered_fault(name):
             raise ValueError(
@@ -586,17 +613,18 @@ class FaultSchedule:
             raise ValueError(
                 f"unknown fault {name!r} in schedule; registered: {fault_names()}"
             )
-        params = data.get("params") or {}
+        params = data.get("params")
+        if params is None:
+            params = {}
         if not isinstance(params, dict):
             raise ValueError(
                 f"schedule 'params' of {name!r} must be a JSON object, got {params!r}"
             )
-        clear_at = data.get("clear_at")
         return cls(
             fault=get_fault(str(name)).from_dict(params),
-            activate_at=int(data.get("activate_at", 0)),
-            clear_at=int(clear_at) if clear_at is not None else None,
-            jitter=int(data.get("jitter", 0)),
+            activate_at=data.get("activate_at", 0),
+            clear_at=data.get("clear_at"),
+            jitter=data.get("jitter", 0),
         )
 
 
@@ -669,7 +697,7 @@ class FaultSet:
 
     @classmethod
     def from_dict(cls, data: Optional[Dict[str, Any]]) -> "FaultSet":
-        if not data:
+        if data is None:
             return cls()
         if not isinstance(data, dict):
             raise ValueError(f"'faults' must be a JSON object, got {data!r}")
@@ -680,17 +708,20 @@ class FaultSet:
                 f"faults: {fault_names()} (legacy keys "
                 f"{list(FAULT_SET_KEYS[:2])} plus 'schedule' entries)"
             )
+        # Only null means "absent": a 0, "" or [] in a fault field is an error.
         dropout = data.get("sensor_dropout")
         degradation = data.get("camera_degradation")
-        schedule = data.get("schedule") or ()
+        schedule = data.get("schedule")
+        if schedule is None:
+            schedule = ()
         if not isinstance(schedule, (list, tuple)):
             raise ValueError(
                 f"fault set 'schedule' must be a list of windows, got {schedule!r}"
             )
         return cls(
-            sensor_dropout=SensorDropout.from_dict(dropout) if dropout else None,
+            sensor_dropout=None if dropout is None else SensorDropout.from_dict(dropout),
             camera_degradation=(
-                CameraDegradation.from_dict(degradation) if degradation else None
+                None if degradation is None else CameraDegradation.from_dict(degradation)
             ),
             schedule=tuple(FaultSchedule.from_dict(entry) for entry in schedule),
         )

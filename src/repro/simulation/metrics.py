@@ -70,19 +70,6 @@ class MissionMetrics:
         }
 
 
-def summarise_zone_latency_variation(
-    traces: List[DecisionRecord],
-) -> Dict[str, float]:
-    """Max-minus-min end-to-end latency per zone (the §V-C variation numbers)."""
-    by_zone: Dict[str, List[float]] = {}
-    for trace in traces:
-        by_zone.setdefault(trace.zone, []).append(trace.end_to_end_latency)
-    return {
-        zone: (max(values) - min(values)) if values else 0.0
-        for zone, values in by_zone.items()
-    }
-
-
 def summarise_zone_velocity(traces: List[DecisionRecord]) -> Dict[str, float]:
     """Mean flown speed per zone (zone B should be fastest for RoboRun)."""
     by_zone: Dict[str, List[float]] = {}

@@ -18,6 +18,7 @@ assembly.  Stage logic and latency charging live in the nodes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
@@ -163,8 +164,15 @@ class MissionConfig:
                 if not valid(value):
                     raise ValueError(f"{name} {rule}, got {value!r}")
         band = self.flight_band_m
-        if not isinstance(band, Sequence) or len(band) != 2:
-            raise ValueError("flight_band_m must be a (low, high) pair")
+        if (
+            not isinstance(band, Sequence)
+            or isinstance(band, str)
+            or len(band) != 2
+            or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in band)
+        ):
+            raise ValueError(
+                f"flight_band_m must be a (low, high) pair of real numbers, got {band!r}"
+            )
         low, high = float(band[0]), float(band[1])
         if not low < high:
             raise ValueError(

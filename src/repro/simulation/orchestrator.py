@@ -74,11 +74,6 @@ class FaultOrchestrator:
         #: entirely, keeping the nominal path untouched.
         self.enabled = bool(self._windows)
 
-    @property
-    def windows(self) -> Tuple[FaultWindow, ...]:
-        """The resolved windows, in fault-set order."""
-        return tuple(self._windows)
-
     def active(self, index: int) -> List[Tuple[Fault, int]]:
         """Every fault covering ``index``, as ``(fault, active_for)`` pairs."""
         return [

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
@@ -195,14 +194,6 @@ class ScenarioSpec:
             world=WorldSpec.from_dict(_checked_world(data.get("world"), "world")),
             n_drones=data.get("n_drones", 1),
         )
-
-    def to_json(self) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(payload))
 
 
 def checked_config_fields(config_cls: type, data: Any, field: str) -> Dict[str, Any]:

@@ -36,7 +36,6 @@ from repro.worlds.movers import (
 from repro.worlds.registry import (
     archetype_names,
     build_environment,
-    build_world,
     get_archetype,
     is_registered,
     register_archetype,
@@ -55,7 +54,6 @@ __all__ = [
     "WorldSpec",
     "archetype_names",
     "build_environment",
-    "build_world",
     "build_movers",
     "get_archetype",
     "is_registered",

@@ -124,10 +124,6 @@ class HeterogeneityField:
         t = station - low
         return self.samples[low] * (1.0 - t) + self.samples[high] * t
 
-    def mean(self) -> float:
-        """Mean difficulty over the stations."""
-        return sum(self.samples) / len(self.samples)
-
     def peak(self) -> float:
         """Maximum station difficulty."""
         return max(self.samples)

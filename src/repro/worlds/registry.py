@@ -2,14 +2,11 @@
 
 An *archetype generator* is a callable ``(EnvironmentConfig, WorldSpec,
 random.Random) -> GeneratedEnvironment`` registered under a unique name.
-The registry is the worlds subsystem's single construction entry point:
-
-* :func:`build_environment` — the scenario layer's path: environment
-  difficulty knobs plus a :class:`~repro.worlds.spec.WorldSpec` in, a fully
-  finalised :class:`~repro.environment.generator.GeneratedEnvironment` out
-  (heterogeneity field attached, movers bound, archetype stamped);
-* :func:`build_world` — the standalone path for tools and tests that have
-  only a spec.
+The registry is the worlds subsystem's single construction entry point,
+:func:`build_environment`: environment difficulty knobs plus a
+:class:`~repro.worlds.spec.WorldSpec` in, a fully finalised
+:class:`~repro.environment.generator.GeneratedEnvironment` out (heterogeneity
+field attached, movers bound, archetype stamped).
 
 Registration is open: downstream code can add archetypes with
 :func:`register_archetype` and campaigns sweep them by name — the registry
@@ -106,14 +103,6 @@ def build_environment(
         replace(config, seed=seed), world_spec, random.Random(seed)
     )
     return _finalise(environment, config, world_spec)
-
-
-def build_world(
-    spec: WorldSpec, config: Optional[EnvironmentConfig] = None
-) -> GeneratedEnvironment:
-    """Standalone construction from a spec alone (default difficulty knobs)."""
-    base = config or EnvironmentConfig(seed=spec.seed or 0)
-    return build_environment(base, spec)
 
 
 def _finalise(

@@ -73,16 +73,6 @@ class WorldSpec:
             (self.archetype, self.seed, tuple(sorted(self.params.items())), self.movers)
         )
 
-    @property
-    def is_default(self) -> bool:
-        """True for the implicit pre-worlds world (plain paper corridor)."""
-        return (
-            self.archetype == DEFAULT_ARCHETYPE
-            and self.seed is None
-            and not self.params
-            and not self.movers
-        )
-
     def param(self, name: str, default: float) -> float:
         """One archetype knob with a default (the generators' accessor)."""
         return float(self.params.get(name, default))

@@ -264,11 +264,3 @@ class TestCampaignTraceDeterminism:
             traced = spec.run(recorder=TraceRecorder(spec=spec))
             assert traced.metrics.as_dict() == plain.metrics.as_dict()
             assert traced.pipeline.dispatch_log() == plain.pipeline.dispatch_log()
-
-
-class TestMissionRecordFromResult:
-    def test_from_result_matches_recorder(self, traced_mission):
-        record = MissionRecord.from_result(
-            traced_mission["result"], spec=traced_mission["spec"]
-        )
-        assert record == traced_mission["recorder"].mission_record

@@ -64,14 +64,7 @@ class TestKnobPolicy:
         with pytest.raises(ValueError):
             KnobPolicy(0.3, 0.3, 5000, 2000, 3000)  # v0 > v1
 
-    def test_clamp_policy(self):
-        limits = KnobLimits()
-        wild = KnobPolicy(0.3, 9.6, 59_000, 2_000_000, 5_000_000)
-        clamped = limits.clamp_policy(wild)
-        assert clamped.map_to_planner_volume <= limits.map_to_planner_volume_max
-        assert clamped.planner_volume <= limits.planner_volume_max
-
-    def test_as_dict_and_with_helpers(self):
+    def test_as_dict_names_every_knob(self):
         policy = STATIC_BASELINE_POLICY
         assert set(policy.as_dict()) == {
             "point_cloud_precision",
@@ -80,8 +73,6 @@ class TestKnobPolicy:
             "map_to_planner_volume",
             "planner_volume",
         }
-        finer = policy.with_precision(0.3, 0.6)
-        assert finer.map_to_planner_precision == 0.6
 
 
 class TestProfilers:
@@ -255,7 +246,7 @@ class TestOperators:
         )
         assert out.plan is not None and out.plan.success
         assert out.trajectory is not None
-        assert out.trajectory.max_speed() <= 2.0 + 1e-6
+        assert max(p.speed for p in out.trajectory.points) <= 2.0 + 1e-6
         assert out.work.planner_iterations > 0
         assert ops.plan_count == 1
 
@@ -289,9 +280,9 @@ class TestRuntimes:
         assert open_decision.time_budget == tight_decision.time_budget
 
     def test_baseline_design_velocity_is_conservative(self):
-        baseline = SpatialObliviousRuntime()
-        assert 0.1 <= baseline.design_velocity <= 1.5
-        assert baseline.design_latency > 1.0
+        decision = SpatialObliviousRuntime().decide(self.make_profile())
+        assert 0.1 <= decision.velocity_cap <= 1.5
+        assert decision.predicted_latency > 1.0
 
     def test_baseline_worst_case_assumptions_matter(self):
         optimistic = SpatialObliviousRuntime(
@@ -300,7 +291,11 @@ class TestRuntimes:
         pessimistic = SpatialObliviousRuntime(
             design_point=BaselineDesignPoint(worst_case_visibility=5.0)
         )
-        assert optimistic.design_velocity >= pessimistic.design_velocity
+        profile = self.make_profile()
+        assert (
+            optimistic.decide(profile).velocity_cap
+            >= pessimistic.decide(profile).velocity_cap
+        )
 
     def test_roborun_adapts_policy_to_space(self):
         runtime = RoboRunRuntime()
@@ -315,12 +310,3 @@ class TestRuntimes:
             > tight_decision.policy.point_cloud_precision
         )
         assert open_decision.velocity_cap >= tight_decision.velocity_cap
-        assert len(runtime.decisions) == 2
-        assert len(runtime.precision_trace()) == 2
-        assert len(runtime.budget_trace()) == 2
-
-    def test_roborun_reset_clears_trace(self):
-        runtime = RoboRunRuntime()
-        runtime.decide(self.make_profile())
-        runtime.reset()
-        assert runtime.decisions == []

@@ -40,7 +40,7 @@ class TestInstruments:
         assert h.count == 4
         assert h.counts == [1, 2, 1]
         assert h.cumulative_counts() == [1, 3, 4]
-        assert h.mean == pytest.approx(6.05 / 4)
+        assert h.total / h.count == pytest.approx(6.05 / 4)
 
     def test_histogram_boundary_lands_in_its_bucket(self):
         # Prometheus buckets are cumulative upper bounds (le): an observation

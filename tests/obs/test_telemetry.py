@@ -8,6 +8,7 @@ a telemetry-enabled run.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.obs.heartbeat import (
     HEARTBEAT_STATUSES,
     HeartbeatEmitter,
     HeartbeatRecord,
-    ListSink,
     peak_rss_mb,
     read_heartbeats,
     runtime_summary,
@@ -65,11 +65,12 @@ class TestHeartbeatPrimitives:
         assert peak_rss_mb() > 0
 
     def test_write_and_read_round_trip(self, tmp_path):
-        sink = ListSink()
+        records = []
+        sink = SimpleNamespace(put=records.append)
         emitter = HeartbeatEmitter("spec-a", sink, min_interval_s=0.0)
         emitter.emit("start")
         emitter.emit("done")
-        path = write_heartbeats(sink.records, tmp_path / "t" / HEARTBEAT_FILE)
+        path = write_heartbeats(records, tmp_path / "t" / HEARTBEAT_FILE)
         records = read_heartbeats(path)
         assert [r.status for r in records] == ["start", "done"]
         assert [r.seq for r in records] == [0, 1]

@@ -262,7 +262,8 @@ def _mover_world(rng):
     world = World(AABB(Vec3(-60, -60, 0), Vec3(60, 60, 40)))
     for _ in range(rng.randint(3, 12)):
         c = Vec3(rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(2, 20))
-        world.add_obstacle(Obstacle(AABB.cube(c, rng.uniform(1.0, 5.0))))
+        edge = rng.uniform(1.0, 5.0)
+        world.add_obstacle(Obstacle(AABB.from_center(c, Vec3(edge, edge, edge))))
     specs = (
         MoverSpec(
             kind="crosser",
@@ -281,9 +282,8 @@ def _mover_world(rng):
     )
     movers = DynamicObstacleSet(build_movers(specs), world)
     movers.step(rng.randint(0, 40))
-    world.set_agent_obstacles(
-        [Obstacle(AABB.cube(Vec3(5.0, 5.0, 4.0), 1.2), name="peer")]
-    )
+    peer = AABB.from_center(Vec3(5.0, 5.0, 4.0), Vec3(1.2, 1.2, 1.2))
+    world.set_agent_obstacles([Obstacle(peer, name="peer")])
     return world
 
 
@@ -472,7 +472,7 @@ class TestPlanningKernels:
                 i = rng.randrange(len(waypoints))
                 a, b = waypoints[i], waypoints[min(i + 1, len(waypoints) - 1)]
                 centre = a + (b - a) * rng.random() + random_vec(rng, -1.5, 1.5)
-                octree.mark_box(AABB.cube(centre, 0.9))
+                octree.mark_box(AABB.from_center(centre, Vec3(0.9, 0.9, 0.9)))
             for _ in range(5):
                 position = rng.choice(waypoints) + random_vec(rng, -1.0, 1.0)
                 assert planning_node.trajectory_blocked(
@@ -862,7 +862,7 @@ def test_octree_matches_set_model_under_random_workload(ops, query):
             octree.mark_free(op[1])
             free.add(voxel_key(op[1], res_free))
         elif kind == "box":
-            box = AABB.cube(op[1], op[2])
+            box = AABB.from_center(op[1], Vec3(op[2], op[2], op[2]))
             keys = octree.mark_box(box)
             expected = mark_box_oracle(occupied, free, vox_min, res_free, box)
             assert key_list(keys) == expected

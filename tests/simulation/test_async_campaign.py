@@ -387,9 +387,7 @@ class TestMeanMetricHeterogeneous:
         )
         # No KeyError, and the denominator is the carrying outcomes only.
         assert result.mean_metric("fleet_energy_kj") == pytest.approx(3.0)
-        assert result.metric_count("fleet_energy_kj") == 1
         assert result.mean_metric("mission_time_s") == pytest.approx(15.0)
-        assert result.metric_count("mission_time_s") == 2
 
     def test_summary_survives_heterogeneous_metrics(self):
         result = CampaignResult(
@@ -404,4 +402,3 @@ class TestMeanMetricHeterogeneous:
     def test_absent_key_is_zero(self):
         result = CampaignResult(outcomes=[self._outcome("a", {"x": 1.0})])
         assert result.mean_metric("no_such_metric") == 0.0
-        assert result.metric_count("no_such_metric") == 0

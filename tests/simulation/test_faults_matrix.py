@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     CameraDegradation,
@@ -120,6 +121,15 @@ FAULT_CASES = {
 }
 
 ALL_FAULTS = sorted(FAULT_CASES)
+
+#: Any JSON value: what a hand-written grid file can put in a fault field.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+PARAM_NAMES = sorted({key for case in FAULT_CASES.values() for key in case.valid.to_dict()})
 
 
 def scheduled_set(fault, activate_at=2, clear_at=None, jitter=0):
@@ -232,7 +242,7 @@ class TestRoundTrip:
             faults=scheduled_set(FAULT_CASES[name].valid, clear_at=8),
             world=FAULT_CASES[name].world,
         )
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 class TestValidation:
@@ -254,6 +264,22 @@ class TestValidation:
         params["warp_drive"] = 1
         with pytest.raises(ValueError, match="warp_drive"):
             get_fault(name).from_dict(params)
+
+    @given(
+        fault=st.sampled_from(ALL_FAULTS),
+        params=JSON_VALUES
+        | st.dictionaries(st.sampled_from(PARAM_NAMES), JSON_VALUES, max_size=3),
+        window=st.dictionaries(
+            st.sampled_from(("activate_at", "clear_at", "jitter")), JSON_VALUES
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_entry_parses_or_raises_value_error(self, fault, params, window):
+        entry = {"fault": fault, "params": params, **window}
+        try:
+            FaultSet.from_dict({"schedule": [entry]})
+        except ValueError:
+            pass
 
     def test_unknown_fault_set_key_names_registered_faults(self):
         with pytest.raises(ValueError) as err:
@@ -314,7 +340,6 @@ class TestScheduleResolution:
     def test_orchestrator_disabled_without_faults(self):
         orch = FaultOrchestrator(FaultSet(), seed=0)
         assert not orch.enabled
-        assert orch.windows == ()
         stages = {"perception": 0.1, "comm_octomap": 0.01}
         assert orch.apply_stage_latencies(0, stages) == stages
 
@@ -339,8 +364,9 @@ class TestScheduleResolution:
         faults = FaultSet(sensor_dropout=SensorDropout(every_n=2))
         orch = FaultOrchestrator(faults, seed=0)
         assert orch.enabled
-        window = orch.windows[0]
-        assert (window.start, window.end) == (0, None)
+        # One window, open from decision 0 and never closed.
+        assert orch.active(0) == [(faults.sensor_dropout, 0)]
+        assert [n for _, n in orch.active(10_000)] == [10_000]
         assert orch.sensor_dropped(1) and not orch.sensor_dropped(0)
 
     def test_stuck_mover_pins_earliest_covering_window(self):

@@ -243,7 +243,7 @@ class TestBackCompat:
 
     def test_spec_round_trips_fleet_size(self):
         spec = ScenarioSpec(name="pair", n_drones=2)
-        assert ScenarioSpec.from_json(spec.to_json()).n_drones == 2
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).n_drones == 2
 
     def test_invalid_fleet_size_rejected(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ class TestScenarioSpec:
             mission=dataclasses.replace(TINY_CFG, flight_band_m=(1.5, 9.5)),
             faults=FaultSet(sensor_dropout=SensorDropout(every_n=4, start_decision=2)),
         )
-        restored = ScenarioSpec.from_json(spec.to_json())
+        restored = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
         assert restored.mission.flight_band_m == (1.5, 9.5)
         assert restored.faults.sensor_dropout.every_n == 4
@@ -152,7 +152,7 @@ class TestScenarioGrid:
         assert all(spec.world.archetype in spec.name for spec in specs)
         # Grid dictionaries round-trip through JSON (the campaign pool path).
         for spec in specs:
-            assert ScenarioSpec.from_json(spec.to_json()) == spec
+            assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_repeated_archetype_variants_get_distinct_names(self):
         specs = scenario_grid(
@@ -191,6 +191,14 @@ def _spec_with_mover(mover):
     data = tiny_spec().to_dict()
     data["world"] = {**CROSSER_WORLD, "movers": [mover]}
     return data
+
+
+def _spec_with_faults(faults):
+    return {**tiny_spec().to_dict(), "faults": faults}
+
+
+def _scheduled(fault, params, **window):
+    return _spec_with_faults({"schedule": [{"fault": fault, "params": params, **window}]})
 
 
 GOOD_GRID = {
@@ -276,6 +284,30 @@ BAD_SPECS = {
     "mover_size_entry_is_a_string": (_spec_with_mover({**CROSSER, "size": ["a", 1, 1]}), "size"),
     "mover_size_entry_is_a_bool": (_spec_with_mover({**CROSSER, "size": [True, 1, 1]}), "size"),
     "mover_velocity_is_null": (_spec_with_mover({**CROSSER, "velocity": None}), "velocity"),
+    "brownout_scale_is_a_string": (_scheduled("power_brownout", {"scale": "0.5"}), "scale"),
+    "brownout_scale_is_a_list": (_scheduled("power_brownout", {"scale": [1]}), "scale"),
+    "sensor_dropout_every_n_is_a_float": (
+        _spec_with_faults({"sensor_dropout": {"every_n": 2.5}}), "every_n"
+    ),
+    "sensor_dropout_every_n_is_a_string": (
+        _spec_with_faults({"sensor_dropout": {"every_n": "3"}}), "every_n"
+    ),
+    "comms_dropout_every_n_is_a_float": (
+        _scheduled("comms_dropout", {"every_n": 3.7}), "every_n"
+    ),
+    "stuck_mover_is_null": (_scheduled("stuck_mover", {"mover": None}), "mover"),
+    "schedule_activate_at_is_a_string": (
+        _scheduled("power_brownout", {}, activate_at="1"), "activate_at"
+    ),
+    "flight_band_entry_is_a_string": (
+        _spec_with("mission", "flight_band_m", ["a", 3]), "flight_band_m"
+    ),
+    "flight_band_entry_is_a_bool": (
+        _spec_with("mission", "flight_band_m", [True, 3]), "flight_band_m"
+    ),
+    "faults_is_a_list": (_spec_with_faults([]), "'faults'"),
+    "schedule_is_zero": (_spec_with_faults({"schedule": 0}), "'schedule'"),
+    "sensor_dropout_is_a_list": (_spec_with_faults({"sensor_dropout": []}), "'sensor_dropout'"),
 }
 
 BAD_GRIDS = {

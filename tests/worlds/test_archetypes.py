@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import EnvironmentConfig, WorldSpec, build_environment, build_world
+from repro import EnvironmentConfig, WorldSpec, build_environment
 from repro.environment.generator import EnvironmentGenerator
 from repro.geometry.vec3 import Vec3
 from repro.worlds import archetype_names, get_archetype, is_registered, register_archetype
@@ -53,7 +53,7 @@ class TestRegistry:
         with pytest.raises(KeyError, match="paper_corridor"):
             get_archetype("volcano")
         with pytest.raises(KeyError):
-            build_world(WorldSpec(archetype="volcano"))
+            build_environment(EnvironmentConfig(), WorldSpec(archetype="volcano"))
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -73,9 +73,9 @@ class TestRegistry:
             )
 
         try:
-            env = build_world(WorldSpec(archetype="test_only_empty"), TINY)
+            env = build_environment(TINY, WorldSpec(archetype="test_only_empty"))
             assert env.archetype == "test_only_empty"
-            assert env.world.obstacle_count() == 0
+            assert len(env.world.obstacles) == 0
             assert env.heterogeneity is not None
         finally:
             from repro.worlds import registry
@@ -89,7 +89,7 @@ class TestArchetypeInvariants:
         env = build_environment(TINY, WorldSpec(archetype=name))
         assert env.archetype == name
         assert env.world_spec == WorldSpec(archetype=name)
-        assert env.world.obstacle_count() > 0
+        assert len(env.world.obstacles) > 0
         assert env.start == Vec3(0.0, 0.0, TINY.flight_altitude)
         assert env.goal == Vec3(TINY.goal_distance, 0.0, TINY.flight_altitude)
         # Obstacle centres stay in bounds.
@@ -138,7 +138,7 @@ class TestArchetypeInvariants:
             ),
             WorldSpec(archetype="forest"),
         )
-        assert dense.world.obstacle_count() > sparse.world.obstacle_count()
+        assert len(dense.world.obstacles) > len(sparse.world.obstacles)
 
 
 class TestGolden:
@@ -206,10 +206,10 @@ class TestWorldSpec:
         assert hash(restored) == hash(spec)
 
     def test_default_is_paper_corridor(self):
-        assert WorldSpec().is_default
+        assert WorldSpec().archetype == "paper_corridor"
         assert WorldSpec.from_dict(None) == WorldSpec()
         assert WorldSpec.from_dict({}) == WorldSpec()
-        assert not WorldSpec(archetype="forest").is_default
+        assert WorldSpec(archetype="forest") != WorldSpec()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -125,14 +125,14 @@ class TestDynamicObstacleSet:
         dynamics = DynamicObstacleSet(build_movers([CROSSER]), world)
         dynamics.step(0)
         assert world.is_occupied(Vec3(30.0, -20.0, 2.0))
-        assert world.nearest_obstacle_distance(Vec3(30.0, -17.0, 2.0)) < 3.0
+        assert min(o.distance_to(Vec3(30.0, -17.0, 2.0)) for o in world.dynamic_obstacles) < 3.0
         dynamics.step(4)
         assert not world.is_occupied(Vec3(30.0, -20.0, 2.0))
         assert world.is_occupied(Vec3(30.0, -16.0, 2.0))
         assert world.segment_collides(Vec3(25, -16, 2), Vec3(35, -16, 2))
         assert len(world.dynamic_obstacles) == 1
         # Static obstacle accounting is untouched.
-        assert world.obstacle_count() == 0
+        assert len(world.obstacles) == 0
 
     def test_step_is_deterministic_and_absolute(self):
         """Stepping to an epoch directly equals stepping through all epochs."""
