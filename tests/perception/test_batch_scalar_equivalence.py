@@ -34,18 +34,32 @@ from repro.perception.spatial_index import (
 )
 from repro.planning.rrt_star import _CollisionChecker, _PositionBuffer
 from repro.planning.trajectory import Trajectory, TrajectoryPoint
-from repro.sensors.depth_camera import DepthCamera, DepthImage
+from repro.sensors.depth_camera import DepthImage
+from repro.sensors.rig import CameraRig
 from repro.worlds.movers import DynamicObstacleSet, build_movers
 
 
-def capture_oracle(camera, world, position, yaw):
-    """Directions and depths of a capture, one slab test per (ray, obstacle)."""
+#: The peer box ``_mover_world`` puts in the agent layer.
+PEER = Obstacle(AABB.from_center(Vec3(5.0, 5.0, 4.0), Vec3(1.2, 1.2, 1.2)), name="peer")
+
+
+def every_obstacle(world, agents=(PEER,)):
+    """Static, mover and agent obstacles: everything a world query may touch."""
+    return [*world.obstacles, *world.dynamic_obstacles, *agents]
+
+
+def capture_oracle(camera, world, position, yaw, agents=(PEER,)):
+    """Directions and depths of a capture: every ray against every obstacle.
+
+    No broad phase: no range query and no view cull, so a box the capture
+    skips must give ``inf`` on every ray here too.
+    """
     frustum = camera.frustum(position, yaw)
     directions = tuple(frustum.sample_directions(camera.width, camera.height))
-    nearby = world.obstacles_near(position, camera.max_range)
+    boxes = [o.box for o in every_obstacle(world, agents)]
 
     def cast(direction):
-        hits = [ray_aabb_intersect(Ray(position, direction), o.box) for o in nearby]
+        hits = [ray_aabb_intersect(Ray(position, direction), box) for box in boxes]
         nearest = min((max(h[0], 0.0) for h in hits if h is not None), default=math.inf)
         return math.inf if nearest > camera.max_range else nearest
 
@@ -282,9 +296,120 @@ def _mover_world(rng):
     )
     movers = DynamicObstacleSet(build_movers(specs), world)
     movers.step(rng.randint(0, 40))
-    peer = AABB.from_center(Vec3(5.0, 5.0, 4.0), Vec3(1.2, 1.2, 1.2))
-    world.set_agent_obstacles([Obstacle(peer, name="peer")])
+    world.set_agent_obstacles([PEER])
     return world
+
+
+def _box(corner, other, z=(3.0, 7.0)):
+    """The box spanned by two xy corners, over ``z``."""
+    return (
+        (min(corner[0], other[0]), min(corner[1], other[1]), z[0]),
+        (max(corner[0], other[0]), max(corner[1], other[1]), z[1]),
+    )
+
+
+def _edge_and_axis_rays(pose, yaw):
+    """(cos, sin) of the axis and both edge azimuths of every rig camera."""
+    for mount in range(0, 360, 60):
+        heading = math.radians(yaw + mount)
+        for azimuth in (heading - math.pi / 4, heading, heading + math.pi / 4):
+            yield math.cos(azimuth), math.sin(azimuth)
+
+
+def adversarial_boxes(family, pose, yaw, max_range):
+    """Boxes on the boundaries of the rig's views and range, one kind at a time.
+
+    Along the axis and both edge rays of each camera of a six-camera rig at
+    ``pose`` and body ``yaw``, at 6 and 17 m: ``straddle`` boxes the ray
+    passes through the middle of; ``touch`` boxes with one corner on the ray
+    and the rest to one side; ``hair_*`` boxes that far (a fraction of the
+    distance) off either side of the ray.  ``range`` boxes touch the rays at
+    exactly ``max_range`` and one ulp beyond, and straddle the pose's x and y
+    lines with their near face there.  ``behind`` is one box wholly behind
+    each camera (in front of the opposite one); ``holds_camera`` one box
+    around the pose.  Each kind gets a world of its own, so no box hides
+    another.
+    """
+    rays = list(_edge_and_axis_rays(pose, yaw))
+    boxes = []
+    if family == "holds_camera":
+        boxes.append(_box((pose.x - 0.5, pose.y - 0.5), (pose.x + 0.5, pose.y + 0.5)))
+    elif family == "behind":
+        for c, s in rays[1::3]:
+            x, y = pose.x - c * 8.0, pose.y - s * 8.0
+            boxes.append(_box((x - 1.0, y - 1.0), (x + 1.0, y + 1.0), (2.0, 8.0)))
+    elif family == "range":
+        beyond = math.nextafter(max_range, math.inf)
+        for reach in (max_range, beyond):
+            for c, s in rays:
+                x, y = pose.x + c * reach, pose.y + s * reach
+                boxes.append(_box(
+                    (x, y), (x + math.copysign(2.0, c), y + math.copysign(2.0, s)), (4.9, 5.1)
+                ))
+            for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                x, y = pose.x + sx * reach, pose.y + sy * reach
+                boxes.append(_box(
+                    (x - abs(sy), y - abs(sx)), (x + sx * 2 + abs(sy), y + sy * 2 + abs(sx))
+                ))
+    else:
+        hair = {"hair_1e-12": 1e-12, "hair_1e-9": 1e-9, "hair_1e-6": 1e-6}.get(family)
+        for c, s in rays:
+            for distance in (6.0, 17.0):
+                x, y = pose.x + c * distance, pose.y + s * distance
+                if family == "straddle":
+                    boxes.append(_box((x - 0.5, y - 0.5), (x + 0.5, y + 0.5)))
+                    continue
+                for side in (1.0, -1.0):
+                    nx, ny = side * s, -side * c  # unit normal to the ray
+                    if family == "touch":
+                        boxes.append(_box(
+                            (x, y), (x + math.copysign(1.3, nx), y + math.copysign(0.7, ny))
+                        ))
+                    else:
+                        gx, gy = x + nx * hair * distance, y + ny * hair * distance
+                        boxes.append(_box(
+                            (gx, gy), (gx + math.copysign(0.4, nx), gy + math.copysign(0.4, ny))
+                        ))
+    return boxes
+
+
+ADVERSARIAL_FAMILIES = (
+    "straddle", "touch", "hair_1e-12", "hair_1e-9", "hair_1e-6", "range", "behind",
+    "holds_camera",
+)
+
+
+def is_occupied_oracle(world, point, margin):
+    """``box.expanded(margin).contains(point)`` over every box, in turn."""
+    return any(o.box.expanded(margin).contains(point) for o in every_obstacle(world))
+
+
+def expanded_surface_points(box, margin):
+    """Corners, edge midpoints and face centres of ``box.expanded(margin)``.
+
+    Each point lies exactly on the closed boundary; the same points pushed
+    one ulp outward on every coordinate that sits on a face lie outside.
+    """
+    grown = box.expanded(margin)
+    axes = [
+        (grown.min_corner[a], (grown.min_corner[a] + grown.max_corner[a]) * 0.5,
+         grown.max_corner[a])
+        for a in range(3)
+    ]
+    on, beyond = [], []
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                if (i, j, k) == (1, 1, 1):
+                    continue
+                on.append(Vec3(axes[0][i], axes[1][j], axes[2][k]))
+                pushed = [
+                    math.nextafter(axes[a][n], (-math.inf, 0.0, math.inf)[n])
+                    if n != 1 else axes[a][n]
+                    for a, n in enumerate((i, j, k))
+                ]
+                beyond.append(Vec3(*pushed))
+    return on, beyond
 
 
 class TestCellTableBatches:
@@ -365,22 +490,66 @@ class TestWorldAndCameraEquivalence:
     def test_capture_matches_per_ray_oracle(self, seed):
         rng = random.Random(300 + seed)
         world = _mover_world(rng)
-        camera = DepthCamera(width=12, height=8, max_range=35.0)
-        for _ in range(6):
-            pose = Vec3(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(2, 15))
-            yaw = rng.uniform(-180.0, 180.0)
-            image = camera.capture(world, pose, yaw)
-            assert (image.directions, image.depths) == capture_oracle(
-                camera, world, pose, yaw
-            )
-            # An image built without the capture's cached direction array
-            # must give the same points.
-            rebuilt = DepthImage(
-                image.origin, image.directions, image.depths, image.max_range,
-                image.width, image.height,
-            )
-            assert vec3s(image.hit_array()) == vec3s(rebuilt.hit_array()) == hit_points_oracle(image)
+        rig = CameraRig(width=12, height=8, max_range=35.0)
+        for active in (rig, rig.with_resolution(5, 3)):
+            for _ in range(6):
+                pose = Vec3(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(2, 15))
+                yaw = rng.uniform(-180.0, 180.0)
+                scan = active.capture(world, pose, yaw)
+                assert len(scan.images) == len(active.cameras) == 6
+                for camera, image in zip(active.cameras, scan.images):
+                    assert (image.directions, image.depths) == capture_oracle(
+                        camera, world, pose, yaw
+                    )
+                    # An image built without the capture's cached direction
+                    # array must give the same points.
+                    rebuilt = DepthImage(
+                        image.origin, image.directions, image.depths, image.max_range,
+                        image.width, image.height,
+                    )
+                    assert (
+                        vec3s(image.hit_array())
+                        == vec3s(rebuilt.hit_array())
+                        == hit_points_oracle(image)
+                    )
         assert DepthImage(pose, (), (), 40.0, 0, 0).hit_array().shape == (0, 3)
+
+    @pytest.mark.parametrize("yaw", [0.0, 15.0, -45.0, 90.0, 137.5])
+    @pytest.mark.parametrize("family", sorted(ADVERSARIAL_FAMILIES))
+    def test_capture_of_adversarial_boxes_matches_oracle(self, family, yaw):
+        pose, max_range = Vec3(3.0, -2.0, 5.0), 35.0
+        world = World(AABB(Vec3(-60, -60, 0), Vec3(60, 60, 40)))
+        for lo, hi in adversarial_boxes(family, pose, yaw, max_range):
+            world.add_obstacle(Obstacle(AABB(Vec3(*lo), Vec3(*hi))))
+        rig = CameraRig(width=12, height=8, max_range=max_range)
+        depths = []
+        for active in (rig, rig.with_resolution(2, 1), rig.with_resolution(3, 3)):
+            scan = active.capture(world, pose, yaw)
+            for camera, image in zip(active.cameras, scan.images):
+                expected = capture_oracle(camera, world, pose, yaw, agents=())
+                assert (image.directions, image.depths) == expected
+                depths += image.depths
+        if family == "holds_camera":
+            assert set(depths) == {0.0}
+        elif family in ("straddle", "touch", "behind"):
+            assert any(map(math.isfinite, depths))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_occupied_matches_expanded_box_loop(self, seed):
+        rng = random.Random(350 + seed)
+        world = _mover_world(rng)
+        for margin in (0.0, 0.2):
+            points = [
+                Vec3(rng.uniform(-45, 45), rng.uniform(-45, 45), rng.uniform(-1, 25))
+                for _ in range(150)
+            ]
+            for obstacle in every_obstacle(world):
+                on, beyond = expanded_surface_points(obstacle.box, margin)
+                points += on + beyond
+            for point in points:
+                assert world.is_occupied(point, margin) == is_occupied_oracle(
+                    world, point, margin
+                ), (point, margin)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_obstacle_arrays_near_matches_obstacles_near(self, seed):
@@ -402,8 +571,11 @@ class TestWorldAndCameraEquivalence:
                 assert batch_d.tolist() == [o.distance_to(point) for o in scalar]
 
 
-def make_cloud(rng, count, duplicates=0):
+def make_cloud(rng, count, duplicates=0, grid=None):
+    """Random points round a random origin; on a ``grid`` when one is given."""
     points = [random_vec(rng, -15.0, 15.0) for _ in range(count)]
+    if grid is not None:
+        points = [Vec3(*(round(c / grid) * grid for c in p)) for p in points]
     points += points[:duplicates]
     return cloud_of(random_vec(rng), points)
 
@@ -418,13 +590,18 @@ class TestPointCloudAndViewEquivalence:
         for radius in (0.0, 6.0, 100.0, *distances[:2]):
             assert vec3s(cloud.points_within(radius)) == points_within_oracle(cloud, radius)
 
-    @pytest.mark.parametrize("count, duplicates", [(0, 0), (1, 0), (2, 0), (3, 3), (40, 2), (150, 0)])
-    def test_gap_statistics_matches_quadratic_loop(self, count, duplicates):
+    @pytest.mark.parametrize(
+        "count, duplicates, grid",
+        [(0, 0, None), (1, 0, None), (2, 0, None), (3, 3, None), (40, 2, None),
+         (150, 0, None), (150, 0, 1.0), (300, 4, 0.5), (460, 0, None), (460, 0, 1.5)],
+    )
+    def test_gap_statistics_matches_quadratic_loop(self, count, duplicates, grid):
+        """Random clouds, and clouds snapped to a grid, where distances tie."""
         rng = random.Random(800 + count)
         for neighbourhood in (4.0, 25.0):
             suite = ProfilerSuite(gap_neighbourhood=neighbourhood)
-            for _ in range(3):
-                cloud = make_cloud(rng, count, duplicates)
+            for _ in range(3 if count < 300 else 1):
+                cloud = make_cloud(rng, count, duplicates, grid)
                 assert suite.gap_statistics(cloud) == gap_statistics_oracle(suite, cloud)
 
     @pytest.mark.parametrize("seed", range(4))
