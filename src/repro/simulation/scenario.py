@@ -240,7 +240,7 @@ def _coerce_world(value: Any) -> WorldSpec:
     )
 
 
-def _coerce_fault_set(value: Any) -> FaultSet:
+def _coerce_fault_set(value: Any, field: str) -> FaultSet:
     """Accept a FaultSet, a fault-set dictionary or None (no faults)."""
     if value is None:
         return FaultSet()
@@ -248,8 +248,8 @@ def _coerce_fault_set(value: Any) -> FaultSet:
         return value
     if isinstance(value, dict):
         return FaultSet.from_dict(value)
-    raise TypeError(
-        f"fault entries must be FaultSet, fault-set dict or None, got {value!r}"
+    raise ValueError(
+        f"{field!r} must be a FaultSet, a fault-set dict or None, got {value!r}"
     )
 
 
@@ -269,7 +269,7 @@ def _fault_axis(faults: Any) -> tuple:
       inner dict goes through the strict :meth:`FaultSet.from_dict`.
     """
     if faults is None or isinstance(faults, FaultSet):
-        return [(_coerce_fault_set(faults), "")], False
+        return [(_coerce_fault_set(faults, "faults"), "")], False
     if isinstance(faults, dict):
         if not faults or set(faults) <= set(FAULT_SET_KEYS):
             return [(FaultSet.from_dict(faults), "")], False
@@ -279,10 +279,10 @@ def _fault_axis(faults: Any) -> tuple:
                 raise ValueError(
                     f"fault config names must be non-empty strings, got {tag!r}"
                 )
-            configs.append((_coerce_fault_set(value), tag))
+            configs.append((_coerce_fault_set(value, f"faults.{tag}"), tag))
         return configs, True
-    raise TypeError(
-        "faults must be None, a FaultSet, a fault-set dict or a "
+    raise ValueError(
+        "'faults' must be None, a FaultSet, a fault-set dict or a "
         f"{{name: fault set}} mapping, got {faults!r}"
     )
 

@@ -331,6 +331,16 @@ BAD_GRIDS = {
         {**GOOD_GRID, "worlds": [{**CROSSER_WORLD, "movers": [{**CROSSER, "sped_mps": 3.0}]}]},
         r"'worlds\.movers\[0\]'.*sped_mps",
     ),
+    "faults_is_a_number": ({**GOOD_GRID, "faults": 5}, "'faults'"),
+    "named_fault_config_is_a_number": (
+        {**GOOD_GRID, "faults": {"nofault": None, "bad": 5}}, r"'faults\.bad'"
+    ),
+    "named_fault_config_is_a_list": (
+        {**GOOD_GRID, "faults": {"nofault": None, "bad": [1]}}, r"'faults\.bad'"
+    ),
+    "named_fault_config_is_a_string": (
+        {**GOOD_GRID, "faults": {"nofault": None, "bad": "x"}}, r"'faults\.bad'"
+    ),
 }
 
 
