@@ -502,8 +502,9 @@ class StuckMover(Fault):
 
     Attributes:
         mover: which movers freeze — ``"*"`` for all, otherwise an exact
-            mover name or a name prefix (instantiated movers are suffixed
-            ``_<index>``, so a spec-level name matches all its instances).
+            mover name or a spec-level name, which matches its instances
+            (:func:`~repro.worlds.movers.build_movers` suffixes each name
+            with ``_<index>``).
     """
 
     mover: str = "*"
@@ -517,11 +518,10 @@ class StuckMover(Fault):
             )
 
     def freezes_mover(self, mover_name: str) -> bool:
-        return (
-            self.mover == "*"
-            or mover_name == self.mover
-            or mover_name.startswith(self.mover)
-        )
+        if self.mover == "*" or mover_name == self.mover:
+            return True
+        stem, _, index = mover_name.rpartition("_")
+        return stem == self.mover and index.isascii() and index.isdigit()
 
     def to_dict(self) -> Dict[str, Any]:
         return {"mover": self.mover}

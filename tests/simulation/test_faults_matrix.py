@@ -382,6 +382,18 @@ class TestScheduleResolution:
         assert orch.frozen_epoch("cart_0", 7) == 2
         assert orch.frozen_epoch("other", 7) == 2  # "*" matches everything
 
+    def test_stuck_mover_matches_its_own_instances_only(self):
+        fault = StuckMover(mover="cart")
+        # The spec name, and the instances build_movers names <spec>_<index>.
+        assert fault.freezes_mover("cart")
+        assert fault.freezes_mover("cart_0") and fault.freezes_mover("cart_12")
+        # Other movers whose names merely start with it do not freeze.
+        assert not fault.freezes_mover("cartwheel_0")
+        assert not fault.freezes_mover("carts_2")
+        assert not fault.freezes_mover("cart_")
+        assert StuckMover(mover="cart_1").freezes_mover("cart_1")
+        assert not StuckMover(mover="cart_1").freezes_mover("cart_10")
+
 
 class TestFaultEffects:
     """Each fault, flown inside a timed window, perturbs a short mission."""
