@@ -124,18 +124,25 @@ class ProfilerSuite:
         pts = cloud.points_within(self.gap_neighbourhood)
         if pts.shape[0] < 2:
             return (self.open_space_gap, self.open_space_gap)
-        # Nearest-neighbour distance per point from one pairwise distance
-        # matrix (the cloud is already grid downsampled, so it stays small).
-        # The elementwise arithmetic matches Vec3.distance_to, and the mean is
-        # summed sequentially (tolist + sum) rather than with numpy's pairwise
-        # reduction, so both statistics equal the per-pair Python loop's.
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(
-            (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
-            + diff[..., 2] * diff[..., 2]
-        )
+        # Nearest-neighbour distance per point from one pairwise matrix (the
+        # cloud is already grid downsampled, so it stays small), built from
+        # one (N, N) plane per axis, squared and summed in place in
+        # Vec3.distance_to's order.  The square root comes after the row
+        # minimum: sqrt is correctly rounded, hence monotone, so the root of
+        # the least sum is the least root.  The mean is summed sequentially
+        # (tolist + sum) rather than with numpy's pairwise reduction, so both
+        # statistics equal the per-pair Python loop's.
+        x, y, z = pts.T.copy()
+        dist = np.subtract.outer(x, x)
+        dist *= dist
+        plane = np.subtract.outer(y, y)
+        plane *= plane
+        dist += plane
+        np.subtract.outer(z, z, out=plane)
+        plane *= plane
+        dist += plane
         np.fill_diagonal(dist, np.inf)
-        row_min = dist.min(axis=1)
+        row_min = np.sqrt(dist.min(axis=1))
         gaps = row_min[np.isfinite(row_min)].tolist()
         if not gaps:
             return (self.open_space_gap, self.open_space_gap)

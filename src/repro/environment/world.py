@@ -8,8 +8,7 @@ and RoboRun's profilers rely on:
 * distance to the nearest obstacle (drives the precision demand near
   obstacles, Table I "closest obstacle");
 * visibility along a heading (the space-visibility feature of §II-A);
-* local obstacle density and gap statistics (drive the precision constraint
-  ``g_min <= p_0 <= min(p_1, g_avg, d_obs)`` of Eq. 3).
+* local obstacle density (the congestion the generator places, §IV).
 """
 
 from __future__ import annotations
@@ -76,40 +75,32 @@ class Obstacle:
 class World:
     """A bounded region populated with box obstacles.
 
-    The world uses a coarse 2-D spatial hash over the x-y plane to keep
-    nearest-obstacle and collision queries fast even with hundreds of
-    obstacles; drones fly well above or below obstacles rarely enough in the
-    paper's warehouse scenarios that a 2-D bucketing is an effective filter.
+    Besides the static obstacles, the world carries two small layers that
+    change while a mission flies: the *dynamic* layer
+    (:meth:`set_dynamic_obstacles`) holds the kinematic movers from
+    :mod:`repro.worlds.movers`, replaced once per decision epoch, and the
+    agent layer (:meth:`set_agent_obstacles`) holds a fleet's other drones.
+    Every query folds in all three.
 
-    Besides the hashed static obstacles, the world carries a small *dynamic*
-    obstacle layer (:meth:`set_dynamic_obstacles`): the current boxes of the
-    kinematic movers from :mod:`repro.worlds.movers`.  Movers are replaced
-    wholesale once per decision epoch and number at most a handful, so they
-    are scanned linearly instead of re-hashed — every occupancy, collision,
-    proximity and density query below folds them in.
+    There is no spatial index.  The occupancy and range queries make one
+    numpy pass over the corner arrays of every box: the static boxes are
+    stacked once after construction and the two layers' boxes appended once
+    per change.  A world holds a few hundred boxes, so one pass over all of
+    them costs less than narrowing them down in Python first.
     """
 
-    def __init__(
-        self,
-        bounds: AABB,
-        obstacles: Optional[Iterable[Obstacle]] = None,
-        hash_cell: float = 20.0,
-    ) -> None:
-        if hash_cell <= 0:
-            raise ValueError("spatial hash cell size must be positive")
+    def __init__(self, bounds: AABB, obstacles: Optional[Iterable[Obstacle]] = None) -> None:
         self.bounds = bounds
-        self._hash_cell = hash_cell
         self._obstacles: List[Obstacle] = []
-        self._hash: dict[Tuple[int, int], List[int]] = {}
         self._dynamic: List[Obstacle] = []
         self._agents: List[Obstacle] = []
-        # Lazily rebuilt corner-array snapshots.  The static snapshot changes
-        # only when obstacles are added (construction time); the unhashed
-        # (mover + agent) snapshot is invalidated when a layer is replaced —
-        # once per decision epoch — so batched queries pay one stacking pass
-        # per epoch rather than a Python loop per probe.
+        # Lazily rebuilt corner-array snapshots.  The static one changes only
+        # when obstacles are added (construction time); the full one (static,
+        # then movers, then agents) also whenever a layer is replaced — once
+        # per decision epoch — so the queries pay one stacking pass per epoch
+        # rather than a Python loop per probe.
         self._static_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._unhashed_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         for obstacle in obstacles or []:
             self.add_obstacle(obstacle)
 
@@ -117,36 +108,10 @@ class World:
     # Construction
     # ------------------------------------------------------------------
     def add_obstacle(self, obstacle: Obstacle) -> None:
-        """Add an obstacle, indexing it in the spatial hash."""
-        index = len(self._obstacles)
+        """Add a static obstacle."""
         self._obstacles.append(obstacle)
         self._static_arrays = None
-        for key in self._hash_keys_for_box(obstacle.box):
-            self._hash.setdefault(key, []).append(index)
-
-    def _hash_keys_for_box(self, box: AABB) -> Iterable[Tuple[int, int]]:
-        x0 = int(math.floor(box.min_corner.x / self._hash_cell))
-        x1 = int(math.floor(box.max_corner.x / self._hash_cell))
-        y0 = int(math.floor(box.min_corner.y / self._hash_cell))
-        y1 = int(math.floor(box.max_corner.y / self._hash_cell))
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                yield (ix, iy)
-
-    def _candidate_indices(self, point: Vec3, radius: float) -> List[int]:
-        x0 = int(math.floor((point.x - radius) / self._hash_cell))
-        x1 = int(math.floor((point.x + radius) / self._hash_cell))
-        y0 = int(math.floor((point.y - radius) / self._hash_cell))
-        y1 = int(math.floor((point.y + radius) / self._hash_cell))
-        seen: set[int] = set()
-        result: List[int] = []
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                for idx in self._hash.get((ix, iy), ()):
-                    if idx not in seen:
-                        seen.add(idx)
-                        result.append(idx)
-        return result
+        self._arrays = None
 
     # ------------------------------------------------------------------
     # Dynamic obstacle layer
@@ -155,11 +120,10 @@ class World:
         """Replace the dynamic obstacle layer (the movers' current boxes).
 
         Called once per decision epoch by
-        :meth:`repro.worlds.movers.DynamicObstacleSet.step`; the layer is
-        small and scanned linearly, so no re-hashing happens.
+        :meth:`repro.worlds.movers.DynamicObstacleSet.step`.
         """
         self._dynamic = list(obstacles)
-        self._unhashed_arrays = None
+        self._arrays = None
 
     @property
     def dynamic_obstacles(self) -> Sequence[Obstacle]:
@@ -179,28 +143,24 @@ class World:
         missions, so they pay nothing.
         """
         self._agents = list(obstacles)
-        self._unhashed_arrays = None
+        self._arrays = None
 
-    def _unhashed_obstacles(self) -> List[Obstacle]:
-        """Movers plus peer agents — the obstacles scanned linearly."""
-        if not self._agents:
-            return self._dynamic
-        return self._dynamic + self._agents
+    def _every_obstacle(self) -> List[Obstacle]:
+        """Static obstacles, then movers, then agents: the full snapshot's order."""
+        return self._obstacles + self._dynamic + self._agents
 
-    def _unhashed_corner_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The memoised per-epoch snapshot of the mover + agent boxes."""
-        arrays = self._unhashed_arrays
+    def _corner_snapshot(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The memoised corner arrays of every box, in :meth:`_every_obstacle` order."""
+        arrays = self._arrays
         if arrays is None:
-            arrays = _corner_arrays(self._unhashed_obstacles())
-            self._unhashed_arrays = arrays
-        return arrays
-
-    def _static_corner_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Corner arrays for every static obstacle, rebuilt only on insertion."""
-        arrays = self._static_arrays
-        if arrays is None:
-            arrays = _corner_arrays(self._obstacles)
-            self._static_arrays = arrays
+            static = self._static_arrays
+            if static is None:
+                static = self._static_arrays = _corner_arrays(self._obstacles)
+            arrays = static
+            if self._dynamic or self._agents:
+                lo, hi = _corner_arrays(self._dynamic + self._agents)
+                arrays = (np.concatenate([static[0], lo]), np.concatenate([static[1], hi]))
+            self._arrays = arrays
         return arrays
 
     # ------------------------------------------------------------------
@@ -212,73 +172,50 @@ class World:
         return tuple(self._obstacles)
 
     def obstacles_near(self, point: Vec3, radius: float) -> List[Obstacle]:
-        """Obstacles whose spatial-hash cells fall within ``radius`` of a point.
+        """Every obstacle whose surface lies within ``radius`` of a point.
 
-        This is a broad-phase filter (it may return obstacles slightly beyond
-        the radius) that spares a ray cast from testing every obstacle in the
-        world; :meth:`obstacle_arrays_near` is the array form the depth
-        cameras use.  Dynamic obstacles within the radius are appended after
-        the static candidates.
+        The per-obstacle form of :meth:`obstacle_arrays_near`: static
+        obstacles, then movers, then agents, each kept when its
+        :meth:`Obstacle.distance_to` the point is at most ``radius``.
         """
-        result = [self._obstacles[idx] for idx in self._candidate_indices(point, radius)]
-        result.extend(
+        return [
             obstacle
-            for obstacle in self._unhashed_obstacles()
-            if obstacle.box.distance_to_point(point) <= radius
-        )
-        return result
+            for obstacle in self._every_obstacle()
+            if obstacle.distance_to(point) <= radius
+        ]
 
     def obstacle_arrays_near(
         self, point: Vec3, radius: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Corner arrays of :meth:`obstacles_near`'s candidates, stacked.
+        """Corner arrays of the boxes within ``radius`` of a point, stacked.
 
-        What the depth camera casts against: the same static hash candidates
-        plus the same distance-filtered mover/agent boxes, but
-        returned as two ``(K, 3)`` min/max corner arrays sliced out of the
-        memoised snapshots instead of a list of :class:`Obstacle` objects.
+        What a camera rig casts against: one clamped-distance test over the
+        full snapshot, the same boxes in the same order as
+        :meth:`obstacles_near`, returned as two ``(K, 3)`` min/max corner
+        arrays instead of a list of :class:`Obstacle` objects.
         """
-        static_lo, static_hi = self._static_corner_arrays()
-        indices = self._candidate_indices(point, radius)
-        lo = static_lo[indices]
-        hi = static_hi[indices]
-        if self._dynamic or self._agents:
-            dyn_lo, dyn_hi = self._unhashed_corner_arrays()
-            near = _boxes_distance_to_point(dyn_lo, dyn_hi, point) <= radius
-            if near.any():
-                lo = np.concatenate([lo, dyn_lo[near]])
-                hi = np.concatenate([hi, dyn_hi[near]])
-        return lo, hi
+        lo, hi = self._corner_snapshot()
+        near = _boxes_distance_to_point(lo, hi, point) <= radius
+        return lo[near], hi[near]
 
     # ------------------------------------------------------------------
     # Occupancy / collision
     # ------------------------------------------------------------------
     def is_occupied(self, point: Vec3, margin: float = 0.0) -> bool:
-        """True when a point is inside (or within ``margin`` of) an obstacle."""
-        for idx in self._candidate_indices(point, margin + self._hash_cell):
-            obstacle = self._obstacles[idx]
-            if margin == 0.0:
-                if obstacle.box.contains(point):
-                    return True
-            elif obstacle.box.expanded(margin).contains(point):
-                return True
-        for obstacle in self._unhashed_obstacles():
-            box = obstacle.box if margin == 0.0 else obstacle.box.expanded(margin)
-            if box.contains(point):
-                return True
-        return False
+        """True when a point is inside (or within ``margin`` of) an obstacle.
+
+        One vector pass over every box: each grows by ``lo - margin`` and
+        ``hi + margin``, the float operations of :meth:`AABB.expanded`, and
+        holds the point under the closed ``<=`` of :meth:`AABB.contains`.
+        """
+        lo, hi = self._corner_snapshot()
+        p = np.array((point.x, point.y, point.z))
+        inside = (lo - margin <= p) & (p <= hi + margin)
+        return bool((inside[:, 0] & inside[:, 1] & inside[:, 2]).any())
 
     def segment_collides(self, start: Vec3, end: Vec3, margin: float = 0.0) -> bool:
         """True when the straight segment hits any obstacle (inflated by margin)."""
-        mid = start.lerp(end, 0.5)
-        radius = start.distance_to(end) * 0.5 + margin + self._hash_cell
-        for idx in self._candidate_indices(mid, radius):
-            box = self._obstacles[idx].box
-            if margin > 0.0:
-                box = box.expanded(margin)
-            if segment_intersects_aabb(start, end, box):
-                return True
-        for obstacle in self._unhashed_obstacles():
+        for obstacle in self._every_obstacle():
             box = obstacle.box if margin == 0.0 else obstacle.box.expanded(margin)
             if segment_intersects_aabb(start, end, box):
                 return True
@@ -301,14 +238,8 @@ class World:
             return max_range
         ray = Ray(origin, direction.normalized())
         nearest = max_range
-        probe_point = origin + direction.normalized() * (max_range * 0.5)
-        candidates = [
-            self._obstacles[idx].box
-            for idx in self._candidate_indices(probe_point, max_range)
-        ]
-        candidates.extend(obstacle.box for obstacle in self._unhashed_obstacles())
-        for box in candidates:
-            hit = ray_aabb_intersect(ray, box)
+        for obstacle in self._every_obstacle():
+            hit = ray_aabb_intersect(ray, obstacle.box)
             if hit is None:
                 continue
             t_enter, t_exit = hit
@@ -344,44 +275,3 @@ class World:
         if total == 0:
             return 0.0
         return occupied / total
-
-    def gap_statistics(
-        self, point: Vec3, radius: float
-    ) -> Tuple[float, float]:
-        """Return ``(min_gap, avg_gap)`` between obstacles near a point.
-
-        The gap between two obstacles is the surface-to-surface distance
-        between their boxes.  Only obstacles within ``radius`` of the query
-        point participate.  When fewer than two obstacles are nearby, both
-        statistics saturate at ``radius`` — an "open sky" answer that lets
-        the solver relax precision all the way to its upper bound.
-        """
-        nearby = [
-            self._obstacles[idx]
-            for idx in self._candidate_indices(point, radius)
-            if self._obstacles[idx].distance_to(point) <= radius
-        ]
-        if len(nearby) < 2:
-            return (radius, radius)
-        gaps: List[float] = []
-        for i in range(len(nearby)):
-            best = math.inf
-            for j in range(len(nearby)):
-                if i == j:
-                    continue
-                gap = _box_gap(nearby[i].box, nearby[j].box)
-                if gap < best:
-                    best = gap
-            if math.isfinite(best):
-                gaps.append(best)
-        if not gaps:
-            return (radius, radius)
-        return (min(gaps), sum(gaps) / len(gaps))
-
-
-def _box_gap(a: AABB, b: AABB) -> float:
-    """Surface-to-surface distance between two boxes (0 when overlapping)."""
-    dx = max(0.0, max(a.min_corner.x - b.max_corner.x, b.min_corner.x - a.max_corner.x))
-    dy = max(0.0, max(a.min_corner.y - b.max_corner.y, b.min_corner.y - a.max_corner.y))
-    dz = max(0.0, max(a.min_corner.z - b.max_corner.z, b.min_corner.z - a.max_corner.z))
-    return math.sqrt(dx * dx + dy * dy + dz * dz)

@@ -2,10 +2,10 @@
 
 The real system converts camera pixels into 3-D points in the Point Cloud
 kernel.  Our substitute produces the depth image directly by casting one ray
-per pixel against the obstacle world; the point-cloud kernel then performs
-the same depth→3-D conversion the paper describes.  The camera also reports
-the visibility (distance to the first hit, or max range) per pixel, which the
-profilers aggregate into the space-visibility feature.
+per pixel against the obstacle boxes of a scan; the point-cloud kernel then
+performs the same depth→3-D conversion the paper describes.  The camera also
+reports the visibility (distance to the first hit, or max range) per pixel,
+which the profilers aggregate into the space-visibility feature.
 """
 
 from __future__ import annotations
@@ -16,10 +16,48 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.environment.world import World
 from repro.geometry.frustum import Frustum
 from repro.geometry.ray import raycast_aabbs_batch
 from repro.geometry.vec3 import Vec3
+
+
+#: How far, as a fraction of a scan's largest box offset from the pose, a box
+#: must lie outside a camera's view before the camera skips it.  Rounding in
+#: the ray fan and the slab test is a few ulps of that offset (~1e-15), and
+#: the slab test's 1e-12 parallel-ray cutoff bends a ray by less than 1e-8
+#: rad below 89.99 degrees of elevation, so a skipped box reads inf on every
+#: ray of the fan.
+CULL_SLACK = 1e-6
+
+
+@dataclass(frozen=True, slots=True)
+class ScanBoxes:
+    """The obstacle boxes one rig scan casts against, measured from its pose.
+
+    Attributes:
+        origin: the sensor pose every camera of the scan shares.
+        lo: ``(K, 3)`` minimum box corners.
+        hi: ``(K, 3)`` maximum box corners.
+        x: ``(2, K)`` x offsets of each box's min and max corner from the pose.
+        y: ``(2, K)`` y offsets, likewise.
+        slack: how far outside a camera's view wedge a box must lie to be
+            skipped (``CULL_SLACK`` of the largest offset).
+    """
+
+    origin: Vec3
+    lo: np.ndarray
+    hi: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    slack: float
+
+    @classmethod
+    def around(cls, origin: Vec3, lo: np.ndarray, hi: np.ndarray) -> "ScanBoxes":
+        """Measure the boxes' xy corner offsets from ``origin``, once per scan."""
+        x = np.stack((lo[:, 0] - origin.x, hi[:, 0] - origin.x))
+        y = np.stack((lo[:, 1] - origin.y, hi[:, 1] - origin.y))
+        extent = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
+        return cls(origin, lo, hi, x, y, CULL_SLACK * float(extent))
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,17 +201,42 @@ class DepthCamera:
             self._fan_cache[yaw] = cached
         return cached
 
-    def capture(self, world: World, position: Vec3, body_yaw_deg: float = 0.0) -> DepthImage:
-        """Capture a depth image of the world from the given pose.
+    def _in_view(self, boxes: ScanBoxes, body_yaw_deg: float) -> np.ndarray:
+        """Mask of the scan's boxes that some ray of this camera's fan may reach.
 
-        One batched slab test runs over every ``(ray, obstacle)`` pair; each
-        pixel's depth is the nearest non-negative entry distance, or
+        Every ray of the fan heads into the horizontal wedge between its two
+        edge azimuths (``yaw`` ± half the horizontal FOV, both sampled) and
+        away from the camera's back.  A box is skipped when, beyond the
+        scan's slack, it lies wholly outside one of the wedge's two edge
+        half-planes or wholly behind the camera.  Each test is the largest
+        reach of the box's four xy corners along the half-plane's inward
+        normal, so a box touching an edge ray, holding the camera or at any
+        range is kept.
+        """
+        yaw = math.radians(body_yaw_deg + self.mount_yaw_deg)
+        half = math.radians(self.horizontal_fov_deg) / 2.0
+        floor = -boxes.slack
+        seen = None
+        for normal in (yaw, yaw + half - math.pi / 2.0, yaw - half + math.pi / 2.0):
+            nx, ny = math.cos(normal), math.sin(normal)
+            reach = nx * boxes.x[int(nx > 0.0)] + ny * boxes.y[int(ny > 0.0)]
+            inside = reach >= floor
+            seen = inside if seen is None else seen & inside
+        return seen
+
+    def capture(self, boxes: ScanBoxes, body_yaw_deg: float = 0.0) -> DepthImage:
+        """Capture a depth image of a scan's boxes from the scan's pose.
+
+        The boxes this camera cannot see are skipped (:meth:`_in_view`); one
+        batched slab test runs over every ``(ray, box)`` pair of the rest.
+        Each pixel's depth is the nearest non-negative entry distance, or
         infinity when nothing is hit within the maximum range.
         """
+        position = boxes.origin
         directions, dir_array = self.ray_fan(position, body_yaw_deg)
-        box_lo, box_hi = world.obstacle_arrays_near(position, self.max_range)
+        seen = self._in_view(boxes, body_yaw_deg)
         depths_array = raycast_aabbs_batch(
-            position, dir_array, box_lo, box_hi, self.max_range
+            position, dir_array, boxes.lo[seen], boxes.hi[seen], self.max_range
         )
         image = DepthImage(
             origin=position,

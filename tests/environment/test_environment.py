@@ -37,14 +37,6 @@ class TestWorld:
         open_vis = world.visibility_along(Vec3(0, 50, 5), Vec3(1, 0, 0), max_range=50.0)
         assert open_vis == 50.0
 
-    def test_gap_statistics(self):
-        world = make_world()
-        gap_min, gap_avg = world.gap_statistics(Vec3(23, 0, 5), radius=20.0)
-        assert gap_min == pytest.approx(4.0, abs=0.2)
-        assert gap_avg >= gap_min
-        # Far from everything: saturates at the radius.
-        assert world.gap_statistics(Vec3(100, 100, 5), radius=15.0) == (15.0, 15.0)
-
     def test_obstacle_density_bounds(self):
         world = make_world()
         dense = world.obstacle_density(Vec3(20, 0, 5), radius=3.0)

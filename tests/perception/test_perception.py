@@ -13,7 +13,6 @@ from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
 from repro.perception.spatial_index import point_hits_cells
-from repro.sensors.depth_camera import DepthCamera
 from repro.sensors.rig import CameraRig
 from repro.sensors.state_sensors import GPS, IMU, StateSensorSuite
 
@@ -27,14 +26,14 @@ def simple_world():
 
 class TestSensors:
     def test_camera_sees_obstacle_ahead(self):
-        camera = DepthCamera(width=9, height=7, max_range=30.0)
-        image = camera.capture(simple_world(), Vec3(0, 0, 5))
+        camera = CameraRig(camera_count=1, width=9, height=7, max_range=30.0)
+        image = camera.capture(simple_world(), Vec3(0, 0, 5)).images[0]
         assert len(image.hit_array()) > 0
         assert image.min_depth() == pytest.approx(9.0, abs=0.5)
 
     def test_camera_open_space_reports_infinite_depths(self):
-        camera = DepthCamera(width=5, height=5, max_range=20.0)
-        image = camera.capture(simple_world(), Vec3(0, 40, 5))
+        camera = CameraRig(camera_count=1, width=5, height=5, max_range=20.0)
+        image = camera.capture(simple_world(), Vec3(0, 40, 5)).images[0]
         assert len(image.hit_array()) == 0
         assert image.mean_visibility() == pytest.approx(20.0)
 
