@@ -39,11 +39,6 @@ class Vec3:
         return Vec3(0.0, 0.0, 0.0)
 
     @staticmethod
-    def ones() -> "Vec3":
-        """Return the all-ones vector."""
-        return Vec3(1.0, 1.0, 1.0)
-
-    @staticmethod
     def unit_x() -> "Vec3":
         """Return the +x unit vector."""
         return Vec3(1.0, 0.0, 0.0)

@@ -15,7 +15,9 @@ outside.  A definition that a decorator call hands to a registry
 (``@register_fault("...")``) is referenced by it.  Live code is
 module-level code (decorators included) plus the bodies of referenced
 subjects, so a definition that only a dead one reads is dead too.
-Docstrings, ``__all__`` and ``__init__`` re-exports do not count.  Whatever
+Docstrings, ``__all__`` and ``__init__`` re-exports do not count, nor does
+an attribute read on a name that ``import <module>`` binds to a module
+outside ``repro`` (``np.ones`` does not reference ``Vec3.ones``).  Whatever
 is left must be on ``ALLOWED`` with its reason.
 """
 
@@ -125,12 +127,23 @@ def docstrings(tree):
     }
 
 
-def referenced_names(root, skip=frozenset(), docs=frozenset()):
+def foreign_modules(tree):
+    """Names that ``import <module>`` binds to a module outside ``repro``."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] != "repro"
+    }
+
+
+def referenced_names(root, skip=frozenset(), docs=frozenset(), foreign=frozenset()):
     """Names read under ``root``: names, attributes and identifier strings.
 
     Nodes whose id is in ``skip`` are not entered (the nested subjects, each
     scanned on its own), ``__all__`` lists and docstrings are not read, and
     the decorators of a definition ``root`` are left to its enclosing scope.
+    An attribute of a ``foreign`` module name (``np.ones``) is not a read.
     """
     found = set()
     stack = [root]
@@ -139,7 +152,8 @@ def referenced_names(root, skip=frozenset(), docs=frozenset()):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                found.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in docs):
             found.add(node.value)
@@ -193,10 +207,11 @@ def scan_src():
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 )
         docs = docstrings(tree)
+        foreign = foreign_modules(tree)
         nested = {id(subject.node) for subject in found}
-        module_reads |= referenced_names(tree, nested, docs)
+        module_reads |= referenced_names(tree, nested, docs, foreign)
         for subject in found:
-            subject.reads = referenced_names(subject.node, nested, docs)
+            subject.reads = referenced_names(subject.node, nested, docs, foreign)
         subjects.extend(found)
     return subjects, module_reads
 
@@ -206,7 +221,8 @@ def outside_reads():
     names = set()
     for folder in OUTSIDE_USERS:
         for path in sorted((ROOT / folder).glob("*.py")):
-            names |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            names |= referenced_names(tree, foreign=foreign_modules(tree))
     return names
 
 
