@@ -16,18 +16,19 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.environment.world import World
 from repro.geometry.frustum import Frustum
 from repro.geometry.ray import raycast_aabbs_batch
 from repro.geometry.vec3 import Vec3
 
 
 #: How far, as a fraction of a scan's largest box offset from the pose, a box
-#: must lie outside a camera's view before the camera skips it.  Rounding in
-#: the ray fan and the slab test is a few ulps of that offset (~1e-15), and
-#: the slab test's 1e-12 parallel-ray cutoff bends a ray by less than 1e-8
-#: rad below 89.99 degrees of elevation, so a skipped box reads inf on every
-#: ray of the fan.
-CULL_SLACK = 1e-6
+#: must lie outside a camera's view before the camera skips it, and how much
+#: wider than the range the scan's range query reaches.  Rounding in the ray
+#: fan and the slab test is a few ulps of that offset (~1e-15), and the slab
+#: test's 1e-12 parallel-ray cutoff bends a ray by less than 1e-8 rad below
+#: 89.99 degrees of elevation, so a skipped box reads inf on every ray.
+_CULL_SLACK = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +42,7 @@ class ScanBoxes:
         x: ``(2, K)`` x offsets of each box's min and max corner from the pose.
         y: ``(2, K)`` y offsets, likewise.
         slack: how far outside a camera's view wedge a box must lie to be
-            skipped (``CULL_SLACK`` of the largest offset).
+            skipped (``_CULL_SLACK`` of the largest offset).
     """
 
     origin: Vec3
@@ -52,12 +53,18 @@ class ScanBoxes:
     slack: float
 
     @classmethod
-    def around(cls, origin: Vec3, lo: np.ndarray, hi: np.ndarray) -> "ScanBoxes":
-        """Measure the boxes' xy corner offsets from ``origin``, once per scan."""
+    def in_range(cls, world: World, origin: Vec3, max_range: float) -> "ScanBoxes":
+        """The world's boxes within ``max_range`` of ``origin``, measured once.
+
+        One range query per scan, widened by the cull's slack so rounding
+        cannot drop a box that a ray reaches within range, and the boxes' xy
+        corner offsets from ``origin``, which every camera's cull reads.
+        """
+        lo, hi = world.obstacle_arrays_near(origin, max_range * (1.0 + _CULL_SLACK))
         x = np.stack((lo[:, 0] - origin.x, hi[:, 0] - origin.x))
         y = np.stack((lo[:, 1] - origin.y, hi[:, 1] - origin.y))
         extent = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
-        return cls(origin, lo, hi, x, y, CULL_SLACK * float(extent))
+        return cls(origin, lo, hi, x, y, _CULL_SLACK * float(extent))
 
 
 @dataclass(frozen=True, slots=True)

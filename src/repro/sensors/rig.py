@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.environment.world import World
 from repro.geometry.vec3 import Vec3
-from repro.sensors.depth_camera import CULL_SLACK, DepthCamera, DepthImage, ScanBoxes
+from repro.sensors.depth_camera import DepthCamera, DepthImage, ScanBoxes
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,15 +86,10 @@ class CameraRig:
     def capture(self, world: World, position: Vec3, body_yaw_deg: float = 0.0) -> RigScan:
         """Capture one scan: every camera captures from the same pose.
 
-        The world is asked once per scan for the boxes within range (widened
-        by ``CULL_SLACK``, so rounding cannot drop a box a ray reaches), and
-        their offsets from the pose are measured once; each camera then
-        skips the boxes outside its view.
+        The world is asked once per scan for the boxes within range; each
+        camera then skips the boxes outside its view.
         """
-        boxes = ScanBoxes.around(
-            position,
-            *world.obstacle_arrays_near(position, self.max_range * (1.0 + CULL_SLACK)),
-        )
+        boxes = ScanBoxes.in_range(world, position, self.max_range)
         images = tuple(camera.capture(boxes, body_yaw_deg) for camera in self.cameras)
         return RigScan(position=position, images=images)
 
