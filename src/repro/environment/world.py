@@ -96,9 +96,10 @@ class World:
         self._agents: List[Obstacle] = []
         # Lazily rebuilt corner-array snapshots.  The static one changes only
         # when obstacles are added (construction time); the full one (static,
-        # then movers, then agents) also whenever a layer is replaced — once
-        # per decision epoch — so the queries pay one stacking pass per epoch
-        # rather than a Python loop per probe.
+        # then movers, then agents) also whenever a layer is replaced — the
+        # movers once per epoch, the agents once per drone turn — so the
+        # queries pay one stacking pass per change rather than a Python loop
+        # per probe.
         self._static_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         for obstacle in obstacles or []:
