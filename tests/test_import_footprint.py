@@ -30,10 +30,10 @@ def test_a_corridor_mission_loads_no_scipy():
 
     The benchmark's ``peak_rss_mb`` has a 10% bound.  ``import scipy.spatial``
     alone raised a process's max RSS from 26.8 to 64.4 MiB (+37 MiB) on a
-    2-CPU box, and a profiler that took nearest neighbours from
-    ``scipy.spatial.cKDTree`` raised ``corridor_ab``'s ``peak_rss_mb`` from
-    52.7 to 86.0 MiB (+63%).  The mission runs in a fresh interpreter, so
-    no module another test imported can hide or fake the result.
+    2-CPU box, and adding only that import to the profiler module raised
+    ``corridor_ab``'s ``peak_rss_mb`` from 50.1 to 82.7 MiB (+65%).  The
+    mission runs in a fresh interpreter, so no module another test imported
+    can hide or fake the result.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
