@@ -265,6 +265,36 @@ def random_vec(rng, lo=-6.0, hi=6.0):
     return Vec3(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
 
 
+def view_of(cells, res):
+    """A planning view holding exactly ``cells`` at resolution ``res``."""
+    keys = np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)
+    return PlanningView(res, keys, None, len(cells) * res**3)
+
+
+def view_cells(view):
+    """The cells a planning view selected, as a set of key tuples."""
+    return view.cells
+
+
+def long_segments(rng, cells, res):
+    """Segments of 20-80 m that start at, cross or end at an occupied cell.
+
+    The cell lies 0, half or all of the segment's length from its start, so
+    the first hit of a long probe falls at its start, in its middle or at
+    its very end (for a sparse view, where nothing else is in the way).
+    """
+    pairs = []
+    for key in sorted(cells)[:2]:
+        c = voxel_center(key, res)
+        for _ in range(2):
+            length = rng.uniform(20.0, 80.0)
+            u = random_vec(rng, -1.0, 1.0).normalized()
+            for before in (0.0, 0.5 * length, length):
+                a = c - u * before
+                pairs.append((a, a + u * length))
+    return pairs
+
+
 def segment_batch_arrays(pairs):
     starts = np.array([(a.x, a.y, a.z) for a, _ in pairs], dtype=np.float64)
     ends = np.array([(b.x, b.y, b.z) for _, b in pairs], dtype=np.float64)
@@ -432,24 +462,27 @@ class TestCellTableBatches:
     @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
     def test_collision_checker_segment_matches_segment_hits_cells(self, cell_count):
         rng = random.Random(23 + cell_count)
-        res = 0.6
         cells = frozenset(random_keys(rng, cell_count))
-        keys = np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)
-        view = PlanningView(res, keys, None, len(cells) * res**3)
-        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(40)]
-        # Segments through or ending in occupied cells, so sparse views see
-        # hits too, and zero-length segments inside and outside a cell.
-        for key in sorted(cells)[:5]:
-            c, offset = voxel_center(key, res), random_vec(rng, -2.0, 2.0)
-            pairs += [(c - offset, c + offset), (c + offset, c), (c, c)]
-        p = random_vec(rng)
-        pairs.append((p, p))
-        for step in (None, 0.2, 5.0):
-            for margin in (0.0, 0.7):
-                checker = _CollisionChecker(view, margin, step)
-                for a, b in pairs:
-                    expected = segment_hits_cells(cells, res, a, b, step, margin)
-                    assert checker.segment(a, b) == expected
+        for res in (0.3, 0.6, 1.2):
+            view = view_of(cells, res)
+            pairs = [(random_vec(rng), random_vec(rng)) for _ in range(40)]
+            # Segments through or ending in occupied cells, so sparse views
+            # see hits too, and zero-length segments inside and outside a cell.
+            for key in sorted(cells)[:5]:
+                c, offset = voxel_center(key, res), random_vec(rng, -2.0, 2.0)
+                pairs += [(c - offset, c + offset), (c + offset, c), (c, c)]
+            p = random_vec(rng)
+            pairs.append((p, p))
+            pairs += long_segments(rng, cells, res)
+            for step in (None, 0.2, 5.0):
+                # Margins of zero, one and two cells (the cap).
+                for margin in (0.0, res, 2.0 * res):
+                    checker = _CollisionChecker(view, margin, step)
+                    for a, b in pairs:
+                        expected = segment_hits_cells(cells, res, a, b, step, margin)
+                        assert checker.segment(a, b) == expected
+                        assert view.segment_in_collision(a, b, margin, step) == expected
+                        assert checker.point(a) == point_hits_cells(cells, res, a, margin)
 
 
 class TestWorldAndCameraEquivalence:
@@ -614,9 +647,27 @@ class TestPointCloudAndViewEquivalence:
             for precision in (0.3, 0.6):
                 for max_volume, region in ((None, None), (2.0, 8.0), (0.5, None)):
                     view = build_planning_view(octree, precision, max_volume, focus, region)
-                    assert (view.cells, view.total_volume, view.precision) == (
+                    assert (view_cells(view), view.total_volume, view.precision) == (
                         planning_view_oracle(octree, precision, max_volume, focus, region)
                     )
+        # A 5x5x5 block of voxels round a focus at a cell centre: whole shells
+        # of cells lie at one distance, and a budget of n cells cuts through
+        # them.  Some cells of one shell differ in squared distance by an ulp
+        # yet share one rounded distance; the tie rule then picks the
+        # lexicographically smaller key.
+        octree = OccupancyOctree(vox_min=0.3, levels=4)
+        span = range(-2, 3)
+        for key in ((i, j, k) for i in span for j in span for k in span):
+            octree.mark_occupied(voxel_center(key, 0.3))
+        for precision, focus in ((0.3, Vec3(0.15, 0.15, 0.15)), (0.6, Vec3(0.3, 0.3, 0.3))):
+            cell_volume = precision**3
+            for n in range(19 + seed, 28, 4):
+                max_volume = (n - 0.5) * cell_volume
+                view = build_planning_view(octree, precision, max_volume, focus)
+                assert len(view) == n
+                assert (view_cells(view), view.total_volume, view.precision) == (
+                    planning_view_oracle(octree, precision, max_volume, focus, None)
+                )
 
 
 @pytest.fixture(scope="module")
@@ -980,25 +1031,68 @@ class TestOccupancyMapOracles:
     def test_segment_probes_match_scalar_walk(self, seed):
         rng = random.Random(1500 + seed)
         occupied = random_keys(rng, rng.choice([0, 1, 40, 400]))
-        octree = octree_with(occupied, set(), vox_min=0.25)
-        pairs = [(random_vec(rng), random_vec(rng)) for _ in range(60)]
-        p = random_vec(rng)
-        pairs.append((p, p))  # zero length
-        starts, ends = segment_batch_arrays(pairs)
-        for step in (0.1, 0.3, 1.7):
-            for lateral in (0.0, 0.4):
-                for include_start in (True, False):
-                    expected = [
-                        segment_walk_oracle(occupied, 0.25, a, b, step, lateral, include_start)
-                        for a, b in pairs
-                    ]
-                    scalar = [
-                        octree.segment_occupied(a, b, step, lateral, include_start)
-                        for a, b in pairs
-                    ]
-                    batch = octree.segment_occupied_batch(starts, ends, step, lateral, include_start)
-                    assert scalar == expected
-                    assert batch.tolist() == expected
+        for vox_min in (0.25, 0.3):
+            octree = octree_with(occupied, set(), vox_min=vox_min)
+            pairs = [(random_vec(rng), random_vec(rng)) for _ in range(60)]
+            p = random_vec(rng)
+            pairs.append((p, p))  # zero length
+            # Probes on voxel faces, where the lateral keys differ from the
+            # centre key plus or minus one.
+            faces = [
+                Vec3(rng.randint(-12, 12) * vox_min, rng.randint(-12, 12) * vox_min,
+                     rng.uniform(-3.0, 6.0))
+                for _ in range(10)
+            ]
+            pairs += [(f, f) for f in faces] + list(zip(faces, faces[1:]))
+            starts, ends = segment_batch_arrays(pairs)
+            for step in (0.1, 0.3, 1.7):
+                # 0.4 m, and one voxel: the emergency brake's own width.
+                for lateral in (0.0, 0.4, vox_min):
+                    for include_start in (True, False):
+                        expected = [
+                            segment_walk_oracle(
+                                occupied, vox_min, a, b, step, lateral, include_start
+                            )
+                            for a, b in pairs
+                        ]
+                        scalar = [
+                            octree.segment_occupied(a, b, step, lateral, include_start)
+                            for a, b in pairs
+                        ]
+                        batch = octree.segment_occupied_batch(
+                            starts, ends, step, lateral, include_start
+                        )
+                        assert scalar == expected
+                        assert batch.tolist() == expected
+
+    @pytest.mark.parametrize("vox_min", [0.25, 0.3])
+    def test_brake_probe_reads_the_shifted_point_on_voxel_faces(self, vox_min):
+        """A lateral key is ``floor((x ± lateral) / vox)``, not ``floor(x / vox) ± 1``.
+
+        Near a voxel face the two differ, by rounding.  For each such x the
+        map holds only the voxel the shifted point lies in, in a row the
+        y-shifted probes never reach, so the brake-width probe must hit it.
+        """
+        j, k = 5, 2
+        y, z = (j + 0.5) * vox_min, (k + 0.5) * vox_min
+        cases = 0
+        for n in range(-40, 40):
+            base = n * vox_min
+            for x in (base, math.nextafter(base, -math.inf), math.nextafter(base, math.inf)):
+                for delta in (vox_min, -vox_min):
+                    i = math.floor((x + delta) / vox_min)
+                    if i == math.floor(x / vox_min) + (1 if delta > 0 else -1):
+                        continue
+                    cases += 1
+                    octree = octree_with({(i, j, k)}, set(), vox_min=vox_min)
+                    p = Vec3(x, y, z)
+                    starts, ends = segment_batch_arrays([(p, p)])
+                    for include_start in (True, False):
+                        assert octree.segment_occupied(p, p, 0.5, vox_min, include_start)
+                        assert octree.segment_occupied_batch(
+                            starts, ends, 0.5, vox_min, include_start
+                        ).tolist() == [True]
+        assert cases > 0
 
 
 MAP_COORD = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
