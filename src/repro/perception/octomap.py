@@ -73,7 +73,7 @@ def _squared_norms(d: np.ndarray) -> np.ndarray:
     return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
 
 
-def _centre_distances_sq(packed: np.ndarray, resolution: float, point: Vec3) -> np.ndarray:
+def centre_distances_sq(packed: np.ndarray, resolution: float, point: Vec3) -> np.ndarray:
     """Squared distance from each cell centre ``(k + 0.5) * resolution`` to ``point``."""
     return _squared_norms((unpack_keys(packed) + 0.5) * resolution - _xyz(point))
 
@@ -348,7 +348,7 @@ class OccupancyOctree:
         """
         if max_radius <= 0 or self._occupied.shape[0] == 0:
             return max(max_radius, 0.0)
-        d_sq = _centre_distances_sq(self._occupied, self.vox_min, point)
+        d_sq = centre_distances_sq(self._occupied, self.vox_min, point)
         return math.sqrt(min(max_radius * max_radius, float(d_sq.min())))
 
     def segment_occupied(
@@ -430,14 +430,16 @@ class OccupancyOctree:
         t = n / intervals[seg]
         p = s[seg] + d[seg] * t[:, None]
 
-        vox = self.vox_min
-        keys = np.floor(p / vox).astype(np.int64)
-        hit = contains(self._occupied, pack_keys(keys))
         if lateral:
-            for axis, delta in ((0, lateral), (0, -lateral), (1, lateral), (1, -lateral)):
-                shifted = keys.copy()
-                shifted[:, axis] = np.floor((p[:, axis] + delta) / vox).astype(np.int64)
-                hit |= contains(self._occupied, pack_keys(shifted))
+            # The centre probes and their four shifts along x and y, looked
+            # up in one pass.
+            p = np.repeat(p[None], 5, axis=0)
+            p[1, :, 0] += lateral
+            p[2, :, 0] -= lateral
+            p[3, :, 1] += lateral
+            p[4, :, 1] -= lateral
+        hit = contains(self._occupied, packed_voxel_keys(p, self.vox_min))
+        hit = hit.reshape(-1, total).any(axis=0)
         return np.bincount(seg, weights=hit, minlength=count) > 0
 
     def forget_beyond(self, center: Vec3, radius: float) -> int:
@@ -455,10 +457,10 @@ class OccupancyOctree:
         radius_sq = radius * radius
         before = self.observed_voxel_count()
         self._occupied = self._occupied[
-            _centre_distances_sq(self._occupied, self.vox_min, center) <= radius_sq
+            centre_distances_sq(self._occupied, self.vox_min, center) <= radius_sq
         ]
         self._free = self._free[
-            _centre_distances_sq(self._free, self.free_resolution, center) <= radius_sq
+            centre_distances_sq(self._free, self.free_resolution, center) <= radius_sq
         ]
         return before - self.observed_voxel_count()
 
@@ -475,13 +477,14 @@ class OccupancyOctree:
     def coarse_occupied_keys(self, precision: float) -> np.ndarray:
         """Occupied cells at a coarser, power-of-two resolution.
 
-        Returns the ``(K, 3)`` keys, in lexicographic order, of the cells at
-        ``vox_min * 2**level`` (the level closest to ``precision``) that
-        hold at least one occupied minimum-resolution voxel.  This is the
-        sub-sampling precision operator for the map handed to the planner.
+        Returns the sorted packed keys of the cells at ``vox_min * 2**level``
+        (the level closest to ``precision``) that hold at least one occupied
+        minimum-resolution voxel.  This is the sub-sampling precision
+        operator for the map handed to the planner.  At level 0 it is the
+        occupied array itself, which the map replaces and never writes in
+        place.
         """
-        keys = unpack_keys(self._occupied)
         level = self.coarsen_level_for(precision)
         if level == 0:
-            return keys
-        return unpack_keys(np.unique(pack_keys(keys >> level)))
+            return self._occupied
+        return np.unique(pack_keys(unpack_keys(self._occupied) >> level))

@@ -7,25 +7,24 @@ allowed to see.  :class:`PlanningView` is that reduced map: a set of occupied
 grid cells at the chosen precision, bounded in total volume, with the
 segment collision query the planner needs.
 
-The view is built every decision but read by the planner only on the
-decisions that plan, so it holds its cells as a key array and builds the
-``frozenset`` its scalar collision queries use on first access.  Because the
-cells live on a regular grid, collision queries are O(1) set lookups per
-probed point; the planner's precision operator (its collision ray-cast step)
-directly controls how many points each segment check probes.
+The view holds its cells as one sorted array of packed keys, the form the
+octree keeps and the collision probe reads, so building it never unpacks,
+re-packs or re-sorts them.  Because the cells live on a regular grid, a
+collision query is one membership pass over the probed cells; the planner's
+precision operator (its collision ray-cast step) directly controls how many
+points each segment check probes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.geometry.grid import VoxelKey
 from repro.geometry.vec3 import Vec3
-from repro.perception.octomap import OccupancyOctree
-from repro.perception.spatial_index import segment_hits_cells
+from repro.perception.octomap import OccupancyOctree, centre_distances_sq
+from repro.perception.spatial_index import segment_hits_table
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -34,36 +33,17 @@ class PlanningView:
 
     Attributes:
         precision: edge length of the occupied cells, metres.
-        keys: the ``(K, 3)`` occupied cell keys at ``precision``, nearest to
-            the view's focus first.
-        volume_budget: the volume cap applied when building the view (``None``
-            when unbounded).
+        table: the sorted, unique packed keys of the occupied cells at
+            ``precision`` (see :func:`~repro.geometry.grid.pack_keys`).
         total_volume: the occupied volume actually included, m^3.
     """
 
     precision: float
-    keys: np.ndarray
-    volume_budget: Optional[float]
+    table: np.ndarray
     total_volume: float
-    _cells: Optional[FrozenSet[VoxelKey]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def cells(self) -> FrozenSet[VoxelKey]:
-        """The occupied cell keys as a set of tuples, built on first access."""
-        cells = self._cells
-        if cells is None:
-            cells = frozenset(map(tuple, self.keys.tolist()))
-            object.__setattr__(self, "_cells", cells)
-        return cells
 
     def __len__(self) -> int:
-        return int(self.keys.shape[0])
-
-    def is_empty(self) -> bool:
-        """True when the planner sees no obstacles."""
-        return self.keys.shape[0] == 0
+        return int(self.table.shape[0])
 
     def segment_in_collision(
         self,
@@ -73,9 +53,6 @@ class PlanningView:
         ray_step: Optional[float] = None,
     ) -> bool:
         """Collision test for a straight segment against the occupied cells.
-
-        Delegates to the spatial-index segment primitive, which probes the
-        segment on raw scalars instead of materialising a point per sample.
 
         Args:
             start: segment start.
@@ -88,8 +65,8 @@ class PlanningView:
                 resolution of the map the planner was given.  Steps wider than
                 a cell are clamped so thin obstacles are never skipped.
         """
-        return segment_hits_cells(
-            self.cells, self.precision, start, end, ray_step, margin
+        return segment_hits_table(
+            self.table, self.precision, start, end, ray_step, margin
         )
 
 
@@ -123,39 +100,31 @@ def build_planning_view(
 
     level = octree.coarsen_level_for(precision)
     resolution = octree.vox_min * (2**level)
-    cell_volume = resolution**3
-
-    # Candidates come in lexicographic key order, so equally distant cells
-    # keep that order through the stable sort and the view depends only on
-    # which voxels are occupied, never on the order they were marked in.
-    keys = octree.coarse_occupied_keys(precision)
+    table = octree.coarse_occupied_keys(precision)
     total = 0.0
-    if keys.shape[0]:
-        # Region filter, then a stable sort by distance to the anchor.  Cell
-        # centres are (i + 0.5) * resolution exactly as voxel_center computes
-        # them, and both distances use Vec3's left-to-right squared sum.
-        centres = (keys + 0.5) * resolution
-        a = np.array((anchor.x, anchor.y, anchor.z))
+    if table.shape[0]:
+        d_sq = centre_distances_sq(table, resolution, anchor)
         if region_radius is not None:
-            d = centres - a
-            d_sq = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
             kept = d_sq <= region_radius * region_radius
-            keys = keys[kept]
-            centres = centres[kept]
-        d = a - centres
-        dist = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
-        keys = keys[np.argsort(dist, kind="stable")]
-    if keys.shape[0]:
+            table = table[kept]
+            d_sq = d_sq[kept]
+    if table.shape[0]:
         # Cells are taken nearest first, always at least one, until the
-        # running total (one += cell_volume per cell) reaches the budget.
-        running = np.cumsum(np.full(keys.shape[0], cell_volume))
+        # running total (one += cell_volume per cell) reaches the budget, so
+        # how many are taken depends only on how many there are.
+        count = table.shape[0]
+        running = np.cumsum(np.full(count, resolution**3))
+        taken = count
         if max_volume is not None:
-            keys = keys[: int(np.searchsorted(running, max_volume, side="left")) + 1]
-        total = float(running[keys.shape[0] - 1])
+            taken = min(count, int(np.searchsorted(running, max_volume, side="left")) + 1)
+        if taken < count:
+            # Only a binding budget ranks the cells.  The table is in
+            # lexicographic key order, so the stable sort gives a tie in
+            # distance to the smaller key, and the view depends only on
+            # which voxels are occupied.  Ties are judged on the rounded
+            # distance, as Vec3.distance_to gives it.
+            nearest = np.argsort(np.sqrt(d_sq), kind="stable")[:taken]
+            table = table[np.sort(nearest)]
+        total = float(running[taken - 1])
 
-    return PlanningView(
-        precision=resolution,
-        keys=keys,
-        volume_budget=max_volume,
-        total_volume=total,
-    )
+    return PlanningView(precision=resolution, table=table, total_volume=total)

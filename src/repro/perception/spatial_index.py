@@ -1,4 +1,4 @@
-"""Sorted packed-key stores and the grid-cell collision primitives.
+"""Sorted packed-key stores and the planner's segment collision probe.
 
 The occupancy map keeps each of its voxel sets as a sorted, unique int64
 array of :func:`~repro.geometry.grid.pack_keys` keys.  A batch of probes
@@ -7,22 +7,19 @@ answers membership with one :func:`np.searchsorted` pass
 ``searchsorted`` and one array copy (:func:`insert_keys`,
 :func:`remove_keys`), so the map's hot paths do no per-key Python work.
 
-The module also provides the grid-cell collision primitives shared by the
-:class:`~repro.perception.planning_view.PlanningView` and the RRT* collision
-checker (:func:`point_hits_cells`, :func:`segment_hits_cells`): scalar
-re-implementations of the sampled ray cast that avoid allocating a ``Vec3``
-per probe on the planner's hottest loop, and their batched form
-:func:`contains_batch`.
+The planning view holds its cells in the same form, and
+:func:`segment_hits_table` is the one sampled collision probe that the RRT*
+checker and the path smoother run against it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.geometry.grid import VoxelKey, pack_keys
+from repro.geometry.grid import pack_keys
 from repro.geometry.vec3 import Vec3
 
 _EPS = 1e-12
@@ -57,35 +54,26 @@ def remove_keys(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.delete(table, pos[hit])
 
 
-def contains_batch(table: np.ndarray, ijk: np.ndarray, radius: int = 0) -> np.ndarray:
-    """Membership per ``(P, 3)`` probe key, inflated by a cube neighbourhood.
+# Packed-key deltas of the cube neighbourhood by Chebyshev radius (margins
+# are capped at two cells by cell_margin_radius).
+_PACKED_OFFSETS: Dict[int, np.ndarray] = {}
 
-    With ``radius > 0`` a probe counts as a hit when *any* key of its
-    ``(2r+1)³`` Chebyshev neighbourhood is in the sorted packed ``table`` —
-    the batched equivalent of :func:`point_hits_cells`.
+
+def packed_neighbour_offsets(radius: int) -> np.ndarray:
+    """Packed deltas of the (2r+1)³ cube neighbourhood of radius ``r``.
+
+    :func:`pack_keys` is linear in the key, so in int64
+    ``pack(k + o) == pack(k) + pack(o) - pack(0)``: adding these deltas to a
+    packed key gives the packed keys of its neighbours.
     """
-    ijk = np.asarray(ijk, dtype=np.int64)
-    if radius == 0:
-        return contains(table, pack_keys(ijk))
-    offsets = np.array(neighbour_offsets(radius), dtype=np.int64)  # (O, 3)
-    probe = ijk[:, None, :] + offsets[None, :, :]  # (P, O, 3)
-    return contains(table, pack_keys(probe)).any(axis=1)
-
-
-# Cube neighbourhood offsets by Chebyshev radius, shared by the grid-cell
-# collision helpers (margins are capped at two cells by the planning view).
-_NEIGHBOUR_OFFSETS: Dict[int, Tuple[VoxelKey, ...]] = {}
-
-
-def neighbour_offsets(radius: int) -> Tuple[VoxelKey, ...]:
-    """The (2r+1)³ integer offsets of the cube neighbourhood of radius ``r``."""
     if radius < 0:
         raise ValueError("neighbourhood radius cannot be negative")
-    cached = _NEIGHBOUR_OFFSETS.get(radius)
+    cached = _PACKED_OFFSETS.get(radius)
     if cached is None:
-        span = range(-radius, radius + 1)
-        cached = tuple((di, dj, dk) for di in span for dj in span for dk in span)
-        _NEIGHBOUR_OFFSETS[radius] = cached
+        span = np.arange(-radius, radius + 1)
+        ijk = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1)
+        cached = pack_keys(ijk.reshape(-1, 3)) - pack_keys(np.zeros(3, dtype=np.int64))
+        _PACKED_OFFSETS[radius] = cached
     return cached
 
 
@@ -101,43 +89,27 @@ def cell_margin_radius(margin: float, resolution: float) -> int:
     return min(2, int(round(margin / resolution)))
 
 
-def point_hits_cells(
-    cells: FrozenSet[VoxelKey] | Set[VoxelKey] | Mapping[VoxelKey, int],
-    resolution: float,
-    point: Vec3,
-    margin: float = 0.0,
-) -> bool:
-    """True when ``point`` lies inside (or within ``margin`` of) an occupied cell."""
-    if not cells:
-        return False
-    i = math.floor(point.x / resolution)
-    j = math.floor(point.y / resolution)
-    k = math.floor(point.z / resolution)
-    radius = cell_margin_radius(margin, resolution)
-    if radius == 0:
-        return (i, j, k) in cells
-    for di, dj, dk in neighbour_offsets(radius):
-        if (i + di, j + dj, k + dk) in cells:
-            return True
-    return False
-
-
-def segment_hits_cells(
-    cells: FrozenSet[VoxelKey] | Set[VoxelKey] | Mapping[VoxelKey, int],
+def segment_hits_table(
+    table: np.ndarray,
     resolution: float,
     start: Vec3,
     end: Vec3,
     step: Optional[float] = None,
     margin: float = 0.0,
 ) -> bool:
-    """Sampled collision test for a straight segment against grid cells.
+    """Sampled collision test for a straight segment against a cell table.
 
-    Probes the segment at ``step`` intervals (clamped to one cell so thin
-    obstacles are never skipped), plus the exact end point.  Semantically
-    identical to sampling the ray and testing each point, but runs on raw
-    scalars with the neighbourhood offsets precomputed once per call.
+    ``table`` holds the sorted packed keys of the occupied cells of edge
+    ``resolution``.  The segment is probed at ``t = 0, step, step + step,
+    ...`` while ``t < length`` (``step`` clamped to one cell so thin
+    obstacles are never skipped), plus its exact end point; a zero-length
+    segment probes its start.  A probe hits when its cell, or any cell
+    within ``margin`` (see :func:`cell_margin_radius`), is in the table.
+
+    The probes are looked up in chunks of 4, 8, 16, ... distinct sample
+    cells, and the walk stops at the first chunk that hits.
     """
-    if not cells:
+    if table.shape[0] == 0:
         return False
     effective = step if step is not None else resolution
     if effective <= 0:
@@ -147,27 +119,27 @@ def segment_hits_cells(
     sx, sy, sz = start.x, start.y, start.z
     dx, dy, dz = end.x - sx, end.y - sy, end.z - sz
     length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    radius = cell_margin_radius(margin, resolution)
-    offsets = neighbour_offsets(radius) if radius else None
-    floor = math.floor
-
-    def probe(px: float, py: float, pz: float) -> bool:
-        i = floor(px / resolution)
-        j = floor(py / resolution)
-        k = floor(pz / resolution)
-        if offsets is None:
-            return (i, j, k) in cells
-        for di, dj, dk in offsets:
-            if (i + di, j + dj, k + dk) in cells:
-                return True
-        return False
-
     if length <= _EPS:
-        return probe(sx, sy, sz)
-    ux, uy, uz = dx / length, dy / length, dz / length
-    t = 0.0
-    while t < length:
-        if probe(sx + ux * t, sy + uy * t, sz + uz * t):
+        points = np.array(((sx, sy, sz),))
+    else:
+        # t is a cumulative sum, the same sequential accumulation as
+        # stepping t += step.
+        max_probes = int(length / effective) + 2
+        ts = np.concatenate(([0.0], np.cumsum(np.full(max_probes, effective))))
+        ts = ts[ts < length]
+        unit = np.array((dx / length, dy / length, dz / length))
+        points = np.empty((ts.shape[0] + 1, 3))
+        points[:-1] = np.array((sx, sy, sz)) + unit[None, :] * ts[:, None]
+        points[-1] = (end.x, end.y, end.z)
+    keys = pack_keys(np.floor(points / resolution).astype(np.int64))
+    # A sample in the cell of the one before it repeats its lookups.
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    offsets = packed_neighbour_offsets(cell_margin_radius(margin, resolution))
+    first, size = 0, 4
+    while first < keys.shape[0]:
+        chunk = keys[first : first + size, None] + offsets[None, :]
+        if contains(table, chunk).any():
             return True
-        t += effective
-    return probe(end.x, end.y, end.z)
+        first += size
+        size *= 2
+    return False

@@ -16,7 +16,6 @@ the two hooks RoboRun's operators need:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
@@ -24,17 +23,10 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import pack_keys, voxel_key
+from repro.geometry.grid import voxel_key
 from repro.geometry.vec3 import Vec3
 from repro.perception.planning_view import PlanningView
-from repro.perception.spatial_index import (
-    cell_margin_radius,
-    contains_batch,
-    point_hits_cells,
-    segment_hits_cells,
-)
-
-_EPS = 1e-12
+from repro.perception.spatial_index import segment_hits_table
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,60 +116,31 @@ class PlanResult:
 
 
 class _CollisionChecker:
-    """Counts ray-cast samples while probing the planning view's cell grid.
+    """Counts ray-cast samples while probing the planning view's cell table.
 
-    The view's cell keys are packed once into a sorted int64 table, so the
-    planner's hottest loop (thousands of segment probes per plan) answers
-    each segment with one membership pass instead of a Python set lookup
-    per sample.
+    The view's sorted packed keys are the table itself, so a plan builds
+    nothing before its first probe, and each segment is answered by
+    :func:`segment_hits_table`, which stops at its first hit.
     """
 
     def __init__(self, view: PlanningView, margin: float, ray_step: Optional[float]) -> None:
-        self.cells = view.cells
+        self.table = view.table
         self.precision = view.precision
         self.margin = margin
         self.step = ray_step if ray_step is not None else view.precision
         self.samples = 0
-        self._table = np.sort(pack_keys(view.keys))
 
     def point(self, point: Vec3) -> bool:
         self.samples += 1
-        return point_hits_cells(self.cells, self.precision, point, self.margin)
+        return segment_hits_table(self.table, self.precision, point, point, None, self.margin)
 
     def segment(self, start: Vec3, end: Vec3) -> bool:
-        """Sampled collision verdict for one segment, equal to :func:`segment_hits_cells`.
-
-        Probe parameters are accumulated with :func:`np.cumsum` (a sequential
-        reduction matching ``segment_hits_cells``' ``t += step`` floats
-        exactly) and the same strict ``t < length`` cut-off and end-point
-        probe apply.  Zero-length segments and non-positive steps go to
-        :func:`segment_hits_cells` itself.
-        """
-        res = self.precision
-        effective = min(self.step, res)
-        charged_step = effective if effective > 0 else res
+        effective = min(self.step, self.precision)
+        charged_step = effective if effective > 0 else self.precision
         self.samples += int(start.distance_to(end) / max(charged_step, 1e-6)) + 2
-        if self._table.shape[0] == 0:
-            return False
-        sx, sy, sz = start.x, start.y, start.z
-        dx, dy, dz = end.x - sx, end.y - sy, end.z - sz
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if effective <= 0 or length <= _EPS:
-            return segment_hits_cells(
-                self.cells, res, start, end, self.step, self.margin
-            )
-        max_probes = int(length / effective) + 2
-        ts = np.concatenate(
-            ([0.0], np.cumsum(np.full(max_probes, effective, dtype=np.float64)))
+        return segment_hits_table(
+            self.table, self.precision, start, end, self.step, self.margin
         )
-        ts = ts[ts < length]
-        unit = np.array((dx / length, dy / length, dz / length))
-        p = np.empty((ts.shape[0] + 1, 3), dtype=np.float64)
-        p[:-1] = np.array((sx, sy, sz)) + unit[None, :] * ts[:, None]
-        p[-1] = (end.x, end.y, end.z)
-        keys = np.floor(p / res).astype(np.int64)
-        radius = cell_margin_radius(self.margin, res)
-        return bool(contains_batch(self._table, keys, radius).any())
 
 
 class _PositionBuffer:

@@ -26,12 +26,7 @@ from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud
-from repro.perception.spatial_index import (
-    cell_margin_radius,
-    contains_batch,
-    point_hits_cells,
-    segment_hits_cells,
-)
+from repro.perception.spatial_index import cell_margin_radius, segment_hits_table
 from repro.planning.rrt_star import _CollisionChecker, _PositionBuffer
 from repro.planning.trajectory import Trajectory, TrajectoryPoint
 from repro.sensors.depth_camera import DepthImage
@@ -265,15 +260,73 @@ def random_vec(rng, lo=-6.0, hi=6.0):
     return Vec3(rng.uniform(lo, hi), rng.uniform(lo, hi), rng.uniform(lo, hi))
 
 
+def neighbour_offsets(radius):
+    """The (2r+1)³ integer offsets of the cube neighbourhood of radius ``r``."""
+    span = range(-radius, radius + 1)
+    return [(di, dj, dk) for di in span for dj in span for dk in span]
+
+
+def point_hits_cells(cells, resolution, point, margin=0.0):
+    """True when ``point`` lies inside (or within ``margin`` of) a cell of the set."""
+    if not cells:
+        return False
+    i = math.floor(point.x / resolution)
+    j = math.floor(point.y / resolution)
+    k = math.floor(point.z / resolution)
+    radius = cell_margin_radius(margin, resolution)
+    return any(
+        (i + di, j + dj, k + dk) in cells for di, dj, dk in neighbour_offsets(radius)
+    )
+
+
+def segment_hits_cells(cells, resolution, start, end, step=None, margin=0.0):
+    """The scalar walk: probe at ``t += step`` while ``t < length``, then the end.
+
+    Stops at the first probe whose cell, or a cell within the margin, is in
+    the set of key tuples.
+    """
+    if not cells:
+        return False
+    effective = step if step is not None else resolution
+    if effective <= 0:
+        raise ValueError("ray step must be positive")
+    effective = min(effective, resolution)
+
+    sx, sy, sz = start.x, start.y, start.z
+    dx, dy, dz = end.x - sx, end.y - sy, end.z - sz
+    length = math.sqrt(dx * dx + dy * dy + dz * dz)
+    offsets = neighbour_offsets(cell_margin_radius(margin, resolution))
+    floor = math.floor
+
+    def probe(px, py, pz):
+        i = floor(px / resolution)
+        j = floor(py / resolution)
+        k = floor(pz / resolution)
+        for di, dj, dk in offsets:
+            if (i + di, j + dj, k + dk) in cells:
+                return True
+        return False
+
+    if length <= 1e-12:
+        return probe(sx, sy, sz)
+    ux, uy, uz = dx / length, dy / length, dz / length
+    t = 0.0
+    while t < length:
+        if probe(sx + ux * t, sy + uy * t, sz + uz * t):
+            return True
+        t += effective
+    return probe(end.x, end.y, end.z)
+
+
 def view_of(cells, res):
     """A planning view holding exactly ``cells`` at resolution ``res``."""
-    keys = np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)
-    return PlanningView(res, keys, None, len(cells) * res**3)
+    table = pack_keys(np.array(sorted(cells), dtype=np.int64).reshape(-1, 3))
+    return PlanningView(res, table, len(cells) * res**3)
 
 
 def view_cells(view):
     """The cells a planning view selected, as a set of key tuples."""
-    return view.cells
+    return frozenset(map(tuple, unpack_keys(view.table).tolist()))
 
 
 def long_segments(rng, cells, res):
@@ -444,20 +497,19 @@ def expanded_surface_points(box, margin):
 
 class TestCellTableBatches:
     @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
-    def test_contains_batch_matches_point_hits_cells(self, cell_count):
+    def test_point_probe_matches_point_hits_cells(self, cell_count):
         rng = random.Random(17 + cell_count)
         cells = frozenset(random_keys(rng, cell_count))
-        table = np.sort(pack_keys(np.array(sorted(cells), dtype=np.int64).reshape(-1, 3)))
         resolution = 0.6
+        table = view_of(cells, resolution).table
         points = [random_vec(rng) for _ in range(80)]
         points += [voxel_center(key, resolution) for key in sorted(cells)[:5]]
-        keys = np.floor(
-            np.array([(p.x, p.y, p.z) for p in points]) / resolution
-        ).astype(np.int64)
         for margin in (0.0, 0.5, 1.3):
             scalar = [point_hits_cells(cells, resolution, p, margin) for p in points]
-            batch = contains_batch(table, keys, cell_margin_radius(margin, resolution))
-            assert batch.tolist() == scalar
+            packed = [
+                segment_hits_table(table, resolution, p, p, margin=margin) for p in points
+            ]
+            assert packed == scalar
 
     @pytest.mark.parametrize("cell_count", [0, 1, 30, 300])
     def test_collision_checker_segment_matches_segment_hits_cells(self, cell_count):
@@ -743,7 +795,7 @@ def octree_state(octree):
 
 def coarse_keys(octree, precision):
     """The occupied coarse keys at ``precision``, as a set of tuples."""
-    return {tuple(k) for k in octree.coarse_occupied_keys(precision).tolist()}
+    return set(key_list(octree.coarse_occupied_keys(precision)))
 
 
 def array_of(points):

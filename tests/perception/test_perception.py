@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.environment.world import Obstacle, World
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import voxel_center
+from repro.geometry.grid import unpack_keys, voxel_center
 from repro.geometry.vec3 import Vec3
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
-from repro.perception.spatial_index import point_hits_cells
 from repro.sensors.rig import CameraRig
 from repro.sensors.state_sensors import GPS, IMU, StateSensorSuite
 
@@ -150,8 +149,8 @@ class TestOccupancyOctree:
         octree = OccupancyOctree(vox_min=0.3, levels=6)
         for i in range(8):
             octree.mark_occupied(Vec3(0.05 + 0.3 * i, 0.05, 0.05))
-        fine_cells = octree.coarse_occupied_keys(0.3)
-        coarse_cells = octree.coarse_occupied_keys(2.4)
+        fine_cells = unpack_keys(octree.coarse_occupied_keys(0.3))
+        coarse_cells = unpack_keys(octree.coarse_occupied_keys(2.4))
         assert len(fine_cells) == 8
         assert len(coarse_cells) < 8
         # Every fine voxel lies in one of the coarse cells (8x the edge).
@@ -212,16 +211,17 @@ class TestPlanningView:
 
     def test_collision_queries(self):
         view = build_planning_view(self.build_octree(), precision=0.3)
-        assert point_hits_cells(view.cells, view.precision, Vec3(10, 0, 5))
-        assert not point_hits_cells(view.cells, view.precision, Vec3(0, 0, 5))
+        inside, outside = Vec3(10, 0, 5), Vec3(0, 0, 5)
+        assert view.segment_in_collision(inside, inside)
+        assert not view.segment_in_collision(outside, outside)
         assert view.segment_in_collision(Vec3(0, 0, 5), Vec3(20, 0, 5))
         assert not view.segment_in_collision(Vec3(0, 10, 5), Vec3(20, 10, 5))
 
     def test_margin_inflation(self):
         view = build_planning_view(self.build_octree(), precision=0.3)
         probe = Vec3(10, 1.5, 5)
-        assert not point_hits_cells(view.cells, view.precision, probe)
-        assert point_hits_cells(view.cells, view.precision, probe, margin=0.6)
+        assert not view.segment_in_collision(probe, probe)
+        assert view.segment_in_collision(probe, probe, margin=0.6)
 
     def test_volume_budget_limits_cells(self):
         octree = self.build_octree()
@@ -236,11 +236,12 @@ class TestPlanningView:
         octree = self.build_octree()
         octree.mark_occupied(Vec3(200, 0, 5))
         view = build_planning_view(octree, precision=0.3, focus=Vec3(0, 0, 5), region_radius=50.0)
-        assert not point_hits_cells(view.cells, view.precision, Vec3(200, 0, 5))
+        far = Vec3(200, 0, 5)
+        assert not view.segment_in_collision(far, far)
 
     def test_empty_view(self):
         view = build_planning_view(OccupancyOctree(vox_min=0.3), precision=0.3)
-        assert view.is_empty()
+        assert len(view) == 0
         assert not view.segment_in_collision(Vec3(0, 0, 0), Vec3(100, 0, 0))
 
     def test_view_does_not_depend_on_marking_order(self):
@@ -259,8 +260,10 @@ class TestPlanningView:
                 )
             )
         first, second = views
-        assert (first.cells, first.total_volume) == (second.cells, second.total_volume)
-        assert first.cells == {(-1, 0, 0)}
+        assert (first.table.tolist(), first.total_volume) == (
+            second.table.tolist(), second.total_volume
+        )
+        assert unpack_keys(first.table).tolist() == [[-1, 0, 0]]
 
     def test_coarse_view_inflates_obstacles(self):
         octree = self.build_octree()

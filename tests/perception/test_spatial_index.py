@@ -15,10 +15,9 @@ from repro.perception.spatial_index import (
     cell_margin_radius,
     contains,
     insert_keys,
-    neighbour_offsets,
-    point_hits_cells,
+    packed_neighbour_offsets,
     remove_keys,
-    segment_hits_cells,
+    segment_hits_table,
 )
 
 
@@ -108,7 +107,7 @@ class TestIndexBackedOctreePaths:
         occupied = occupied_set(octree)
         for precision in (0.3, 0.6, 1.2, 2.4, 4.8, 9.6):
             level = octree.coarsen_level_for(precision)
-            assert octree.coarse_occupied_keys(precision).tolist() == [
+            assert unpack_keys(octree.coarse_occupied_keys(precision)).tolist() == [
                 list(key) for key in brute_force_coarse(occupied, level)
             ]
 
@@ -212,30 +211,43 @@ class TestCellHelpers:
         table = remove_keys(table, np.array([9, 2, 1, 9]))
         assert table.tolist() == [3, 7, 8]
 
-    def test_neighbour_offsets_sizes(self):
-        assert len(neighbour_offsets(0)) == 1
-        assert len(neighbour_offsets(1)) == 27
-        assert len(neighbour_offsets(2)) == 125
+    def test_packed_neighbour_offsets(self):
+        assert packed_neighbour_offsets(0).tolist() == [0]
+        assert len(packed_neighbour_offsets(1)) == 27
+        assert len(packed_neighbour_offsets(2)) == 125
         with pytest.raises(ValueError):
-            neighbour_offsets(-1)
+            packed_neighbour_offsets(-1)
+        # Adding the deltas to a packed key packs each neighbour's key.
+        span = range(-2, 3)
+        offsets = np.array([(i, j, k) for i in span for j in span for k in span])
+        for key in ((0, 0, 0), (-7, 3, 11), (-(2**19) + 2, 2**19 - 3, -5)):
+            key = np.array(key)
+            assert (pack_keys(key) + packed_neighbour_offsets(2)).tolist() == (
+                pack_keys(key + offsets).tolist()
+            )
 
     def test_cell_margin_radius(self):
         assert cell_margin_radius(0.0, 0.3) == 0
         assert cell_margin_radius(0.3, 0.3) == 1
         assert cell_margin_radius(10.0, 0.3) == 2
 
-    def test_point_hits_cells_margin(self):
-        cells = {(10, 0, 0)}
+    def test_point_probe_margin(self):
+        table = pack_keys(np.array([(10, 0, 0)]))
         probe = Vec3(10 * 0.3 + 0.15, 0.45, 0.15)  # one cell over in y
-        assert not point_hits_cells(cells, 0.3, probe)
-        assert point_hits_cells(cells, 0.3, probe, margin=0.3)
+        assert not segment_hits_table(table, 0.3, probe, probe)
+        assert segment_hits_table(table, 0.3, probe, probe, margin=0.3)
 
-    def test_segment_hits_cells_step_clamped(self):
+    def test_segment_hits_table_step_clamped(self):
         # A single thin cell must be found even with a huge requested step.
-        cells = {(10, 0, 0)}
-        assert segment_hits_cells(cells, 0.3, Vec3(0, 0.15, 0.15), Vec3(6, 0.15, 0.15), step=5.0)
+        table = pack_keys(np.array([(10, 0, 0)]))
+        assert segment_hits_table(
+            table, 0.3, Vec3(0, 0.15, 0.15), Vec3(6, 0.15, 0.15), step=5.0
+        )
 
-    def test_segment_hits_cells_empty_and_invalid(self):
-        assert not segment_hits_cells(frozenset(), 0.3, Vec3(0, 0, 0), Vec3(1, 0, 0))
+    def test_segment_hits_table_empty_and_invalid(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert not segment_hits_table(empty, 0.3, Vec3(0, 0, 0), Vec3(1, 0, 0), step=0.0)
         with pytest.raises(ValueError):
-            segment_hits_cells({(0, 0, 0)}, 0.3, Vec3(0, 0, 0), Vec3(1, 0, 0), step=0.0)
+            segment_hits_table(
+                pack_keys(np.array([(0, 0, 0)])), 0.3, Vec3(0, 0, 0), Vec3(1, 0, 0), step=0.0
+            )
