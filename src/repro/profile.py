@@ -124,9 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     configure_logging()
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
-    specs = load_grid_file(args.grid)
+    try:
+        specs = load_grid_file(args.grid)
+    except (OSError, ValueError) as exc:
+        parser.error(f"{args.grid}: {exc}")
     if not specs:
         log.error("grid %s holds no specs", args.grid)
         return 1

@@ -73,6 +73,11 @@ def load_grid_file(path: Path) -> List[ScenarioSpec]:
     if not isinstance(data, dict):
         raise ValueError(f"grid file {path} must hold a JSON object or list")
     if "specs" in data:
+        if not isinstance(data["specs"], list):
+            raise ValueError(
+                f"grid file {path}: 'specs' must be a list of scenario specs, "
+                f"got {data['specs']!r}"
+            )
         return [ScenarioSpec.from_dict(item) for item in data["specs"]]
     if "grid" in data:
         return _grid_from_kwargs(data["grid"])
@@ -279,7 +284,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stem = args.grid.stem
         out = args.out or Path("reports") / f"{stem}.md"
         trace_dir = args.trace_dir or Path("reports") / "traces" / stem
-        specs = load_grid_file(args.grid)
+        try:
+            specs = load_grid_file(args.grid)
+        except (OSError, ValueError) as exc:
+            parser.error(f"{args.grid}: {exc}")
         log.info("Flying %d scenario(s) from %s ...", len(specs), args.grid)
         telemetry_dir: Optional[Path] = None
         progress: Optional[_ProgressLine] = None

@@ -75,8 +75,8 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         check_number_fields(self)
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         if self.design not in DESIGNS:
             raise ValueError(
                 f"unknown design {self.design!r}; expected one of {DESIGNS}"
@@ -176,9 +176,6 @@ class ScenarioSpec:
         mission_data = checked_config_fields(
             MissionConfig, data.get("mission", {}), "mission"
         )
-        band = mission_data.get("flight_band_m")
-        if band is not None:
-            mission_data["flight_band_m"] = tuple(band)
         environment_data = checked_config_fields(
             EnvironmentConfig, data.get("environment", {}), "environment"
         )
@@ -222,7 +219,10 @@ def _checked_world(data: Any, field: str) -> Optional[Dict[str, Any]]:
     if data is None:
         return None
     world = checked_config_fields(WorldSpec, data, field)
-    for index, mover in enumerate(world.get("movers") or ()):
+    movers = world.get("movers") or []
+    if not isinstance(movers, list):
+        raise ValueError(f"{field}.movers must be a list, got {movers!r}")
+    for index, mover in enumerate(movers):
         checked_config_fields(MoverSpec, mover, f"{field}.movers[{index}]")
     return world
 

@@ -50,9 +50,15 @@ class WorldSpec:
 
     def __post_init__(self) -> None:
         check_number_fields(self)
-        if not self.archetype:
-            raise ValueError("world archetype name must be non-empty")
-        for key, value in dict(self.params).items():
+        if not isinstance(self.archetype, str) or not self.archetype:
+            raise ValueError(
+                f"world.archetype must be a non-empty string, got {self.archetype!r}"
+            )
+        if not isinstance(self.params, dict):
+            raise ValueError(f"world.params must be a JSON object, got {self.params!r}")
+        if not isinstance(self.movers, (list, tuple)):
+            raise ValueError(f"world.movers must be a list, got {self.movers!r}")
+        for key, value in self.params.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(
                     f"world param {key!r} must be a number, got {value!r}"
@@ -96,8 +102,6 @@ class WorldSpec:
         return cls(
             archetype=data.get("archetype", DEFAULT_ARCHETYPE),
             seed=data.get("seed"),
-            params=dict(data.get("params") or {}),
-            movers=tuple(
-                MoverSpec.from_dict(dict(m)) for m in data.get("movers") or ()
-            ),
+            params=data.get("params") or {},
+            movers=data.get("movers") or (),
         )

@@ -341,6 +341,32 @@ class TestReportCli:
             bad.write_text(json.dumps({"nope": 1}))
             load_grid_file(bad)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps({"grid": {"name_prefix": "bad", "n_drones": 2}}), "'n_drones'"),
+            (json.dumps({"specs": [{"name": 5}]}), "name"),
+            ("{not json", "Expecting"),
+            (None, "No such file"),
+        ],
+    )
+    def test_cli_rejects_a_malformed_grid_as_a_usage_error(
+        self, tmp_path, capsys, text, message
+    ):
+        grid = tmp_path / "bad.json"
+        if text is not None:
+            grid.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            report_main([
+                "--grid", str(grid),
+                "--out", str(tmp_path / "report.md"),
+                "--trace-dir", str(tmp_path / "traces"),
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "traces").exists()
+
     def test_cli_end_to_end_on_tiny_grid(self, tmp_path):
         grid = tmp_path / "tiny.json"
         grid.write_text(json.dumps({

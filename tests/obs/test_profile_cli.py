@@ -93,6 +93,26 @@ class TestMain:
         empty.write_text(json.dumps({"specs": []}))
         assert main([str(empty)]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps({"grid": {"name_prefix": "bad", "n_drones": 2}}), "'n_drones'"),
+            (json.dumps({"specs": 5}), "'specs'"),
+            ("{not json", "Expecting"),
+            (None, "No such file"),
+        ],
+    )
+    def test_malformed_grid_is_a_usage_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(path), "--out-dir", str(tmp_path / "o")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestHotspotTable:
     def test_ranked_by_total_and_capped(self):

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     CampaignRunner,
@@ -308,6 +309,17 @@ BAD_SPECS = {
     "faults_is_a_list": (_spec_with_faults([]), "'faults'"),
     "schedule_is_zero": (_spec_with_faults({"schedule": 0}), "'schedule'"),
     "sensor_dropout_is_a_list": (_spec_with_faults({"sensor_dropout": []}), "'sensor_dropout'"),
+    "world_params_is_a_list": (
+        {**tiny_spec().to_dict(), "world": {"params": [1, 2]}}, r"world\.params"
+    ),
+    "world_movers_is_a_number": (
+        {**tiny_spec().to_dict(), "world": {"movers": 5}}, r"world\.movers"
+    ),
+    "world_archetype_is_a_list": (
+        {**tiny_spec().to_dict(), "world": {"archetype": [None]}}, r"world\.archetype"
+    ),
+    "flight_band_is_a_number": (_spec_with("mission", "flight_band_m", 5), "flight_band_m"),
+    "name_is_a_number": ({**tiny_spec().to_dict(), "name": 5}, "name"),
 }
 
 BAD_GRIDS = {
@@ -344,8 +356,57 @@ BAD_GRIDS = {
 }
 
 
+#: Any JSON value: null, booleans, numbers, strings, and lists and objects of them.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**40), max_value=2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _fuzz_base():
+    """A valid spec dict with a mover and fault entries, so every section has fields."""
+    data = _spec_with_mover(CROSSER)
+    data["faults"] = {
+        "sensor_dropout": {"every_n": 3, "start_decision": 0},
+        "schedule": [{"fault": "power_brownout", "params": {"scale": 0.5}, "activate_at": 1}],
+    }
+    return json.loads(json.dumps(data))  # a deep copy: the fuzz writes into it
+
+
+def _fuzz_sections(data):
+    """The dictionaries a spec dict nests, by name."""
+    return {
+        "top": data,
+        "environment": data["environment"],
+        "mission": data["mission"],
+        "world": data["world"],
+        "mover": data["world"]["movers"][0],
+        "faults": data["faults"],
+    }
+
+
 class TestMalformedInput:
     """Bad spec and grid data fail while parsing, with the field named."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_from_dict_raises_only_value_error_on_any_field(self, data):
+        spec = _fuzz_base()
+        assert ScenarioSpec.from_dict(_fuzz_base()).world.movers
+        section = data.draw(st.sampled_from(sorted(_fuzz_sections(spec))))
+        target = _fuzz_sections(spec)[section]
+        key = data.draw(st.sampled_from(sorted(target)))
+        target[key] = data.draw(JSON_VALUES)
+        try:
+            ScenarioSpec.from_dict(spec)
+        except ValueError:
+            pass
 
     @pytest.mark.parametrize("case", sorted(BAD_SPECS))
     def test_from_dict_names_the_field(self, case):
@@ -367,6 +428,13 @@ class TestMalformedInput:
         path = tmp_path / "specs.json"
         path.write_text(json.dumps([tiny_spec("ok").to_dict(), data]))
         with pytest.raises(ValueError, match=field):
+            load_grid_file(path)
+
+    @pytest.mark.parametrize("specs", [5, "ab", {"name": "a"}])
+    def test_grid_file_specs_not_a_list_names_the_field(self, specs, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps({"specs": specs}))
+        with pytest.raises(ValueError, match="'specs'"):
             load_grid_file(path)
 
     def test_well_formed_world_and_movers_still_load(self):
