@@ -219,8 +219,8 @@ def _checked_world(data: Any, field: str) -> Optional[Dict[str, Any]]:
     if data is None:
         return None
     world = checked_config_fields(WorldSpec, data, field)
-    movers = world.get("movers") or []
-    if not isinstance(movers, list):
+    movers = world.get("movers") or ()
+    if not isinstance(movers, (list, tuple)):
         raise ValueError(f"{field}.movers must be a list, got {movers!r}")
     for index, mover in enumerate(movers):
         checked_config_fields(MoverSpec, mover, f"{field}.movers[{index}]")

@@ -263,27 +263,36 @@ def random_vec(rng, lo=-6.0, hi=6.0):
 def neighbour_offsets(radius):
     """The (2r+1)³ integer offsets of the cube neighbourhood of radius ``r``."""
     span = range(-radius, radius + 1)
-    return [(di, dj, dk) for di in span for dj in span for dk in span]
+    return tuple((di, dj, dk) for di in span for dj in span for dk in span)
 
 
 def point_hits_cells(cells, resolution, point, margin=0.0):
-    """True when ``point`` lies inside (or within ``margin`` of) a cell of the set."""
+    """True when ``point`` lies inside (or within ``margin`` of) an occupied cell.
+
+    The oracle of a zero-length ``segment_hits_table`` probe, over a set of
+    key tuples.
+    """
     if not cells:
         return False
     i = math.floor(point.x / resolution)
     j = math.floor(point.y / resolution)
     k = math.floor(point.z / resolution)
     radius = cell_margin_radius(margin, resolution)
-    return any(
-        (i + di, j + dj, k + dk) in cells for di, dj, dk in neighbour_offsets(radius)
-    )
+    if radius == 0:
+        return (i, j, k) in cells
+    for di, dj, dk in neighbour_offsets(radius):
+        if (i + di, j + dj, k + dk) in cells:
+            return True
+    return False
 
 
 def segment_hits_cells(cells, resolution, start, end, step=None, margin=0.0):
-    """The scalar walk: probe at ``t += step`` while ``t < length``, then the end.
+    """Sampled collision test for a straight segment against grid cells.
 
-    Stops at the first probe whose cell, or a cell within the margin, is in
-    the set of key tuples.
+    The oracle of ``segment_hits_table``, over a set of key tuples: probes
+    the segment at ``step`` intervals (clamped to one cell), accumulated as
+    ``t += step`` while ``t < length``, plus the exact end point, and stops
+    at the first probe that hits.
     """
     if not cells:
         return False
@@ -295,13 +304,16 @@ def segment_hits_cells(cells, resolution, start, end, step=None, margin=0.0):
     sx, sy, sz = start.x, start.y, start.z
     dx, dy, dz = end.x - sx, end.y - sy, end.z - sz
     length = math.sqrt(dx * dx + dy * dy + dz * dz)
-    offsets = neighbour_offsets(cell_margin_radius(margin, resolution))
+    radius = cell_margin_radius(margin, resolution)
+    offsets = neighbour_offsets(radius) if radius else None
     floor = math.floor
 
     def probe(px, py, pz):
         i = floor(px / resolution)
         j = floor(py / resolution)
         k = floor(pz / resolution)
+        if offsets is None:
+            return (i, j, k) in cells
         for di, dj, dk in offsets:
             if (i + di, j + dj, k + dk) in cells:
                 return True

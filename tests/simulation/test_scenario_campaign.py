@@ -399,8 +399,8 @@ class TestMalformedInput:
     def test_from_dict_raises_only_value_error_on_any_field(self, data):
         spec = _fuzz_base()
         assert ScenarioSpec.from_dict(_fuzz_base()).world.movers
-        section = data.draw(st.sampled_from(sorted(_fuzz_sections(spec))))
-        target = _fuzz_sections(spec)[section]
+        sections = _fuzz_sections(spec)
+        target = sections[data.draw(st.sampled_from(sorted(sections)))]
         key = data.draw(st.sampled_from(sorted(target)))
         target[key] = data.draw(JSON_VALUES)
         try:
