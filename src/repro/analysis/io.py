@@ -84,7 +84,8 @@ class TraceReader:
 
     The reader is streaming: iterating never loads the whole file, so
     campaign-scale traces aggregate in constant memory.  Blank lines are
-    skipped (a trailing newline is not an error).
+    skipped (a trailing newline is not an error).  A malformed line raises
+    a ``ValueError`` whose message starts with ``path:line``.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -92,10 +93,15 @@ class TraceReader:
 
     def __iter__(self) -> Iterator[TraceRecord]:
         with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
-                if line:
-                    yield record_from_line(line)
+                if not line:
+                    continue
+                try:
+                    record = record_from_line(line)
+                except ValueError as exc:
+                    raise ValueError(f"{self.path}:{number}: {exc}") from None
+                yield record
 
     def records(self) -> List[TraceRecord]:
         """All records of the file as a list (convenience for small files)."""

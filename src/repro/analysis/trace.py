@@ -392,11 +392,15 @@ def record_from_line(line: str) -> TraceRecord:
     """Parse one JSONL line back into its record type.
 
     Raises:
-        ValueError: when the line is not a JSON object, its ``kind`` field is
-            missing or unknown, or a field is missing (named in the message)
-            or malformed.
+        ValueError: when the line is not a JSON object (nesting too deep for
+            the decoder included), its ``kind`` field is missing or unknown,
+            or a field is missing (named in the message) or malformed
+            (``Infinity`` in an integer field included).
     """
-    data = json.loads(line)
+    try:
+        data = json.loads(line)
+    except RecursionError:
+        raise ValueError("trace line nests too deeply to decode") from None
     if not isinstance(data, dict):
         raise ValueError(f"trace line is not a JSON object: {line[:80]!r}")
     kind = data.get("kind")
@@ -410,7 +414,7 @@ def record_from_line(line: str) -> TraceRecord:
         return parse(data)
     except KeyError as exc:
         raise ValueError(f"{kind} trace line lacks the {exc.args[0]!r} field") from None
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} trace line: {exc}") from None
 
 

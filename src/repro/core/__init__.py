@@ -16,8 +16,9 @@ the hardware (Figure 6) and has three kinds of components:
   insertion volume budget, perception→planning sub-sampling and pruning, and
   the planner's collision ray step and explored-volume monitor.
 
-:class:`~repro.core.runtime.RoboRunRuntime` wires these together into the
-spatial-aware runtime, and :class:`~repro.core.baseline.SpatialObliviousRuntime`
+:class:`~repro.core.runtime.RoboRunRuntime` hosts the governor as the
+spatial-aware runtime (the decision pipeline runs the profilers and the
+operators around it), and :class:`~repro.core.baseline.SpatialObliviousRuntime`
 is the static, worst-case baseline (MAVBench-style) it is compared against.
 """
 

@@ -1,13 +1,11 @@
 """The RoboRun runtime.
 
-Ties the profilers, governor (time budgeter + solver) and operators together
-into the spatial-aware runtime of Figure 6.  The mission simulator drives it
-through two calls per decision:
-
-* :meth:`RoboRunRuntime.profile` — post-process the pipeline's current data
-  structures into a :class:`~repro.core.profilers.SpaceProfile`; and
-* :meth:`RoboRunRuntime.decide` — run the governor on that profile to obtain
-  the knob policy, decision deadline and safe-velocity cap.
+Ties the governor (time budgeter + solver) into the spatial-aware runtime of
+Figure 6.  The pipeline's profile node runs the mission's
+:class:`~repro.core.profilers.ProfilerSuite` over the current data
+structures; the governor node then calls :meth:`RoboRunRuntime.decide` on
+that :class:`~repro.core.profilers.SpaceProfile` to obtain the knob policy,
+decision deadline and safe-velocity cap.
 
 The runtime keeps no decision history: the flight node folds each decision
 into the mission's :class:`~repro.analysis.trace.DecisionRecord`, which is
@@ -17,19 +15,12 @@ what the precision-over-time and deadline-over-time figures (Figures 5 and
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.governor import Governor, GovernorDecision
-from repro.core.profilers import ProfilerSuite, SpaceProfile
-from repro.perception.octomap import OccupancyOctree
-from repro.perception.point_cloud import PointCloud
-from repro.planning.trajectory import Trajectory
-from repro.sensors.rig import RigScan
-from repro.sensors.state_sensors import StateEstimate
+from repro.core.profilers import SpaceProfile
 
 
 class RoboRunRuntime:
-    """The spatial-aware runtime under test: profilers + governor per decision.
+    """The spatial-aware runtime under test: the governor, once per decision.
 
     Each decision it receives a :class:`~repro.core.profilers.SpaceProfile`
     (distances in metres, volumes in cubic metres, velocity in m/s) and
@@ -44,37 +35,8 @@ class RoboRunRuntime:
     name = "roborun"
     spatial_aware = True
 
-    def __init__(
-        self,
-        governor: Optional[Governor] = None,
-        profilers: Optional[ProfilerSuite] = None,
-    ) -> None:
-        self.governor = governor or Governor()
-        self.profilers = profilers or ProfilerSuite()
-
-    # ------------------------------------------------------------------
-    # Per-decision interface
-    # ------------------------------------------------------------------
-    def profile(
-        self,
-        timestamp: float,
-        state: StateEstimate,
-        cloud: PointCloud,
-        scan: Optional[RigScan],
-        octree: Optional[OccupancyOctree],
-        trajectory: Optional[Trajectory],
-        rig_max_volume: float,
-    ) -> SpaceProfile:
-        """Run the profiler suite over the pipeline's current data structures."""
-        return self.profilers.profile(
-            timestamp=timestamp,
-            state=state,
-            cloud=cloud,
-            scan=scan,
-            octree=octree,
-            trajectory=trajectory,
-            rig_max_volume=rig_max_volume,
-        )
+    def __init__(self) -> None:
+        self.governor = Governor()
 
     def decide(
         self, profile: SpaceProfile, budget_scale: float = 1.0

@@ -203,15 +203,12 @@ class EnvironmentGenerator:
     # in metres, mimicking warehouse shelving and building clutter.
     _FOOTPRINTS: Sequence[Tuple[float, float]] = ((2.0, 2.0), (4.0, 2.0), (6.0, 3.0))
 
-    def __init__(self, default_seed: int = 0) -> None:
-        self.default_seed = default_seed
-
     # ------------------------------------------------------------------
     # Single environment
     # ------------------------------------------------------------------
     def generate(self, config: Optional[EnvironmentConfig] = None) -> GeneratedEnvironment:
         """Generate one environment from the given configuration."""
-        cfg = config or EnvironmentConfig(seed=self.default_seed)
+        cfg = config or EnvironmentConfig()
         rng = random.Random(cfg.seed)
 
         start = Vec3(0.0, 0.0, cfg.flight_altitude)

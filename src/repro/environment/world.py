@@ -75,6 +75,7 @@ class Obstacle:
 class World:
     """A bounded region populated with box obstacles.
 
+    A world starts empty; :meth:`add_obstacle` places its static boxes.
     Besides the static obstacles, the world carries two small layers that
     change while a mission flies: the *dynamic* layer
     (:meth:`set_dynamic_obstacles`) holds the kinematic movers from
@@ -89,7 +90,7 @@ class World:
     them costs less than narrowing them down in Python first.
     """
 
-    def __init__(self, bounds: AABB, obstacles: Optional[Iterable[Obstacle]] = None) -> None:
+    def __init__(self, bounds: AABB) -> None:
         self.bounds = bounds
         self._obstacles: List[Obstacle] = []
         self._dynamic: List[Obstacle] = []
@@ -102,8 +103,6 @@ class World:
         # per probe.
         self._static_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        for obstacle in obstacles or []:
-            self.add_obstacle(obstacle)
 
     # ------------------------------------------------------------------
     # Construction

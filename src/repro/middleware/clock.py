@@ -11,16 +11,14 @@ from __future__ import annotations
 
 
 class SimClock:
-    """A monotonically non-decreasing simulated clock.
+    """A monotonically non-decreasing simulated clock, starting at 0 s.
 
     The decision loop advances it explicitly, once per epoch, by the
     decision interval.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError("clock cannot start at a negative time")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -41,14 +41,11 @@ class Executor:
     the processed-message count are centralised.
     """
 
-    def __init__(
-        self, bus: TopicBus, clock: SimClock, record_dispatch: bool = False
-    ) -> None:
+    def __init__(self, bus: TopicBus, clock: SimClock) -> None:
         self.bus = bus
         self.clock = clock
         self._queue: Deque[_PendingDispatch] = deque()
         self._dispatched = 0
-        self._record_dispatch = record_dispatch
         self._dispatch_log: List[Tuple[str, str]] = []
         self._queue_high_water = 0
         self._observers: List[Any] = []
@@ -102,8 +99,7 @@ class Executor:
         if not self._queue:
             return False
         pending = self._queue.popleft()
-        if self._record_dispatch:
-            self._dispatch_log.append((pending.topic_name, pending.message.header.frame_id))
+        self._dispatch_log.append((pending.topic_name, pending.message.header.frame_id))
         if self._observers:
             for observer in self._observers:
                 before = getattr(observer, "before_dispatch", None)
@@ -166,7 +162,6 @@ class Executor:
     def dispatch_log(self) -> List[Tuple[str, str]]:
         """(topic, publishing frame) per delivered callback, in dispatch order.
 
-        Empty unless the executor was built with ``record_dispatch=True``.
         The log is the determinism witness for the node graph: two missions
         with the same seed must produce identical logs.
         """

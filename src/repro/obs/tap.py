@@ -37,20 +37,16 @@ TIME_BUDGET_BUCKETS: Tuple[float, ...] = (
 class ObsTap:
     """Passive runtime instrumentation for one mission or fleet run.
 
+    The tap owns its span sink (:attr:`tracer`) and metric sink
+    (:attr:`metrics`).
+
     Args:
-        tracer: span sink; a fresh :class:`Tracer` by default.
-        metrics: metric sink; a fresh :class:`MetricsRegistry` by default.
         process_name: Chrome-trace process name (usually the spec name).
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        process_name: str = "repro",
-    ) -> None:
-        self.tracer = tracer if tracer is not None else Tracer(process_name)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self, process_name: str = "repro") -> None:
+        self.tracer = Tracer(process_name)
+        self.metrics = MetricsRegistry()
         self._pipelines: List[Any] = []
         self._executors: List[Any] = []
         # id(node) -> (lane name, short node name); identity keyed because

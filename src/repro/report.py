@@ -321,7 +321,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         stem = args.traces.name
         out = args.out or Path("reports") / f"{stem}.md"
-        report = CampaignReport.from_trace_dir(args.traces)
+        try:
+            report = CampaignReport.from_trace_dir(args.traces)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
         log.info(
             "Loaded %d mission(s) / %d decision record(s) from %s/",
             len(report.missions),

@@ -154,13 +154,8 @@ def _run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             from repro.analysis.recorder import TraceRecorder
 
             recorder = TraceRecorder(writer=writer, spec=spec, keep_records=False)
-        # taps is only passed when telemetry is live, so campaigns without
-        # telemetry exercise exactly the pre-obs call (and keep working with
-        # callers that stub ScenarioSpec.run with the old signature).
-        if emitter is not None:
-            result = spec.run(recorder=recorder, taps=(emitter,))
-        else:
-            result = spec.run(recorder=recorder)
+        taps = (emitter,) if emitter is not None else ()
+        result = spec.run(recorder=recorder, taps=taps)
         row["metrics"] = result.metrics.as_dict()
         if payload.get("keep_results"):
             result.pipeline = None

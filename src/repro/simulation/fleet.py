@@ -38,11 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.dynamics.drone import QuadrotorKinematics
-from repro.dynamics.energy import EnergyModel
-from repro.compute.costs import WorkloadCostModel
 from repro.compute.utilization import mean_utilization
-from repro.core.profilers import ProfilerSuite
 from repro.environment.generator import GeneratedEnvironment
 from repro.environment.world import Obstacle
 from repro.environment.zones import ZoneMap
@@ -63,6 +59,15 @@ from repro.simulation.pipeline import DecisionPipeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.recorder import TraceRecorder
+
+#: Lateral formation spacing between adjacent drones' start offsets, metres.
+FORMATION_SPACING_M = 6.0
+#: Edge of the box a drone occupies in its peers' maps and the world's agent
+#: layer, metres.
+PEER_BOX_M = 1.0
+#: Pairwise distance under which an epoch counts as an airspace conflict,
+#: metres.
+CONFLICT_DISTANCE_M = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,17 +148,13 @@ class FleetSimulator:
     Args:
         environment: the shared generated environment; drone 0 flies its
             start→goal mission verbatim, drones 1..N-1 fly laterally offset
-            copies of it (alternating sides, ``spacing_m`` apart).
+            copies of it (alternating sides, ``FORMATION_SPACING_M`` apart).
         runtime_factory: zero-argument callable producing a fresh runtime
             per drone (each drone gets its own governor state).
         config: mission parameters; drone k>0 runs with ``rng_seed + k`` so
             per-drone planners explore independently.
         n_drones: fleet size (≥ 1).
-        spacing_m: lateral formation spacing between adjacent start offsets.
-        peer_box_m: edge length of the box a drone occupies in its peers'
-            maps and in the world's agent layer.
-        conflict_distance_m: pairwise distance under which an epoch counts
-            as an airspace conflict.
+        faults: the fault set every drone flies under.
     """
 
     def __init__(
@@ -162,26 +163,13 @@ class FleetSimulator:
         runtime_factory: Callable[[], Runtime],
         config: Optional[MissionConfig] = None,
         n_drones: int = 1,
-        cost_model: Optional[WorkloadCostModel] = None,
-        energy_model: Optional[EnergyModel] = None,
-        kinematics: Optional[QuadrotorKinematics] = None,
-        profilers: Optional[ProfilerSuite] = None,
         faults: Optional[FaultSet] = None,
-        *,
-        spacing_m: float = 6.0,
-        peer_box_m: float = 1.0,
-        conflict_distance_m: float = 2.0,
     ) -> None:
         if n_drones < 1:
             raise ValueError("a fleet needs at least one drone")
-        if spacing_m <= 0 or peer_box_m <= 0 or conflict_distance_m <= 0:
-            raise ValueError("fleet distances must be positive metres")
         self.environment = environment
         self.config = config or MissionConfig()
         self.n_drones = n_drones
-        self.spacing_m = spacing_m
-        self.peer_box_m = peer_box_m
-        self.conflict_distance_m = conflict_distance_m
 
         self.simulators: List[MissionSimulator] = []
         for drone_id in range(n_drones):
@@ -191,16 +179,7 @@ class FleetSimulator:
                 env = self._offset_environment(drone_id)
                 cfg = replace(self.config, rng_seed=self.config.rng_seed + drone_id)
             self.simulators.append(
-                MissionSimulator(
-                    env,
-                    runtime_factory(),
-                    cfg,
-                    cost_model=cost_model,
-                    energy_model=energy_model,
-                    kinematics=kinematics,
-                    profilers=profilers,
-                    faults=faults,
-                )
+                MissionSimulator(env, runtime_factory(), cfg, faults=faults)
             )
 
     # ------------------------------------------------------------------
@@ -221,7 +200,7 @@ class FleetSimulator:
             return 0.0
         magnitude = (drone_id + 1) // 2
         sign = 1.0 if drone_id % 2 == 1 else -1.0
-        return sign * magnitude * self.spacing_m
+        return sign * magnitude * FORMATION_SPACING_M
 
     def _offset_environment(self, drone_id: int) -> GeneratedEnvironment:
         """Drone k's view of the shared world: shifted endpoints, same world."""
@@ -241,22 +220,13 @@ class FleetSimulator:
         taps: Sequence = (),
     ) -> FleetResult:
         """Fly the fleet mission and return per-drone plus aggregate results."""
-        return fly_epochs(
-            self.simulators,
-            recorder,
-            taps,
-            peer_box_m=self.peer_box_m,
-            conflict_distance_m=self.conflict_distance_m,
-        )
+        return fly_epochs(self.simulators, recorder, taps)
 
 
 def fly_epochs(
     simulators: Sequence[MissionSimulator],
     recorder: Optional["TraceRecorder"] = None,
     taps: Sequence = (),
-    *,
-    peer_box_m: float = 1.0,
-    conflict_distance_m: float = 2.0,
 ) -> FleetResult:
     """Fly one drone per simulator in lock-stepped epochs until all finish.
 
@@ -265,8 +235,8 @@ def fly_epochs(
     environment is the shared one.  A drone finishes on collision, then
     goal, then the plan-failure streak, checked in that order after every
     epoch; the decision and mission-time caps of drone 0's config end the
-    whole mission.  ``peer_box_m`` and ``conflict_distance_m`` have the
-    meaning :class:`FleetSimulator` documents and never matter for one drone.
+    whole mission.  Peers occupy ``PEER_BOX_M`` boxes and come into conflict
+    under ``CONFLICT_DISTANCE_M``; neither matters for one drone.
 
     Args:
         recorder: optional :class:`~repro.analysis.recorder.TraceRecorder`,
@@ -280,12 +250,12 @@ def fly_epochs(
     cfg = simulators[0].config
     world = simulators[0].environment.world
     clock = SimClock()
-    executor = Executor(TopicBus(), clock, record_dispatch=True)
+    executor = Executor(TopicBus(), clock)
     pipelines: List[DecisionPipeline] = []
     for drone_id, sim in enumerate(simulators):
         namespace = TopicNamespace() if n == 1 else TopicNamespace.for_drone(drone_id)
         pipeline = sim.build_pipeline(
-            namespace=namespace, executor=executor, drone_id=drone_id
+            executor, namespace=namespace, drone_id=drone_id
         )
         if recorder is not None:
             pipeline.add_tap(recorder)
@@ -314,7 +284,7 @@ def fly_epochs(
         intervals = []
         for drone_id in active:
             if n > 1:
-                _expose_peers(drone_id, active, pipelines, peer_marks, peer_box_m)
+                _expose_peers(drone_id, active, pipelines, peer_marks)
             outcome = pipelines[drone_id].step(epoch)
             last_outcome[drone_id] = outcome
             distance[drone_id] += outcome.flown
@@ -328,7 +298,7 @@ def fly_epochs(
             )
             if min_separation is None or epoch_min < min_separation:
                 min_separation = epoch_min
-            if epoch_min < conflict_distance_m:
+            if epoch_min < CONFLICT_DISTANCE_M:
                 airspace_conflicts += 1
 
         # Per-drone termination: collision, then goal, then the plan-failure
@@ -412,7 +382,6 @@ def _expose_peers(
     active: List[int],
     pipelines: List[DecisionPipeline],
     peer_marks: List[np.ndarray],
-    peer_box_m: float,
 ) -> None:
     """Fold the other active drones into this drone's view of the world.
 
@@ -420,7 +389,7 @@ def _expose_peers(
     re-marks the peers' boxes into this drone's octree, clearing the
     previous epoch's footprints first.
     """
-    size = Vec3(peer_box_m, peer_box_m, peer_box_m)
+    size = Vec3(PEER_BOX_M, PEER_BOX_M, PEER_BOX_M)
     obstacles = [
         Obstacle(
             AABB.from_center(pipelines[peer].flight.state.position, size),

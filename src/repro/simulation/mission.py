@@ -38,7 +38,6 @@ from repro.perception.point_cloud import PointCloudKernel
 from repro.planning.rrt_star import RRTStarConfig, RRTStarPlanner
 from repro.planning.smoothing import PathSmoother, SmoothingConfig
 from repro.sensors.rig import CameraRig
-from repro.sensors.state_sensors import StateSensorSuite
 from repro.simulation.faults import FaultSet
 from repro.simulation.metrics import MissionMetrics
 from repro.simulation.pipeline import DecisionPipeline
@@ -61,10 +60,8 @@ class Runtime(Protocol):
         """Produce the policy, deadline and velocity cap for one decision.
 
         ``budget_scale`` multiplies the decision time budget before knobs are
-        chosen — platform faults (power brownouts) shrink it below 1; the
-        nominal path always passes 1.0 (and the pipeline only forwards a
-        non-unit scale, so stubs with the narrow signature keep working on
-        fault-free missions).
+        chosen — platform faults (power brownouts) shrink it below 1; with no
+        fault active the pipeline passes 1.0, the nominal budget.
         """
 
 
@@ -228,21 +225,15 @@ class MissionSimulator:
         environment: GeneratedEnvironment,
         runtime: Runtime,
         config: Optional[MissionConfig] = None,
-        cost_model: Optional[WorkloadCostModel] = None,
-        energy_model: Optional[EnergyModel] = None,
-        kinematics: Optional[QuadrotorKinematics] = None,
-        profilers: Optional[ProfilerSuite] = None,
         faults: Optional[FaultSet] = None,
     ) -> None:
         self.environment = environment
         self.runtime = runtime
         self.config = config or MissionConfig()
-        self.cost_model = cost_model or WorkloadCostModel()
-        self.energy_model = energy_model or EnergyModel()
-        self.kinematics = kinematics or QuadrotorKinematics()
-        self.profilers = profilers or ProfilerSuite(
-            max_visibility=self.config.camera_range_m
-        )
+        self.cost_model = WorkloadCostModel()
+        self.energy_model = EnergyModel()
+        self.kinematics = QuadrotorKinematics()
+        self.profilers = ProfilerSuite(max_visibility=self.config.camera_range_m)
         self.faults = faults or FaultSet()
 
         cfg = self.config
@@ -251,7 +242,6 @@ class MissionSimulator:
             height=cfg.camera_height,
             max_range=cfg.camera_range_m,
         )
-        self.sensors = StateSensorSuite.ideal()
         self.operators = OperatorSet(
             point_cloud_kernel=PointCloudKernel(),
             octree=OccupancyOctree(vox_min=0.3, levels=6),
@@ -274,17 +264,17 @@ class MissionSimulator:
     # ------------------------------------------------------------------
     def build_pipeline(
         self,
+        executor: "Executor",
         *,
         namespace: Optional["TopicNamespace"] = None,
-        executor: Optional["Executor"] = None,
         drone_id: int = 0,
     ) -> DecisionPipeline:
         """Wire a fresh node graph over the simulator's kernels and models.
 
-        Without arguments each call creates a new bus, executor, clock and
-        accounting; the pipeline shares the simulator's operator set, so the
+        Each call creates fresh accounting on the given executor (its bus and
+        clock); the pipeline shares the simulator's operator set, so the
         occupancy map carries over between pipelines built by the same
-        simulator.  The decision loop passes a shared ``executor`` plus a
+        simulator.  The decision loop passes one shared ``executor`` plus a
         per-drone ``namespace``/``drone_id`` so N graphs coexist on one bus.
         """
         return DecisionPipeline(
@@ -296,12 +286,11 @@ class MissionSimulator:
             profilers=self.profilers,
             operators=self.operators,
             rig=self.rig,
-            sensors=self.sensors,
             follower=self.follower,
             energy_model=self.energy_model,
             faults=self.faults,
-            namespace=namespace,
             executor=executor,
+            namespace=namespace,
             drone_id=drone_id,
         )
 

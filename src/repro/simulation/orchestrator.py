@@ -13,10 +13,10 @@ It is built once per mission from the scenario's fault set and seed:
 
 Nodes then ask one question per decision through a layer-specific query
 (:meth:`sensor_dropped`, :meth:`camera_resolution`, :meth:`budget_scale`,
-:meth:`apply_stage_latencies`, :meth:`frozen_epoch`).  Every query is an
-exact no-op when no fault's window covers the decision, so a fault-free
-mission takes the same code path — and produces byte-identical traces —
-whether or not the orchestrator exists.
+:meth:`apply_stage_latencies`, :meth:`frozen_epoch`).  Every query gives
+the nominal answer when no fault's window covers the decision, so a
+fault-free mission is simply an orchestrator with no windows: it flies the
+same code path as a faulted one.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class FaultOrchestrator:
         for ordinal, entry in enumerate(self.faults.schedule):
             start, end = entry.resolve(seed, ordinal)
             self._windows.append(FaultWindow(entry.fault, start, end))
-        #: False for the no-fault case: callers skip their fault branch
-        #: entirely, keeping the nominal path untouched.
-        self.enabled = bool(self._windows)
 
     def active(self, index: int) -> List[Tuple[Fault, int]]:
         """Every fault covering ``index``, as ``(fault, active_for)`` pairs."""
@@ -117,13 +114,6 @@ class FaultOrchestrator:
             scale *= fault.budget_scale(index, active_for)
         return scale
 
-    def compute_factor(self, index: int) -> float:
-        """Product of every active fault's compute-latency multiplier."""
-        factor = 1.0
-        for fault, active_for in self.active(index):
-            factor *= fault.compute_factor(index, active_for)
-        return factor
-
     def apply_stage_latencies(
         self, index: int, stage_latencies: Mapping[str, float]
     ) -> Dict[str, float]:
@@ -131,13 +121,12 @@ class FaultOrchestrator:
 
         Comm stages pass through each active fault's
         :meth:`~repro.simulation.faults.Fault.comm_seconds` hook in window
-        order; compute stages are multiplied by :meth:`compute_factor`.
-        Returns the mapping unchanged (same object semantics: a fresh dict
-        with identical float bits) when no fault covers the decision.
+        order; compute stages are multiplied by the product of the active
+        faults' compute factors.  With no fault covering the decision the
+        result is a fresh dict with the same float bits: the comm loop is
+        empty and the factor is 1.0.
         """
         active = self.active(index)
-        if not active:
-            return dict(stage_latencies)
         factor = 1.0
         for fault, active_for in active:
             factor *= fault.compute_factor(index, active_for)

@@ -53,15 +53,14 @@ from repro.dynamics.energy import EnergyModel
 from repro.environment.generator import GeneratedEnvironment
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
-from repro.middleware.clock import SimClock
 from repro.middleware.executor import Executor
 from repro.middleware.latency import compute_seconds
 from repro.middleware.message import Message
 from repro.middleware.node import Node
-from repro.middleware.topic import TopicBus, TopicNamespace
+from repro.middleware.topic import TopicNamespace
 from repro.planning.trajectory import Trajectory
 from repro.sensors.rig import CameraRig, RigScan
-from repro.sensors.state_sensors import StateEstimate, StateSensorSuite
+from repro.sensors.state_sensors import StateEstimate
 from repro.simulation.faults import FaultSet
 from repro.simulation.orchestrator import FaultOrchestrator
 
@@ -192,11 +191,12 @@ class FlightResult:
 # Nodes
 # ----------------------------------------------------------------------
 class SenseNode(Node):
-    """Captures the camera rig and state sensors; entry point of each cascade.
+    """Captures the camera rig and stamps the state; entry point of each cascade.
 
     The node tracks the drone pose by subscribing to the flight results and
     applies the scenario's sensor faults (dropout, degraded resolution) at
     the capture boundary, so the rest of the pipeline sees ordinary messages.
+    The state estimate is the true state: the reproduction knows it exactly.
 
     The sense boundary is also where the environment's dynamic obstacles
     advance: each tick first steps the
@@ -211,27 +211,19 @@ class SenseNode(Node):
         self,
         executor: Executor,
         rig: CameraRig,
-        sensors: StateSensorSuite,
         environment: GeneratedEnvironment,
-        faults: Optional[FaultSet] = None,
-        octree: Optional["OccupancyOctree"] = None,
+        octree: "OccupancyOctree",
+        orchestrator: FaultOrchestrator,
         *,
-        orchestrator: Optional[FaultOrchestrator] = None,
         topics: PipelineTopics = ROOT_TOPICS,
         name: str = "sense",
     ) -> None:
         super().__init__(name, executor)
         self.topics = topics
         self.rig = rig
-        self.sensors = sensors
         self.environment = environment
-        self.faults = faults or FaultSet()
-        self.orchestrator = (
-            orchestrator
-            if orchestrator is not None
-            else FaultOrchestrator(self.faults)
-        )
-        self.dynamics = getattr(environment, "dynamics", None)
+        self.orchestrator = orchestrator
+        self.dynamics = environment.dynamics
         self._octree = octree
         self._position = environment.start
         self._velocity = Vec3.zero()
@@ -243,8 +235,6 @@ class SenseNode(Node):
         self._velocity = message.payload.state.velocity
 
     def _active_rig(self, decision_index: int) -> CameraRig:
-        if not self.orchestrator.enabled:
-            return self.rig
         resolution = self.orchestrator.camera_resolution(decision_index)
         if resolution is None:
             return self.rig
@@ -256,8 +246,6 @@ class SenseNode(Node):
 
     def _mover_epoch_overrides(self, decision_index: int) -> Optional[Dict[str, int]]:
         """Per-mover epoch pins from active stuck-mover windows (None = nominal)."""
-        if not self.orchestrator.enabled or self.dynamics is None:
-            return None
         overrides: Dict[str, int] = {}
         for mover in self.dynamics.movers:
             frozen = self.orchestrator.frozen_epoch(mover.name, decision_index)
@@ -274,16 +262,12 @@ class SenseNode(Node):
                 epoch_overrides=self._mover_epoch_overrides(decision_index),
             )
         rig = self._active_rig(decision_index)
-        dropped = self.orchestrator.enabled and self.orchestrator.sensor_dropped(
-            decision_index
-        )
+        dropped = self.orchestrator.sensor_dropped(decision_index)
         if dropped:
             scan = rig.empty_scan(self._position)
         else:
             scan = rig.capture(self.environment.world, self._position)
-        estimate = self.sensors.estimate(
-            self.executor.clock.now, self._position, self._velocity
-        )
+        estimate = StateEstimate(self.executor.clock.now, self._position, self._velocity)
         self.publish(
             self.topics.scan, SenseSample(decision_index, scan, estimate, dropped)
         )
@@ -341,8 +325,8 @@ class GovernorNode(Node):
         self,
         executor: Executor,
         runtime: "Runtime",
+        orchestrator: FaultOrchestrator,
         *,
-        orchestrator: Optional[FaultOrchestrator] = None,
         topics: PipelineTopics = ROOT_TOPICS,
         name: str = "governor",
     ) -> None:
@@ -353,16 +337,10 @@ class GovernorNode(Node):
         self.subscribe(topics.profile, self._on_profile)
 
     def _on_profile(self, message: Message[ProfileSample]) -> None:
-        # A power brownout shrinks the time budget fed to the runtime; the
-        # scale-free call is kept as its own branch so fault-free missions
-        # (and runtime stubs with the narrow signature) are untouched.
-        scale = 1.0
-        if self.orchestrator is not None and self.orchestrator.enabled:
-            scale = self.orchestrator.budget_scale(message.payload.index)
-        if scale != 1.0:
-            decision = self.runtime.decide(message.payload.profile, budget_scale=scale)
-        else:
-            decision = self.runtime.decide(message.payload.profile)
+        # A power brownout shrinks the time budget fed to the runtime; with
+        # no fault active the scale is 1.0, the nominal budget.
+        scale = self.orchestrator.budget_scale(message.payload.index)
+        decision = self.runtime.decide(message.payload.profile, budget_scale=scale)
         self.publish(
             self.topics.decision, DecisionSample(message.payload.index, decision)
         )
@@ -626,8 +604,8 @@ class FlightNode(Node):
         operators: OperatorSet,
         energy_model: EnergyModel,
         traces: List[DecisionRecord],
+        orchestrator: FaultOrchestrator,
         *,
-        orchestrator: Optional[FaultOrchestrator] = None,
         topics: PipelineTopics = ROOT_TOPICS,
         name: str = "flight",
         drone_id: int = 0,
@@ -682,7 +660,6 @@ class FlightNode(Node):
         profile = self._profile.profile
         cfg = self.config
         orchestrator = self.orchestrator
-        faulted = orchestrator is not None and orchestrator.enabled
 
         # Charge compute: the canonical per-stage breakdown of the merged work.
         work = merge_work(self._perception.output.work, planning.output.work)
@@ -693,16 +670,13 @@ class FlightNode(Node):
         # before any accounting, so thermal throttling inflates the compute
         # stages and comm faults show up in the comm_* stages.  Fault hooks
         # come from an open registry, so their output is checked here.
-        if faulted:
-            stage_latencies = orchestrator.apply_stage_latencies(
-                index, stage_latencies
-            )
-            for stage, seconds in stage_latencies.items():
-                if seconds < 0:
-                    raise ValueError(
-                        f"decision {index}: the active faults made stage "
-                        f"{stage!r} take a negative latency ({seconds} s)"
-                    )
+        stage_latencies = orchestrator.apply_stage_latencies(index, stage_latencies)
+        for stage, seconds in stage_latencies.items():
+            if seconds < 0:
+                raise ValueError(
+                    f"decision {index}: the active faults made stage "
+                    f"{stage!r} take a negative latency ({seconds} s)"
+                )
         end_to_end = sum(stage_latencies.values())
         busy = compute_seconds(stage_latencies)
 
@@ -744,12 +718,12 @@ class FlightNode(Node):
                     compute_busy_s=busy,
                 ),
                 replanned=planning.replanned,
-                dropped=faulted and orchestrator.sensor_dropped(index),
+                dropped=orchestrator.sensor_dropped(index),
                 hit=hit,
                 archetype=self.environment.archetype,
                 difficulty=float(self.environment.difficulty_at(position)),
                 drone_id=self.drone_id,
-                faults=orchestrator.active_fault_names(index) if faulted else (),
+                faults=orchestrator.active_fault_names(index),
             )
         )
 
@@ -847,11 +821,13 @@ class FlightNode(Node):
 class DecisionPipeline:
     """The six pipeline nodes wired over one bus, driven one decision at a time.
 
-    The pipeline owns the run-scoped accounting (clock and traces: one
+    The pipeline owns the run-scoped accounting (the traces: one
     :class:`~repro.analysis.trace.DecisionRecord` per decision) and exposes
     :meth:`step` — publish one sensor tick and drain the executor until the
-    cascade completes.  The mission façade owns mission-level policy:
-    termination, distance integration and metric assembly.
+    cascade completes.  The executor (with its bus and clock) belongs to the
+    decision loop, :func:`repro.simulation.fleet.fly_epochs`.  The mission
+    façade owns mission-level policy: termination, distance integration and
+    metric assembly.
     """
 
     def __init__(
@@ -864,53 +840,41 @@ class DecisionPipeline:
         profilers: ProfilerSuite,
         operators: OperatorSet,
         rig: CameraRig,
-        sensors: StateSensorSuite,
         follower: PurePursuitFollower,
         energy_model: EnergyModel,
-        faults: Optional[FaultSet] = None,
+        faults: FaultSet,
+        executor: Executor,
         *,
         namespace: Optional[TopicNamespace] = None,
-        executor: Optional[Executor] = None,
         drone_id: int = 0,
     ) -> None:
         self.environment = environment
         self.namespace = namespace or TopicNamespace()
         self.drone_id = drone_id
-        if executor is None:
-            # Stand-alone (single-drone) pipeline: owns its clock and bus.
-            self.clock = SimClock()
-            self.bus = TopicBus()
-            self.executor = Executor(self.bus, self.clock, record_dispatch=True)
-        else:
-            # Fleet member: N pipelines share one clock/bus/executor, each
-            # publishing inside its own topic namespace.
-            self.executor = executor
-            self.bus = executor.bus
-            self.clock = executor.clock
+        # The decision loop's executor, clock and bus: a fleet's N pipelines
+        # share them, each publishing inside its own topic namespace.
+        self.executor = executor
+        self.bus = executor.bus
+        self.clock = executor.clock
         self.topics = PipelineTopics.for_namespace(self.namespace)
         self.traces: List[DecisionRecord] = []
-        self.faults = faults or FaultSet()
         # One orchestrator per pipeline: schedule jitter resolves against the
         # mission seed, so serial and pooled campaign runs agree.
-        self.orchestrator = FaultOrchestrator(
-            self.faults, seed=getattr(config, "rng_seed", 0)
-        )
+        self.orchestrator = FaultOrchestrator(faults, seed=config.rng_seed)
 
         topics = self.topics
         ns = self.namespace
         self.sense = SenseNode(
-            self.executor,
+            executor,
             rig,
-            sensors,
             environment,
-            faults,
-            octree=operators.octree,
-            orchestrator=self.orchestrator,
+            operators.octree,
+            self.orchestrator,
             topics=topics,
             name=ns.node("sense"),
         )
         self.profile = ProfileNode(
-            self.executor,
+            executor,
             profilers,
             operators,
             rig_max_volume=rig.max_sensor_volume(),
@@ -919,21 +883,21 @@ class DecisionPipeline:
             name=ns.node("profile"),
         )
         self.governor = GovernorNode(
-            self.executor,
+            executor,
             runtime,
-            orchestrator=self.orchestrator,
+            self.orchestrator,
             topics=topics,
             name=ns.node("governor"),
         )
         self.perception = PerceptionNode(
-            self.executor, operators, topics=topics, name=ns.node("perception")
+            executor, operators, topics=topics, name=ns.node("perception")
         )
         self.planning = PlanningNode(
-            self.executor, operators, config, environment,
+            executor, operators, config, environment,
             topics=topics, name=ns.node("planning"),
         )
         self.flight = FlightNode(
-            self.executor,
+            executor,
             config,
             environment,
             runtime,
@@ -943,7 +907,7 @@ class DecisionPipeline:
             operators,
             energy_model,
             self.traces,
-            orchestrator=self.orchestrator,
+            self.orchestrator,
             topics=topics,
             name=ns.node("flight"),
             drone_id=drone_id,

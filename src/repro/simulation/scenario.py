@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
@@ -227,7 +228,7 @@ def _checked_world(data: Any, field: str) -> Optional[Dict[str, Any]]:
     return world
 
 
-def _coerce_world(value: Any) -> WorldSpec:
+def _coerce_world(value: Any, index: int) -> WorldSpec:
     """Accept a WorldSpec, an archetype name or a spec dictionary."""
     if isinstance(value, WorldSpec):
         return value
@@ -235,9 +236,22 @@ def _coerce_world(value: Any) -> WorldSpec:
         return WorldSpec(archetype=value)
     if isinstance(value, dict):
         return WorldSpec.from_dict(_checked_world(value, "worlds"))
-    raise TypeError(
-        f"world entries must be WorldSpec, archetype name or dict, got {value!r}"
+    raise ValueError(
+        f"worlds[{index}] must be a WorldSpec, an archetype name or a world "
+        f"dict, got {value!r}"
     )
+
+
+def _checked_integer(value: Any, field: str, minimum: Optional[int] = None) -> int:
+    """``value`` when it is an integer (no bool, no float) of at least ``minimum``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or (minimum is not None and value < minimum)
+    ):
+        wanted = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ValueError(f"{field} must be {wanted}, got {value!r}")
+    return int(value)
 
 
 def _coerce_fault_set(value: Any, field: str) -> FaultSet:
@@ -341,13 +355,26 @@ def scenario_grid(
     ``..._brownout_...``).  Every spec receives a distinct, deterministic
     seed (``base_seed + index``), so the grid is reproducible mission by
     mission.
+
+    Raises:
+        ValueError: naming the field, when ``name_prefix`` is not a
+            non-empty string, ``base_seed`` not an integer, a ``worlds``
+            entry of none of the accepted kinds, or an ``n_drones`` entry
+            not an integer of at least 1.
     """
+    if not isinstance(name_prefix, str) or not name_prefix:
+        raise ValueError(f"name_prefix must be a non-empty string, got {name_prefix!r}")
+    base_seed = _checked_integer(base_seed, "base_seed")
     base_env = base_environment or EnvironmentConfig()
     density_values = tuple(densities) or (base_env.obstacle_density,)
     spread_values = tuple(spreads) or (base_env.obstacle_spread,)
     goal_values = tuple(goal_distances) or (base_env.goal_distance,)
-    world_values = tuple(_coerce_world(w) for w in worlds) or (WorldSpec(),)
-    fleet_values = tuple(int(n) for n in n_drones) or (1,)
+    world_values = tuple(
+        _coerce_world(w, i) for i, w in enumerate(worlds)
+    ) or (WorldSpec(),)
+    fleet_values = tuple(
+        _checked_integer(n, f"n_drones[{i}]", minimum=1) for i, n in enumerate(n_drones)
+    ) or (1,)
     # Axis labels appear in spec names only when the axis is swept, so the
     # default grid's names (and trace-file names) are unchanged.  When the
     # same label appears more than once on an axis (e.g. two forest variants

@@ -286,10 +286,10 @@ class TestCampaignErrorRecords:
         bad = dataclasses.replace(good, name="boom")
         original = campaign_mod.ScenarioSpec.run
 
-        def exploding_run(self, recorder=None):
+        def exploding_run(self, recorder=None, taps=()):
             if self.name == "boom":
                 raise RuntimeError("mid-mission failure")
-            return original(self, recorder=recorder)
+            return original(self, recorder=recorder, taps=taps)
 
         monkeypatch.setattr(campaign_mod.ScenarioSpec, "run", exploding_run)
         campaign = CampaignRunner(max_workers=1).run(
@@ -366,6 +366,27 @@ class TestReportCli:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "traces").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"kind":"mission","spec_name":"a","design":"b","seed":Infinity}',
+            "[" * 5000,
+            "{not json",
+        ],
+        ids=["infinite_seed", "deep_nesting", "not_json"],
+    )
+    def test_cli_rejects_a_malformed_trace_as_a_usage_error(self, tmp_path, capsys, line):
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        (trace_dir / "bad.jsonl").write_text(line + "\n")
+        out = tmp_path / "report.md"
+        with pytest.raises(SystemExit) as exit_info:
+            report_main(["--traces", str(trace_dir), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl:1: " in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_cli_end_to_end_on_tiny_grid(self, tmp_path):
         grid = tmp_path / "tiny.json"

@@ -11,8 +11,11 @@ Three invariants are pinned here:
 """
 
 import dataclasses
+import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     CampaignRunner,
@@ -36,6 +39,23 @@ TINY_ENV = EnvironmentConfig(
     obstacle_density=0.3, obstacle_spread=30.0, goal_distance=60.0, seed=7
 )
 TINY_CFG = MissionConfig(max_decisions=12, max_mission_time_s=100.0)
+
+#: A mission line whose integer ``seed`` is ``Infinity``.
+INFINITE_SEED_LINE = '{"kind":"mission","spec_name":"a","design":"b","seed":Infinity}'
+
+#: The non-finite numbers, which no integer field can hold.
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+#: Any JSON value Python's ``json`` reads, ``Infinity`` and ``NaN`` included.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**40), max_value=2**40)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 def tiny_spec(name="tiny", design="roborun", seed=7):
@@ -130,6 +150,37 @@ class TestRoundTrip:
     def test_non_object_line_rejected(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             record_from_line("[1, 2]")
+
+    @pytest.mark.parametrize(
+        "line", [INFINITE_SEED_LINE, "[" * 5000], ids=["infinite_seed", "deep_nesting"]
+    )
+    def test_overflow_and_deep_nesting_are_value_errors(self, line):
+        with pytest.raises(ValueError):
+            record_from_line(line)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_field_raises_only_value_error(self, traced_mission, data):
+        lines = traced_mission["path"].read_text().splitlines()
+        # The first decision line or the mission line.
+        record = json.loads(data.draw(st.sampled_from([lines[0], lines[-1]])))
+        key = data.draw(st.sampled_from(sorted(record)))
+        if data.draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = data.draw(NON_FINITE | JSON_VALUES)
+        try:
+            parsed = record_from_line(json.dumps(record))
+        except ValueError:
+            return
+        assert isinstance(parsed, (DecisionRecord, MissionRecord))
+
+    def test_reader_names_the_file_and_line(self, traced_mission, tmp_path):
+        lines = traced_mission["path"].read_text().splitlines()
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("\n".join(lines[:2] + [INFINITE_SEED_LINE]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{torn}:3: "):
+            list(TraceReader(torn))
 
     @pytest.mark.parametrize("bad_line", ['{"kind": "decision"}', "[1, 2]"])
     def test_bad_line_makes_the_trace_incomplete(

@@ -125,19 +125,12 @@ class TestExecutorReentrancy:
         assert hits == list(range(len(hits)))
 
     def test_dispatch_log_records_topic_and_frame(self):
-        executor = self.make_executor(record_dispatch=True)
+        executor = self.make_executor()
         executor.subscribe("/a", lambda m: executor.publish("/b", None, "node_a"))
         executor.subscribe("/b", lambda m: None)
         executor.publish("/a", None, frame_id="source")
         executor.spin()
         assert executor.dispatch_log == [("/a", "source"), ("/b", "node_a")]
-
-    def test_dispatch_log_disabled_by_default(self):
-        executor = self.make_executor()
-        executor.subscribe("/a", lambda m: None)
-        executor.publish("/a", None, frame_id="source")
-        executor.spin()
-        assert executor.dispatch_log == []
 
 
 class TestExecutorObservability:
@@ -191,7 +184,7 @@ class TestExecutorObservability:
 
     def test_observer_does_not_change_the_dispatch_log(self):
         def run(with_observer):
-            executor = self.make_executor(record_dispatch=True)
+            executor = self.make_executor()
 
             class Silent:
                 def before_dispatch(self, *a):

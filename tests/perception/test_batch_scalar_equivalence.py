@@ -23,6 +23,9 @@ from repro.geometry.aabb import AABB
 from repro.geometry.grid import downsample, pack_keys, unpack_keys, voxel_center, voxel_key
 from repro.geometry.ray import _EPS, Ray, ray_aabb_intersect, raycast_aabbs_batch, sample_ray
 from repro.geometry.vec3 import Vec3
+from repro.middleware.clock import SimClock
+from repro.middleware.executor import Executor
+from repro.middleware.topic import TopicBus
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud
@@ -742,7 +745,7 @@ def planning_node():
         )
     )
     sim = MissionSimulator(env, RoboRunRuntime(), MissionConfig(max_decisions=10))
-    return sim.build_pipeline().planning
+    return sim.build_pipeline(Executor(TopicBus(), SimClock())).planning
 
 
 class TestPlanningKernels:
@@ -941,12 +944,11 @@ def nearest_oracle(occupied, vox_min, point, max_radius):
 
 
 def segment_walk_oracle(occupied, vox_min, start, end, step, lateral, include_start):
-    """The scalar segment walk, with its 8-voxel bucket grid as broad phase."""
-    factor = 8
-    bres = vox_min * factor
-    buckets = {(i // factor, j // factor, k // factor) for (i, j, k) in occupied}
-    if not occupied:
-        return False
+    """The documented segment probe, point by point.
+
+    Each probe point tests its own voxel key and, with a lateral width, the
+    four keys ``floor((p ± lateral) / vox)`` in x and y.
+    """
     dx, dy, dz = end.x - start.x, end.y - start.y, end.z - start.z
     length = math.sqrt(dx * dx + dy * dy + dz * dz)
     if include_start:
@@ -957,13 +959,6 @@ def segment_walk_oracle(occupied, vox_min, start, end, step, lateral, include_st
     for n in range(first, intervals + 1):
         t = n / intervals
         px, py, pz = start.x + dx * t, start.y + dy * t, start.z + dz * t
-        bucket = (floor(px / bres), floor(py / bres), floor(pz / bres))
-        if bucket not in buckets:
-            if lateral == 0.0:
-                continue
-            fx, fy = px - bucket[0] * bres, py - bucket[1] * bres
-            if lateral < fx < bres - lateral and lateral < fy < bres - lateral:
-                continue
         i, j, k = floor(px / vox_min), floor(py / vox_min), floor(pz / vox_min)
         probes = [(i, j, k)]
         if lateral:
@@ -1128,6 +1123,20 @@ class TestOccupancyMapOracles:
                         )
                         assert scalar == expected
                         assert batch.tolist() == expected
+        # Directed case: rounding carries p + lateral two voxels over, into
+        # the next 8-voxel bucket, so a bucket broad phase would skip a probe
+        # whose key the kernel does test.
+        x = 9.299999999999999
+        assert (math.floor(x / 0.3), math.floor((x + 0.3) / 0.3)) == (30, 32)
+        occupied = {(32, 5, 2)}
+        octree = octree_with(occupied, set(), vox_min=0.3)
+        p = Vec3(x, 5.5 * 0.3, 2.5 * 0.3)
+        starts, ends = segment_batch_arrays([(p, p)])
+        for include_start in (True, False):
+            assert segment_walk_oracle(occupied, 0.3, p, p, 0.3, 0.3, include_start)
+            assert octree.segment_occupied(p, p, 0.3, 0.3, include_start)
+            batch = octree.segment_occupied_batch(starts, ends, 0.3, 0.3, include_start)
+            assert batch.tolist() == [True]
 
     @pytest.mark.parametrize("vox_min", [0.25, 0.3])
     def test_brake_probe_reads_the_shifted_point_on_voxel_faces(self, vox_min):

@@ -13,7 +13,7 @@ from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import build_planning_view
 from repro.perception.point_cloud import PointCloud, PointCloudKernel
 from repro.sensors.rig import CameraRig
-from repro.sensors.state_sensors import GPS, IMU, StateSensorSuite
+from repro.sensors.state_sensors import StateEstimate
 
 
 def simple_world():
@@ -51,14 +51,9 @@ class TestSensors:
         open_ = rig.capture(simple_world(), Vec3(0, 40, 5)).forward_min_depth()
         assert blocked < open_
 
-    def test_state_sensors_ideal_and_noisy(self):
-        suite = StateSensorSuite.ideal()
-        est = suite.estimate(1.0, Vec3(1, 2, 3), Vec3(0.5, 0, 0))
-        assert est.position == Vec3(1, 2, 3)
+    def test_state_estimate_speed(self):
+        est = StateEstimate(1.0, Vec3(1, 2, 3), Vec3(0.3, 0.4, 0))
         assert est.speed == pytest.approx(0.5)
-        noisy = StateSensorSuite(gps=GPS(noise_std=0.1, seed=1), imu=IMU(noise_std=0.1, seed=2))
-        est2 = noisy.estimate(1.0, Vec3(1, 2, 3), Vec3(0.5, 0, 0))
-        assert est2.position != Vec3(1, 2, 3)
 
 
 class TestPointCloudKernel:

@@ -330,18 +330,27 @@ class TestScheduleResolution:
         faults = scheduled_set(PowerBrownout(scale=0.4), activate_at=3,
                                clear_at=6)
         orch = FaultOrchestrator(faults, seed=0)
-        assert orch.enabled
         assert [orch.budget_scale(i) for i in range(8)] == [
             1.0, 1.0, 1.0, 0.4, 0.4, 0.4, 1.0, 1.0
         ]
         assert orch.active_fault_names(3) == ("power_brownout",)
         assert orch.active_fault_names(6) == ()
 
-    def test_orchestrator_disabled_without_faults(self):
+    def test_orchestrator_is_nominal_without_faults(self):
+        # A fault-free mission is the orchestrator with no windows: every
+        # query gives the nominal answer, and stage latencies come back with
+        # the same keys, order and float bits in a fresh dict.
         orch = FaultOrchestrator(FaultSet(), seed=0)
-        assert not orch.enabled
-        stages = {"perception": 0.1, "comm_octomap": 0.01}
-        assert orch.apply_stage_latencies(0, stages) == stages
+        for index in (0, 1, 10_000):
+            assert orch.sensor_dropped(index) is False
+            assert orch.camera_resolution(index) is None
+            assert orch.budget_scale(index) == 1.0
+            assert orch.frozen_epoch("cart_0", index) is None
+            assert orch.active_fault_names(index) == ()
+        stages = {"perception": 0.1, "comm_octomap": 0.01, "planning": 1 / 3}
+        adjusted = orch.apply_stage_latencies(0, stages)
+        assert adjusted is not stages
+        assert list(adjusted.items()) == list(stages.items())
 
     def test_orchestrator_folds_comm_and_compute_stages(self):
         faults = FaultSet(
@@ -363,7 +372,6 @@ class TestScheduleResolution:
     def test_legacy_fields_become_always_on_windows(self):
         faults = FaultSet(sensor_dropout=SensorDropout(every_n=2))
         orch = FaultOrchestrator(faults, seed=0)
-        assert orch.enabled
         # One window, open from decision 0 and never closed.
         assert orch.active(0) == [(faults.sensor_dropout, 0)]
         assert [n for _, n in orch.active(10_000)] == [10_000]

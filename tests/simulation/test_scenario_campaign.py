@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     CampaignRunner,
@@ -353,15 +353,29 @@ BAD_GRIDS = {
     "named_fault_config_is_a_string": (
         {**GOOD_GRID, "faults": {"nofault": None, "bad": "x"}}, r"'faults\.bad'"
     ),
+    "world_entry_is_a_number": ({**GOOD_GRID, "worlds": [5]}, r"worlds\[0\]"),
+    "world_entry_is_a_bool": ({**GOOD_GRID, "worlds": ["forest", True]}, r"worlds\[1\]"),
+    "fleet_size_is_null": ({**GOOD_GRID, "n_drones": [None]}, r"n_drones\[0\]"),
+    "fleet_size_is_infinite": ({**GOOD_GRID, "n_drones": [float("inf")]}, r"n_drones\[0\]"),
+    "fleet_size_is_a_string": ({**GOOD_GRID, "n_drones": ["a"]}, r"n_drones\[0\]"),
+    "fleet_size_is_fractional": ({**GOOD_GRID, "n_drones": [1, 2.7]}, r"n_drones\[1\]"),
+    "fleet_size_is_a_bool": ({**GOOD_GRID, "n_drones": [True]}, r"n_drones\[0\]"),
+    "fleet_size_is_zero": ({**GOOD_GRID, "n_drones": [0]}, r"n_drones\[0\]"),
+    "base_seed_is_null": ({**GOOD_GRID, "base_seed": None}, "base_seed"),
+    "base_seed_is_a_string": ({**GOOD_GRID, "base_seed": "x"}, "base_seed"),
+    "base_seed_is_fractional": ({**GOOD_GRID, "base_seed": 1.5}, "base_seed"),
+    "name_prefix_is_null": ({**GOOD_GRID, "name_prefix": None}, "name_prefix"),
+    "name_prefix_is_empty": ({**GOOD_GRID, "name_prefix": ""}, "name_prefix"),
 }
 
 
-#: Any JSON value: null, booleans, numbers, strings, and lists and objects of them.
+#: Any JSON value Python's ``json`` reads: null, booleans, numbers (``Infinity``
+#: and ``NaN`` included), strings, and lists and objects of them.
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2**40), max_value=2**40)
-    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats()
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -377,6 +391,15 @@ def _fuzz_base():
         "schedule": [{"fault": "power_brownout", "params": {"scale": 0.5}, "activate_at": 1}],
     }
     return json.loads(json.dumps(data))  # a deep copy: the fuzz writes into it
+
+
+def _json_paths(value, prefix=()):
+    """The key path of every value nested in a JSON object or list, at any depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield prefix + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _json_paths(inner, prefix + (key,))
 
 
 def _fuzz_sections(data):
@@ -450,6 +473,28 @@ class TestMalformedInput:
         path.write_text(json.dumps({"grid": grid}))
         with pytest.raises(ValueError, match=field):
             load_grid_file(path)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_grid_file_raises_only_value_error_on_any_field(self, data, tmp_path):
+        document = json.loads((REPO_ROOT / "examples" / "grid_small.json").read_text())
+        paths = sorted(_json_paths(document["grid"]), key=repr)
+        path = data.draw(st.sampled_from(paths))
+        target = document["grid"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(JSON_VALUES)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(document))
+        try:
+            specs = load_grid_file(grid_file)
+        except ValueError:
+            return
+        assert all(isinstance(spec, ScenarioSpec) for spec in specs)
 
     @pytest.mark.parametrize("folder", ["examples", "perfbench"])
     def test_shipped_grid_files_still_load(self, folder):
