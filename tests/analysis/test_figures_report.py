@@ -14,12 +14,14 @@ from repro import (
 from repro.analysis import CampaignReport, FigureTable
 from repro.analysis.figures import (
     archetype_comparison,
+    fault_robustness,
     fig2_latency_deadline,
     fig2a_model_table,
     fig5_governor_response,
     fig5_model_table,
     fig7_overall,
     fig8_sensitivity,
+    fleet_scaling,
 )
 from repro.analysis.trace import DecisionRecord, MissionRecord
 from repro.report import load_grid_file, main as report_main
@@ -236,6 +238,117 @@ class TestArchetypeComparison:
         )
         assert report.archetypes().rows
         assert "Per-archetype comparison" in report.to_markdown()
+
+
+def _pinned_mission(design, name, time_s, spec, success=1.0, miss_rate=None,
+                    fleet=None, error=None):
+    metrics = {
+        "success": success,
+        "mission_time_s": time_s,
+        "mean_velocity_mps": round(60.0 / time_s, 6) if time_s else 0.0,
+        "energy_kj": time_s * 0.4 + 1.0,
+    }
+    if miss_rate is not None:
+        metrics["deadline_miss_rate"] = miss_rate
+    return MissionRecord(
+        spec_name=name, design=design, seed=1, metrics={} if error else metrics,
+        error=error, spec=spec, fleet=fleet,
+    )
+
+
+#: One fixed record set for the three grouped A/B tables: a forest pair
+#: (2-drone fleet, brownout), a fault-free corridor pair whose specs lack
+#: ``world``/``n_drones``/``faults`` and whose RoboRun mean time is 0, a
+#: warehouse mission only RoboRun flew (under a fault that sorts before
+#: ``"none"``), and an error record that every table must drop.
+PINNED_MISSIONS = [
+    _pinned_mission(
+        "spatial_oblivious", "b_forest", 200.0,
+        {"world": {"archetype": "forest"}, "n_drones": 2,
+         "faults": {"schedule": [{"fault": "power_brownout"}]}},
+        miss_rate=0.25,
+    ),
+    _pinned_mission(
+        "roborun", "r_forest", 100.0,
+        {"world": {"archetype": "forest"}, "n_drones": 2,
+         "faults": {"schedule": [{"fault": "power_brownout"}]}},
+        miss_rate=0.1, fleet={"n_drones": 2, "completion_rate": 0.5},
+    ),
+    _pinned_mission("spatial_oblivious", "b_corridor", 150.0, {"world": {}}),
+    _pinned_mission("roborun", "r_corridor", 0.0, None, success=0.0),
+    _pinned_mission(
+        "roborun", "r_warehouse", 80.0,
+        {"world": {"archetype": "warehouse"},
+         "faults": {"camera_degradation": {"width": 16, "height": 12}}},
+        miss_rate=0.05,
+    ),
+    _pinned_mission(
+        "roborun", "r_crashed", 0.0,
+        {"world": {"archetype": "cave"}, "n_drones": 8,
+         "faults": {"sensor_dropout": {"every_n": 3}}},
+        error={"type": "RuntimeError", "message": "boom"},
+    ),
+]
+
+
+class TestGroupedComparisonTables:
+    """The archetype, fleet and fault tables, pinned byte for byte."""
+
+    def test_archetype_table(self):
+        table = archetype_comparison(PINNED_MISSIONS)
+        assert table.key == "archetypes"
+        assert table.title == (
+            "Per-archetype comparison: governor vs. baseline across world archetypes"
+        )
+        assert table.to_csv() == (
+            "archetype,spatial_oblivious_missions,spatial_oblivious_success_rate,"
+            "spatial_oblivious_time_s,spatial_oblivious_velocity_mps,"
+            "roborun_missions,roborun_success_rate,roborun_time_s,"
+            "roborun_velocity_mps,time_speedup\n"
+            "forest,1,1.0,200.0,0.3,1,1.0,100.0,0.6,2.0\n"
+            "paper_corridor,1,1.0,150.0,0.4,1,0.0,0.0,0.0,n/a\n"
+            "warehouse,0,-,-,-,1,1.0,80.0,0.75,n/a\n"
+        )
+        assert table.meta == {
+            "speedups": {"forest": 2.0, "paper_corridor": None, "warehouse": None},
+            "archetypes": ["forest", "paper_corridor", "warehouse"],
+        }
+
+    def test_fleet_table(self):
+        table = fleet_scaling(PINNED_MISSIONS)
+        assert table.key == "fleet"
+        assert table.title == "Fleet scaling: governor vs. baseline as the fleet grows"
+        assert table.to_csv() == (
+            "n_drones,spatial_oblivious_missions,spatial_oblivious_completion_rate,"
+            "spatial_oblivious_time_s,spatial_oblivious_energy_kj,"
+            "roborun_missions,roborun_completion_rate,roborun_time_s,"
+            "roborun_energy_kj,time_speedup\n"
+            "1,1,1.0,150.0,61.0,2,0.5,40.0,17.0,3.75\n"
+            "2,1,1.0,200.0,81.0,1,0.5,100.0,41.0,2.0\n"
+        )
+        assert table.meta == {"speedups": {1: 3.75, 2: 2.0}, "sizes": [1, 2]}
+
+    def test_fault_table(self):
+        table = fault_robustness(PINNED_MISSIONS)
+        assert table.key == "faults"
+        assert table.title == (
+            "Fault robustness: governor vs. baseline under injected faults"
+        )
+        assert table.to_csv() == (
+            "fault,spatial_oblivious_missions,spatial_oblivious_completion_rate,"
+            "spatial_oblivious_time_s,spatial_oblivious_energy_kj,"
+            "spatial_oblivious_deadline_miss_rate,roborun_missions,"
+            "roborun_completion_rate,roborun_time_s,roborun_energy_kj,"
+            "roborun_deadline_miss_rate,time_speedup\n"
+            "none,1,1.0,150.0,61.0,0.0,1,0.0,0.0,1.0,0.0,n/a\n"
+            "camera_degradation,0,-,-,-,-,1,1.0,80.0,33.0,0.05,n/a\n"
+            "power_brownout,1,1.0,200.0,81.0,0.25,1,0.5,100.0,41.0,0.1,2.0\n"
+        )
+        assert table.meta == {
+            "speedups": {"none": None, "camera_degradation": None,
+                         "power_brownout": 2.0},
+            "labels": ["none", "camera_degradation", "power_brownout"],
+        }
 
 
 class TestCampaignErrorRecords:
