@@ -39,7 +39,6 @@ def main() -> None:
     print("Search and rescue: mission time vs goal distance")
     print(f"Flying {len(specs)} scenarios ...\n")
     campaign = CampaignRunner().run(specs)
-    by_design = campaign.by_design()
 
     print(
         f"{'design':<20}"
@@ -47,7 +46,7 @@ def main() -> None:
         + "ratio".rjust(10)
     )
     for design in DESIGNS:
-        outcomes = by_design[design]
+        outcomes = [o for o in campaign.outcomes if o.spec.design == design]
         failed = [o for o in outcomes if not o.ok]
         if failed:
             errors = ", ".join((o.error or {}).get("type", "?") for o in failed)

@@ -14,7 +14,10 @@ Two families live here:
   :class:`~repro.analysis.trace.DecisionRecord` /
   :class:`~repro.analysis.trace.MissionRecord` — everything they need is in
   the records, so saved traces reproduce the figures without re-flying
-  anything.
+  anything.  The governor-vs-baseline breakdowns by world archetype, fleet
+  size and fault (:func:`archetype_comparison`, :func:`fleet_scaling`,
+  :func:`fault_robustness`) fold mission records too, all through one
+  grouped fold.
 * **Model tables** (:func:`fig2a_model_table`, :func:`fig2b_model_table`,
   :func:`fig5_model_table`) are the analytical sweeps of the latency model
   and the time budgeter that Figures 2 and 5 plot directly; the
@@ -26,7 +29,7 @@ from __future__ import annotations
 import csv
 import io as _io
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.trace import DecisionRecord, MissionRecord
 
@@ -333,152 +336,130 @@ def fig8_sensitivity(
 
 
 # ----------------------------------------------------------------------
-# Per-archetype comparison — governor vs. baseline across world shapes
+# Grouped comparisons — governor vs. baseline per archetype, fleet size, fault
 # ----------------------------------------------------------------------
+#: A per-design column of a grouped comparison: (name suffix, per-mission
+#: value, decimals); the cell is the value's mean over the group's missions.
+_GroupColumn = Tuple[str, Callable[[MissionRecord], float], int]
+
+_SUCCESS_RATE: _GroupColumn = ("success_rate", lambda m: 1.0 if m.success else 0.0, 3)
+_COMPLETION_RATE: _GroupColumn = ("completion_rate", lambda m: m.completion_rate, 3)
+_TIME: _GroupColumn = ("time_s", lambda m: m.metrics["mission_time_s"], 1)
+_VELOCITY: _GroupColumn = ("velocity_mps", lambda m: m.metrics["mean_velocity_mps"], 3)
+_ENERGY: _GroupColumn = ("energy_kj", lambda m: m.metrics["energy_kj"], 1)
+_DEADLINE_MISS_RATE: _GroupColumn = (
+    "deadline_miss_rate", lambda m: m.metrics.get("deadline_miss_rate", 0.0), 3
+)
+
+
+def _grouped_comparison(
+    missions: Sequence[MissionRecord],
+    key: str,
+    title: str,
+    group_column: str,
+    group_of: Callable[[MissionRecord], Any],
+    order: Callable[[Iterable[Any]], List[Any]],
+    columns: Sequence[_GroupColumn],
+    meta_key: str,
+) -> FigureTable:
+    """Governor vs. baseline, one row per group of completed missions.
+
+    Groups the completed missions by ``group_of`` (rows in ``order``) and
+    gives every design a mission count plus one mean per ``columns`` entry;
+    a design that did not fly a group reads ``0`` missions and ``"-"``.  The
+    last column, ``time_speedup``, is the baseline's mean mission time over
+    RoboRun's — how many times faster the governor finished — and reads
+    ``"n/a"`` unless both designs flew the group and RoboRun's mean is
+    positive.  ``meta["speedups"]`` maps each group to that ratio (``None``
+    for ``"n/a"``) and ``meta[meta_key]`` lists the groups in row order.
+    """
+    members_of: Dict[Tuple[Any, str], List[MissionRecord]] = {}
+    for mission in ok_missions(missions):
+        members_of.setdefault((group_of(mission), mission.design), []).append(mission)
+    groups = order({group for group, _ in members_of})
+    designs = design_order([design for _, design in members_of])
+    suffixes = ["missions"] + [suffix for suffix, _, _ in columns]
+    header = [group_column]
+    for design in designs:
+        header.extend(f"{design}_{suffix}" for suffix in suffixes)
+    header.append("time_speedup")
+    rows: List[List[Any]] = []
+    speedups: Dict[Any, Optional[float]] = {}
+    for group in groups:
+        row: List[Any] = [group]
+        times: Dict[str, float] = {}
+        for design in designs:
+            members = members_of.get((group, design))
+            if not members:
+                row.extend([0] + ["-"] * len(columns))
+                continue
+            times[design] = _mean([m.metrics["mission_time_s"] for m in members])
+            row.append(len(members))
+            row.extend(
+                round(_mean([value(m) for m in members]), decimals)
+                for _, value, decimals in columns
+            )
+        base = times.get(BASELINE_DESIGN)
+        robo = times.get(ROBORUN_DESIGN)
+        paired = base is not None and robo is not None and robo > 0
+        speedup = base / robo if paired else None
+        row.append("n/a" if speedup is None else round(speedup, 2))
+        speedups[group] = speedup
+        rows.append(row)
+    return FigureTable(
+        key=key,
+        title=title,
+        columns=header,
+        rows=rows,
+        meta={"speedups": speedups, meta_key: groups},
+    )
+
+
 def archetype_comparison(missions: Sequence[MissionRecord]) -> FigureTable:
     """Governor vs. baseline, one row per world archetype.
 
     Groups completed missions by the archetype recorded in their spec
     (pre-worlds records count as ``paper_corridor``) and reports, per
     design, the mission count, success rate, mean mission time and mean
-    velocity.  When both designs of the A/B pair flew an archetype the
-    ``time_speedup`` column shows how many times faster RoboRun finished
-    there — the per-shape version of the paper's headline ratio.
-    ``meta["speedups"]`` maps each archetype to its ratio (``None`` when
-    the pair is incomplete).
+    velocity, then the per-shape ``time_speedup`` (see
+    :func:`_grouped_comparison`).  ``meta["archetypes"]`` lists the
+    archetypes in row order.
     """
-    usable = ok_missions(missions)
-    archetypes = sorted({m.archetype for m in usable})
-    designs = design_order([m.design for m in usable])
-    columns = ["archetype"]
-    for design in designs:
-        columns.extend(
-            [
-                f"{design}_missions",
-                f"{design}_success_rate",
-                f"{design}_time_s",
-                f"{design}_velocity_mps",
-            ]
-        )
-    columns.append("time_speedup")
-    rows: List[List[Any]] = []
-    speedups: Dict[str, Optional[float]] = {}
-    for archetype in archetypes:
-        row: List[Any] = [archetype]
-        times: Dict[str, float] = {}
-        for design in designs:
-            members = [
-                m for m in usable if m.archetype == archetype and m.design == design
-            ]
-            if members:
-                mean_time = _mean([m.metrics["mission_time_s"] for m in members])
-                times[design] = mean_time
-                row.extend(
-                    [
-                        len(members),
-                        round(sum(1 for m in members if m.success) / len(members), 3),
-                        round(mean_time, 1),
-                        round(
-                            _mean([m.metrics["mean_velocity_mps"] for m in members]), 3
-                        ),
-                    ]
-                )
-            else:
-                row.extend([0, "-", "-", "-"])
-        base = times.get(BASELINE_DESIGN)
-        robo = times.get(ROBORUN_DESIGN)
-        if base is not None and robo is not None and robo > 0:
-            speedup: Optional[float] = base / robo
-            row.append(round(speedup, 2))
-        else:
-            speedup = None
-            row.append("n/a")
-        speedups[archetype] = speedup
-        rows.append(row)
-    return FigureTable(
+    return _grouped_comparison(
+        missions,
         key="archetypes",
         title="Per-archetype comparison: governor vs. baseline across world archetypes",
-        columns=columns,
-        rows=rows,
-        meta={"speedups": speedups, "archetypes": archetypes},
+        group_column="archetype",
+        group_of=lambda m: m.archetype,
+        order=sorted,
+        columns=(_SUCCESS_RATE, _TIME, _VELOCITY),
+        meta_key="archetypes",
     )
 
 
-# ----------------------------------------------------------------------
-# Fleet scaling — governor vs. baseline as the fleet grows
-# ----------------------------------------------------------------------
 def fleet_scaling(missions: Sequence[MissionRecord]) -> FigureTable:
     """Governor vs. baseline as the fleet grows, one row per fleet size.
 
     Groups completed missions by the fleet size recorded on them (pre-fleet
     records count as single-drone) and reports, per design, the mission
     count, the mean per-drone completion rate, the mean makespan and the
-    mean fleet energy.  Mission time for a fleet record is the makespan —
-    the moment the *last* drone finished — and energy is the fleet total,
-    so the columns stay comparable across sizes.  When both designs of the
-    A/B pair flew a size the ``time_speedup`` column shows how many times
-    faster the governor's fleet finished; ``meta["speedups"]`` maps each
-    size to that ratio (``None`` when the pair is incomplete) and
+    mean fleet energy, then ``time_speedup``.  Mission time for a fleet
+    record is the makespan — the moment the *last* drone finished — and
+    energy is the fleet total, so the columns stay comparable across sizes.
     ``meta["sizes"]`` lists the sizes in row order.
     """
-    usable = ok_missions(missions)
-    sizes = sorted({m.n_drones for m in usable})
-    designs = design_order([m.design for m in usable])
-    columns = ["n_drones"]
-    for design in designs:
-        columns.extend(
-            [
-                f"{design}_missions",
-                f"{design}_completion_rate",
-                f"{design}_time_s",
-                f"{design}_energy_kj",
-            ]
-        )
-    columns.append("time_speedup")
-    rows: List[List[Any]] = []
-    speedups: Dict[int, Optional[float]] = {}
-    for size in sizes:
-        row: List[Any] = [size]
-        times: Dict[str, float] = {}
-        for design in designs:
-            members = [
-                m for m in usable if m.n_drones == size and m.design == design
-            ]
-            if members:
-                mean_time = _mean([m.metrics["mission_time_s"] for m in members])
-                times[design] = mean_time
-                row.extend(
-                    [
-                        len(members),
-                        round(_mean([m.completion_rate for m in members]), 3),
-                        round(mean_time, 1),
-                        round(_mean([m.metrics["energy_kj"] for m in members]), 1),
-                    ]
-                )
-            else:
-                row.extend([0, "-", "-", "-"])
-        base = times.get(BASELINE_DESIGN)
-        robo = times.get(ROBORUN_DESIGN)
-        if base is not None and robo is not None and robo > 0:
-            speedup: Optional[float] = base / robo
-            row.append(round(speedup, 2))
-        else:
-            speedup = None
-            row.append("n/a")
-        speedups[size] = speedup
-        rows.append(row)
-    return FigureTable(
+    return _grouped_comparison(
+        missions,
         key="fleet",
         title="Fleet scaling: governor vs. baseline as the fleet grows",
-        columns=columns,
-        rows=rows,
-        meta={"speedups": speedups, "sizes": sizes},
+        group_column="n_drones",
+        group_of=lambda m: m.n_drones,
+        order=sorted,
+        columns=(_COMPLETION_RATE, _TIME, _ENERGY),
+        meta_key="sizes",
     )
 
 
-# ----------------------------------------------------------------------
-# Fault robustness — governor vs. baseline under each injected fault
-# ----------------------------------------------------------------------
 def fault_robustness(missions: Sequence[MissionRecord]) -> FigureTable:
     """Governor vs. baseline under injected faults, one row per fault config.
 
@@ -487,80 +468,20 @@ def fault_robustness(missions: Sequence[MissionRecord]) -> FigureTable:
     the faults their spec injected, with the fault-free group labelled
     ``"none"`` and listed first as the reference row — and reports, per
     design, the mission count, the mean completion rate, the mean mission
-    time, the mean energy and the mean deadline-miss rate.  When both
-    designs of the A/B pair flew a fault the ``time_speedup`` column shows
-    how many times faster the governor finished under it: graceful
-    degradation is the governor's speedup *holding up* as the rows leave
-    ``"none"``.  ``meta["speedups"]`` maps each label to its ratio
-    (``None`` when the pair is incomplete) and ``meta["labels"]`` lists the
+    time, the mean energy and the mean deadline-miss rate, then
+    ``time_speedup``: graceful degradation is the governor's speedup
+    *holding up* as the rows leave ``"none"``.  ``meta["labels"]`` lists the
     labels in row order.
     """
-    usable = ok_missions(missions)
-    labels = sorted({m.fault_label for m in usable})
-    # The fault-free group is the reference row; pin it to the top.
-    if "none" in labels:
-        labels.remove("none")
-        labels.insert(0, "none")
-    designs = design_order([m.design for m in usable])
-    columns = ["fault"]
-    for design in designs:
-        columns.extend(
-            [
-                f"{design}_missions",
-                f"{design}_completion_rate",
-                f"{design}_time_s",
-                f"{design}_energy_kj",
-                f"{design}_deadline_miss_rate",
-            ]
-        )
-    columns.append("time_speedup")
-    rows: List[List[Any]] = []
-    speedups: Dict[str, Optional[float]] = {}
-    for label in labels:
-        row: List[Any] = [label]
-        times: Dict[str, float] = {}
-        for design in designs:
-            members = [
-                m for m in usable if m.fault_label == label and m.design == design
-            ]
-            if members:
-                mean_time = _mean([m.metrics["mission_time_s"] for m in members])
-                times[design] = mean_time
-                row.extend(
-                    [
-                        len(members),
-                        round(_mean([m.completion_rate for m in members]), 3),
-                        round(mean_time, 1),
-                        round(_mean([m.metrics["energy_kj"] for m in members]), 1),
-                        round(
-                            _mean(
-                                [
-                                    m.metrics.get("deadline_miss_rate", 0.0)
-                                    for m in members
-                                ]
-                            ),
-                            3,
-                        ),
-                    ]
-                )
-            else:
-                row.extend([0, "-", "-", "-", "-"])
-        base = times.get(BASELINE_DESIGN)
-        robo = times.get(ROBORUN_DESIGN)
-        if base is not None and robo is not None and robo > 0:
-            speedup: Optional[float] = base / robo
-            row.append(round(speedup, 2))
-        else:
-            speedup = None
-            row.append("n/a")
-        speedups[label] = speedup
-        rows.append(row)
-    return FigureTable(
+    return _grouped_comparison(
+        missions,
         key="faults",
         title="Fault robustness: governor vs. baseline under injected faults",
-        columns=columns,
-        rows=rows,
-        meta={"speedups": speedups, "labels": labels},
+        group_column="fault",
+        group_of=lambda m: m.fault_label,
+        order=lambda labels: sorted(labels, key=lambda label: (label != "none", label)),
+        columns=(_COMPLETION_RATE, _TIME, _ENERGY, _DEADLINE_MISS_RATE),
+        meta_key="labels",
     )
 
 

@@ -51,7 +51,6 @@ class TraceWriter:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle: Optional[IO[str]] = self.path.open("w", encoding="utf-8")
-        self._written = 0
 
     def write(self, record: TraceRecord) -> None:
         """Append one record as a canonical JSONL line."""
@@ -59,12 +58,6 @@ class TraceWriter:
             raise ValueError(f"trace writer for {self.path} is closed")
         self._handle.write(record_to_line(record))
         self._handle.write("\n")
-        self._written += 1
-
-    @property
-    def written(self) -> int:
-        """Number of records written so far."""
-        return self._written
 
     def close(self) -> None:
         """Flush and close the file (idempotent)."""
@@ -102,10 +95,6 @@ class TraceReader:
                 except ValueError as exc:
                     raise ValueError(f"{self.path}:{number}: {exc}") from None
                 yield record
-
-    def records(self) -> List[TraceRecord]:
-        """All records of the file as a list (convenience for small files)."""
-        return list(self)
 
 
 def trace_path(directory: PathLike, spec_name: str) -> Path:

@@ -162,8 +162,3 @@ class TraceRecorder:
             self.records.append(record)
         if self.writer is not None:
             self.writer.write(record)
-
-    def close(self) -> None:
-        """Close the streaming writer, if any (idempotent)."""
-        if self.writer is not None:
-            self.writer.close()

@@ -1,9 +1,9 @@
-"""Campaigns: many scenarios, one worker fleet, one aggregated result.
+"""Campaigns: many scenarios, one worker fleet, one outcome per scenario.
 
 The paper's evaluation flies 27 environments per design; the ROADMAP's north
 star is "as many scenarios as you can imagine".  A :class:`CampaignRunner`
 fans a list of :class:`~repro.simulation.scenario.ScenarioSpec`s across
-worker processes and folds the per-mission metrics into a
+worker processes and collects the per-mission outcomes in a
 :class:`CampaignResult`.  Two execution modes share the one ``run()`` API
 (selected by ``mode=``):
 
@@ -17,8 +17,8 @@ worker processes and folds the per-mission metrics into a
 
 Determinism: specs carry their own seeds, workers receive plain dictionaries
 (no shared state), and results are collected in spec order regardless of
-which worker finishes first, so a campaign's aggregate — and every per-spec
-JSONL trace — is identical whichever mode runs it.
+which worker finishes first, so a campaign's outcomes — and every per-spec
+JSONL trace — are identical whichever mode runs it.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _row_from_trace(path: Any, spec_dict: Dict[str, Any]) -> Dict[str, Any]:
     ``--resume`` skips specs whose traces pass
     :func:`repro.analysis.io.is_complete_trace`; their outcomes are
     reconstructed from the mission record already on disk instead of being
-    re-flown, so the aggregate still covers every spec in spec order.
+    re-flown, so the outcomes still cover every spec in spec order.
     """
     from repro.analysis.io import TraceReader
 
@@ -203,22 +203,10 @@ class ScenarioOutcome:
         """True when the mission ran to completion (possibly unsuccessfully)."""
         return self.error is None
 
-    @property
-    def success(self) -> bool:
-        """True when the drone reached the goal without colliding."""
-        return self.ok and bool((self.metrics or {}).get("success"))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "spec": self.spec.to_dict(),
-            "metrics": dict(self.metrics) if self.metrics is not None else None,
-            "error": dict(self.error) if self.error is not None else None,
-        }
-
 
 @dataclass
 class CampaignResult:
-    """Aggregated outcomes of one campaign, in spec order.
+    """The outcomes of one campaign, in spec order.
 
     Attributes:
         outcomes: one :class:`ScenarioOutcome` per spec, in spec order
@@ -233,84 +221,13 @@ class CampaignResult:
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def by_design(self) -> Dict[str, List[ScenarioOutcome]]:
-        """Outcomes grouped by runtime design, preserving spec order."""
-        groups: Dict[str, List[ScenarioOutcome]] = {}
-        for outcome in self.outcomes:
-            groups.setdefault(outcome.spec.design, []).append(outcome)
-        return groups
-
     def failures(self) -> List[ScenarioOutcome]:
         """Outcomes whose spec raised instead of flying, in spec order."""
         return [o for o in self.outcomes if not o.ok]
 
-    def success_rate(self, design: Optional[str] = None) -> float:
-        """Fraction of specs that reached the goal without colliding.
-
-        Failed specs count against the rate: a campaign where half the specs
-        crashed did not succeed on those specs.
-        """
-        selected = self._select(design)
-        if not selected:
-            return 0.0
-        return sum(1 for o in selected if o.success) / len(selected)
-
-    def mean_metric(self, key: str, design: Optional[str] = None) -> float:
-        """Mean of one mission metric over the missions that carry it.
-
-        Campaigns can mix outcomes with heterogeneous metric dictionaries
-        (a fleet-only metric is absent from single-drone missions), so the
-        mean is taken over exactly the outcomes where the key is present —
-        the honest denominator — rather than raising ``KeyError`` on the
-        first outcome without it.  Returns 0.0 when no outcome carries the
-        key.
-        """
-        values = [
-            (o.metrics or {})[key]
-            for o in self._select(design)
-            if o.ok and key in (o.metrics or {})
-        ]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-design mission-level summary (the Figure 7 quantities)."""
-        table: Dict[str, Dict[str, float]] = {}
-        for design, outcomes in self.by_design().items():
-            table[design] = {
-                "missions": float(len(outcomes)),
-                "failed": float(sum(1 for o in outcomes if not o.ok)),
-                "success_rate": self.success_rate(design),
-                "mean_mission_time_s": self.mean_metric("mission_time_s", design),
-                "mean_velocity_mps": self.mean_metric("mean_velocity_mps", design),
-                "mean_energy_kj": self.mean_metric("energy_kj", design),
-                "mean_cpu_utilization": self.mean_metric(
-                    "mean_cpu_utilization", design
-                ),
-                "mean_median_latency_s": self.mean_metric(
-                    "median_latency_s", design
-                ),
-            }
-        return table
-
-    def _select(self, design: Optional[str]) -> List[ScenarioOutcome]:
-        if design is None:
-            return self.outcomes
-        return [o for o in self.outcomes if o.spec.design == design]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "outcomes": [o.to_dict() for o in self.outcomes],
-            "summary": self.summary(),
-        }
-
 
 class CampaignRunner:
-    """Fans scenario specs across worker processes and aggregates the metrics.
+    """Fans scenario specs across worker processes and collects the outcomes.
 
     Attributes:
         max_workers: worker count; ``None`` sizes the fleet to the machine
@@ -371,12 +288,11 @@ class CampaignRunner:
         progress: Optional[Any] = None,
         resume: bool = False,
     ) -> CampaignResult:
-        """Fly every scenario and fold the outcomes, in spec order.
+        """Fly every scenario and collect the outcomes, in spec order.
 
         A spec that raises does not abort the campaign: its outcome carries
         an error record (exception type, message, traceback and the failing
-        spec's JSON) and the aggregates are computed over the missions that
-        completed.
+        spec's JSON) and the other specs still fly.
 
         Args:
             specs: the campaign's scenarios; names should be unique.

@@ -665,22 +665,6 @@ class FaultSet:
             or bool(self.schedule)
         )
 
-    def fault_names_used(self) -> List[str]:
-        """Sorted unique registry names of every configured fault."""
-        names = set()
-        if self.sensor_dropout is not None:
-            names.add(SensorDropout.fault_name)
-        if self.camera_degradation is not None:
-            names.add(CameraDegradation.fault_name)
-        for entry in self.schedule:
-            names.add(type(entry.fault).fault_name)
-        return sorted(names)
-
-    def label(self) -> str:
-        """Human-readable tag for grouping missions (``"none"`` when empty)."""
-        names = self.fault_names_used()
-        return "+".join(names) if names else "none"
-
     def to_dict(self) -> Dict[str, Any]:
         # The "schedule" key is omitted when empty so that pre-schedule
         # fault sets (including the no-fault default stamped into every

@@ -118,7 +118,7 @@ class TestRecorder:
 
 class TestRoundTrip:
     def test_file_reads_back_to_identical_records(self, traced_mission):
-        records = TraceReader(traced_mission["path"]).records()
+        records = list(TraceReader(traced_mission["path"]))
         recorder = traced_mission["recorder"]
         assert records[:-1] == recorder.records
         assert records[-1] == recorder.mission_record

@@ -29,6 +29,7 @@ from repro import (
     FaultSchedule,
     FaultSet,
     MissionConfig,
+    MissionRecord,
     MissionSimulator,
     MoverSpec,
     PowerBrownout,
@@ -166,7 +167,10 @@ class TestFormatCompatibility:
         }
         spec = ScenarioSpec.from_dict(json.loads(json.dumps(spec_dict)))
         assert spec.faults.sensor_dropout.every_n == 3
-        assert spec.faults.label() == "sensor_dropout"
+        record = MissionRecord(
+            spec_name=spec.name, design=spec.design, seed=spec.seed, spec=spec.to_dict()
+        )
+        assert record.fault_label == "sensor_dropout"
 
     def test_legacy_trace_record_without_faults_key_loads(self):
         from repro.analysis.trace import DecisionRecord
@@ -209,7 +213,12 @@ class TestBehaviouralCompatibility:
             )
 
     def test_fleet_and_fault_campaign_traces_bit_identical(self, tmp_path):
-        assert GOLDEN_ALL_FAULTS.fault_names_used() == fault_names()
+        all_faults = GOLDEN_SCENARIOS[-1]
+        record = MissionRecord(
+            spec_name=all_faults.name, design=all_faults.design,
+            seed=all_faults.seed, spec=all_faults.to_dict(),
+        )
+        assert record.fault_label == "+".join(fault_names())
         CampaignRunner(max_workers=1).run(GOLDEN_SCENARIOS, trace_dir=tmp_path)
         produced = {p.name for p in tmp_path.glob("*.jsonl")}
         assert produced == set(GOLDEN_SCENARIO_TRACE_SHA)

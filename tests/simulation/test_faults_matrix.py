@@ -33,6 +33,7 @@ from repro import (
     FaultSchedule,
     FaultSet,
     MissionConfig,
+    MissionRecord,
     MoverSpec,
     PowerBrownout,
     ScenarioSpec,
@@ -544,7 +545,12 @@ class TestGridFaultAxis:
         assert any("_nofault_" in n for n in names)
         assert any("_brownout_" in n for n in names)
         assert len({s.seed for s in specs}) == len(specs)
-        labels = {s.faults.label() for s in specs}
+        labels = {
+            MissionRecord(
+                spec_name=s.name, design=s.design, seed=s.seed, spec=s.to_dict()
+            ).fault_label
+            for s in specs
+        }
         assert labels == {"none", "power_brownout"}
 
     def test_typoed_fault_name_fails_loudly(self):

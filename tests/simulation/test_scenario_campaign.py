@@ -535,13 +535,11 @@ class TestCampaignRunner:
         ]
         campaign = CampaignRunner(max_workers=1).run(specs)
         assert len(campaign) == 2
-        assert set(campaign.by_design()) == {"roborun", "spatial_oblivious"}
-        assert 0.0 <= campaign.success_rate() <= 1.0
-        assert campaign.mean_metric("mission_time_s") > 0
-        summary = campaign.summary()
-        assert summary["roborun"]["missions"] == 1.0
-        payload = campaign.to_dict()
-        assert len(payload["outcomes"]) == 2
+        assert [o.spec.design for o in campaign.outcomes] == [
+            "roborun", "spatial_oblivious",
+        ]
+        assert all(o.ok and o.metrics["mission_time_s"] > 0 for o in campaign.outcomes)
+        assert all(o.metrics["success"] in (0.0, 1.0) for o in campaign.outcomes)
 
     def test_keep_results_returns_traces(self):
         campaign = CampaignRunner(max_workers=1).run(
@@ -588,8 +586,5 @@ class TestCampaignSweepAcceptance:
             o.metrics for o in serial.outcomes
         ]
         assert len(parallel) == len(specs)
-        summary = parallel.summary()
-        assert summary["roborun"]["missions"] == float(
-            sum(1 for s in specs if s.design == "roborun")
-        )
+        assert [o.spec.design for o in parallel.outcomes] == [s.design for s in specs]
         assert all(o.metrics["decision_count"] > 0 for o in parallel.outcomes)
