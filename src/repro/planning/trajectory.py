@@ -100,11 +100,6 @@ class Trajectory:
         return self._times[-1]
 
     @property
-    def duration(self) -> float:
-        """Total duration in seconds."""
-        return self.end_time - self.start_time
-
-    @property
     def start(self) -> Vec3:
         """First position."""
         return self._points[0].position
@@ -113,19 +108,6 @@ class Trajectory:
     def goal(self) -> Vec3:
         """Last position."""
         return self._points[-1].position
-
-    def length(self) -> float:
-        """Total path length in metres."""
-        total = 0.0
-        for a, b in zip(self._points, self._points[1:]):
-            total += a.position.distance_to(b.position)
-        return total
-
-    def mean_speed(self) -> float:
-        """Path length divided by duration (0 for zero-duration trajectories)."""
-        if self.duration == 0:
-            return 0.0
-        return self.length() / self.duration
 
     # ------------------------------------------------------------------
     # Sampling

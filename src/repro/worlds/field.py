@@ -124,14 +124,6 @@ class HeterogeneityField:
         t = station - low
         return self.samples[low] * (1.0 - t) + self.samples[high] * t
 
-    def peak(self) -> float:
-        """Maximum station difficulty."""
-        return max(self.samples)
-
-    def spread(self) -> float:
-        """Peak minus minimum — how heterogeneous the corridor is."""
-        return max(self.samples) - min(self.samples)
-
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------

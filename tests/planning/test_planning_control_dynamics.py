@@ -60,9 +60,8 @@ class TestTrajectory:
 
     def test_lengths_and_speeds(self):
         traj = self.make()
-        assert traj.length() == pytest.approx(3.0)
-        assert traj.duration == pytest.approx(3.0)
-        assert traj.mean_speed() == pytest.approx(1.0)
+        assert traj.remaining_length(traj.start_time) == pytest.approx(3.0)
+        assert traj.end_time - traj.start_time == pytest.approx(3.0)
         assert max(p.speed for p in traj.points) == pytest.approx(1.0)
 
     def test_nearest_and_remaining(self):
@@ -79,8 +78,8 @@ class TestTrajectory:
 
     def test_hover(self):
         hover = Trajectory.hover(Vec3(1, 1, 1), start_time=2.0, duration=3.0)
-        assert hover.length() == 0.0
-        assert hover.duration == pytest.approx(3.0)
+        assert hover.remaining_length(hover.start_time) == 0.0
+        assert hover.end_time - hover.start_time == pytest.approx(3.0)
 
 
 class TestRRTStar:
@@ -146,14 +145,14 @@ class TestSmoothing:
         assert max(p.speed for p in traj.points) <= 2.0 + 1e-6
         assert traj.start == waypoints[0]
         assert traj.goal == waypoints[-1]
-        assert traj.duration > 0
+        assert traj.end_time > traj.start_time
 
     def test_velocity_override(self):
         smoother = PathSmoother(SmoothingConfig(max_velocity=2.0))
         waypoints = [Vec3(0, 0, 5), Vec3(30, 0, 5)]
         slow = smoother.smooth(waypoints, max_velocity=0.5)
         fast = smoother.smooth(waypoints, max_velocity=2.0)
-        assert slow.duration > fast.duration
+        assert slow.end_time - slow.start_time > fast.end_time - fast.start_time
         assert max(p.speed for p in slow.points) <= 0.5 + 1e-6
 
     def test_shortcut_removes_detours_in_open_space(self):
@@ -162,7 +161,7 @@ class TestSmoothing:
         zigzag = [Vec3(0, 0, 5), Vec3(5, 8, 5), Vec3(10, -8, 5), Vec3(20, 0, 5)]
         traj = smoother.smooth(zigzag, view=view)
         direct = Vec3(0, 0, 5).distance_to(Vec3(20, 0, 5))
-        assert traj.length() <= direct * 1.2
+        assert traj.remaining_length(traj.start_time) <= direct * 1.2
 
     def test_smoothed_path_avoids_obstacles(self):
         view = wall_view()
@@ -179,7 +178,7 @@ class TestSmoothing:
 
     def test_single_point_hovers(self):
         traj = PathSmoother().smooth([Vec3(1, 2, 3)])
-        assert traj.length() == 0.0
+        assert traj.remaining_length(traj.start_time) == 0.0
 
 
 class TestControl:

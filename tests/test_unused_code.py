@@ -19,6 +19,11 @@ Docstrings, ``__all__`` and ``__init__`` re-exports do not count, nor does
 an attribute read on a name that ``import <module>`` binds to a module
 outside ``repro`` (``np.ones`` does not reference ``Vec3.ones``).  Whatever
 is left must be on ``ALLOWED`` with its reason.
+
+A binding (an assignment, loop or comprehension target, or an argument) is
+not a read.  Inside a function or comprehension, a read of a name that it
+binds is a local, so ``written = []`` in one function does not keep a
+``written`` property alive.
 """
 
 import ast
@@ -37,8 +42,11 @@ ALLOWED = {
     "OccupancyOctree.mark_free": "builds fixtures for the octree oracle and hypothesis tests",
     "OccupancyOctree.occupied_keys": "reads the map state the octree oracle tests compare",
     "PointCloudKernel.from_points": "builds fixtures for the point-cloud and octree tests",
+    "World.obstacles": "only read of the static obstacle list; the batch oracles and world tests need it",
     "World.dynamic_obstacles": "only read of the mover layer; the fault-matrix signature needs it",
     "Topic.publish_count": "only per-topic publish count; the graph-structure test needs it",
+    "TopicBus.names": "only list of registered topics; the graph-structure test needs it",
+    "Tracer.events": "only read of the recorded events; the tracer and tap tests need it",
     "validate_chrome_trace": "documented API: CI's report-smoke and docs/observability.md",
     "MetricsRegistry.from_snapshot": "documented API: docs/observability.md",
     "World.visibility_along": "reserved for the fidelity fixes (ROADMAP item 2)",
@@ -137,6 +145,38 @@ def foreign_modules(tree):
     }
 
 
+#: The nodes that open a scope of local names: functions and comprehensions.
+SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def bound_names(scope):
+    """The names a scope binds: its arguments and every name it stores to.
+
+    Nested scopes are left to themselves; imports are not bindings here, so
+    a lazily imported definition is still referenced where it is called.
+    """
+    names = set()
+    arguments = getattr(scope, "args", None)  # comprehensions take none
+    if arguments is not None:
+        names.update(
+            arg.arg for arg in (
+                *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                arguments.vararg, arguments.kwarg,
+            ) if arg is not None
+        )
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (*SCOPES, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def referenced_names(root, skip=frozenset(), docs=frozenset(), foreign=frozenset()):
     """Names read under ``root``: names, attributes and identifier strings.
 
@@ -144,13 +184,19 @@ def referenced_names(root, skip=frozenset(), docs=frozenset(), foreign=frozenset
     scanned on its own), ``__all__`` lists and docstrings are not read, and
     the decorators of a definition ``root`` are left to its enclosing scope.
     An attribute of a ``foreign`` module name (``np.ones``) is not a read.
+    A binding is not a read, and neither is a name read inside a function
+    or comprehension that binds it (or inside one nested in it): that name
+    is a local, not a reference to the definition of the same name.
     """
     found = set()
-    stack = [root]
+    stack = [(root, frozenset())]
     while stack:
-        node = stack.pop()
+        node, local = stack.pop()
+        if isinstance(node, SCOPES):
+            local = local | bound_names(node)
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            if isinstance(node.ctx, ast.Load) and node.id not in local:
+                found.add(node.id)
         elif isinstance(node, ast.Attribute):
             if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
                 found.add(node.attr)
@@ -163,7 +209,8 @@ def referenced_names(root, skip=frozenset(), docs=frozenset(), foreign=frozenset
         if node is root and isinstance(node, DEFINITIONS):
             children = [c for c in children if c not in node.decorator_list]
         for child in children:
-            stack.extend(child.decorator_list if id(child) in skip else [child])
+            nested = child.decorator_list if id(child) in skip else [child]
+            stack.extend((item, local) for item in nested)
     return found
 
 
