@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -102,8 +103,10 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _bucket(value: float, width: float) -> int:
-    return int(value // width)
+def _bucket(value: float, width: float) -> float:
+    # A finite value past max_float * width divides to ±inf, a bin of its own.
+    index = value // width
+    return int(index) if math.isfinite(index) else index
 
 
 def _bucket_label(index: int, width: float) -> str:

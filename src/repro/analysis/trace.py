@@ -20,6 +20,7 @@ runs of the same specs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -31,6 +32,21 @@ KIND_MISSION = "mission"
 
 #: Schema version stamped into every line; bump when a field changes meaning.
 TRACE_SCHEMA_VERSION = 1
+
+
+def _finite(name: str, value: Any) -> float:
+    """A decision field as a float; NaN and ±Infinity are rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"decision field {name!r} is {number}, not a finite number")
+    return number
+
+
+def _text(name: str, value: Any) -> str:
+    """A decision field that must hold a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"decision field {name!r} must be a string, got {value!r:.80}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,39 +198,49 @@ class DecisionRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DecisionRecord":
+        """Parse one decision line's JSON object.
+
+        Raises:
+            ValueError: naming the field, when a text field holds no string
+                or a float field (a ``position``, ``policy`` or
+                ``stage_latencies`` entry included) is NaN or ±Infinity.
+                Other malformed fields raise what their conversion raises,
+                which :func:`record_from_line` turns into a ``ValueError``.
+        """
         return cls(
-            spec_name=data["spec_name"],
-            design=data["design"],
+            spec_name=_text("spec_name", data["spec_name"]),
+            design=_text("design", data["design"]),
             index=int(data["index"]),
-            timestamp=float(data["timestamp"]),
-            position=tuple(float(v) for v in data["position"]),
-            zone=data["zone"],
-            speed=float(data["speed"]),
-            velocity_cap=float(data["velocity_cap"]),
-            time_budget=float(data["time_budget"]),
-            predicted_latency=float(data["predicted_latency"]),
+            timestamp=_finite("timestamp", data["timestamp"]),
+            position=tuple(_finite("position", v) for v in data["position"]),
+            zone=_text("zone", data["zone"]),
+            speed=_finite("speed", data["speed"]),
+            velocity_cap=_finite("velocity_cap", data["velocity_cap"]),
+            time_budget=_finite("time_budget", data["time_budget"]),
+            predicted_latency=_finite("predicted_latency", data["predicted_latency"]),
             solver_feasible=bool(data["solver_feasible"]),
-            policy={k: float(v) for k, v in data["policy"].items()},
+            policy={k: _finite("policy", v) for k, v in data["policy"].items()},
             stage_latencies={
-                k: float(v) for k, v in data["stage_latencies"].items()
+                k: _finite("stage_latencies", v)
+                for k, v in data["stage_latencies"].items()
             },
-            end_to_end_latency=float(data["end_to_end_latency"]),
-            visibility=float(data["visibility"]),
-            closest_obstacle=float(data["closest_obstacle"]),
-            gap_min=float(data["gap_min"]),
-            gap_avg=float(data["gap_avg"]),
-            sensor_volume=float(data["sensor_volume"]),
-            map_volume=float(data["map_volume"]),
+            end_to_end_latency=_finite("end_to_end_latency", data["end_to_end_latency"]),
+            visibility=_finite("visibility", data["visibility"]),
+            closest_obstacle=_finite("closest_obstacle", data["closest_obstacle"]),
+            gap_min=_finite("gap_min", data["gap_min"]),
+            gap_avg=_finite("gap_avg", data["gap_avg"]),
+            sensor_volume=_finite("sensor_volume", data["sensor_volume"]),
+            map_volume=_finite("map_volume", data["map_volume"]),
             map_voxels=int(data["map_voxels"]),
-            flown=float(data["flown"]),
-            interval=float(data["interval"]),
-            energy=float(data["energy"]),
+            flown=_finite("flown", data["flown"]),
+            interval=_finite("interval", data["interval"]),
+            energy=_finite("energy", data["energy"]),
             replanned=bool(data["replanned"]),
             dropped=bool(data["dropped"]),
             hit=bool(data["hit"]),
             # Absent in pre-worlds traces; the defaults keep old files readable.
             archetype=str(data.get("archetype", "")),
-            difficulty=float(data.get("difficulty", 0.0)),
+            difficulty=_finite("difficulty", data.get("difficulty", 0.0)),
             # Absent in pre-fleet traces: a single drone, id 0.
             drone_id=int(data.get("drone_id", 0)),
             # Absent in pre-orchestrator traces (and fault-free decisions).
@@ -395,7 +421,8 @@ def record_from_line(line: str) -> TraceRecord:
         ValueError: when the line is not a JSON object (nesting too deep for
             the decoder included), its ``kind`` field is missing or unknown,
             or a field is missing (named in the message) or malformed
-            (``Infinity`` in an integer field included).
+            (``Infinity`` in an integer field and ``NaN`` or ``Infinity`` in
+            a decision's float field included).
     """
     try:
         data = json.loads(line)

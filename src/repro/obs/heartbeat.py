@@ -42,6 +42,19 @@ HEARTBEAT_FILE = "heartbeats.jsonl"
 #: over-budget worker or requeues a spec whose worker died.
 HEARTBEAT_STATUSES = ("start", "running", "done", "error", "timeout", "retry")
 
+#: The fields every heartbeat line carries, with the JSON type each holds
+#: (an integer is a valid float; ``error`` is optional).
+_REQUIRED_FIELDS = (
+    ("spec", str),
+    ("status", str),
+    ("seq", int),
+    ("epoch", int),
+    ("decisions", int),
+    ("wall_elapsed_s", float),
+    ("rss_mb", float),
+    ("pid", int),
+)
+
 try:  # pragma: no cover - resource is stdlib on POSIX, absent on Windows
     import resource
 except ImportError:  # pragma: no cover
@@ -97,18 +110,32 @@ class HeartbeatRecord:
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HeartbeatRecord":
-        return cls(
-            spec=data["spec"],
-            status=data["status"],
-            seq=int(data["seq"]),
-            epoch=int(data["epoch"]),
-            decisions=int(data["decisions"]),
-            wall_elapsed_s=float(data["wall_elapsed_s"]),
-            rss_mb=float(data["rss_mb"]),
-            pid=int(data["pid"]),
-            error=str(data.get("error", "")),
-        )
+    def from_dict(cls, data: Any) -> "HeartbeatRecord":
+        """Parse one heartbeat line's JSON value.
+
+        Raises:
+            ValueError: when ``data`` is not a JSON object, or a required
+                field is missing or holds another type (the field is named
+                in the message).
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"heartbeat is not a JSON object: {data!r:.80}")
+        values: Dict[str, Any] = {}
+        for name, kind in _REQUIRED_FIELDS:
+            if name not in data:
+                raise ValueError(f"heartbeat lacks the {name!r} field")
+            value = data[name]
+            allowed = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(
+                    f"heartbeat field {name!r} must be of type {kind.__name__}, "
+                    f"got {value!r:.80}"
+                )
+            try:
+                values[name] = kind(value)
+            except OverflowError:
+                raise ValueError(f"heartbeat field {name!r} is out of range") from None
+        return cls(error=str(data.get("error", "")), **values)
 
 
 class HeartbeatEmitter:
@@ -202,15 +229,26 @@ def clear_heartbeats(path: PathLike) -> bool:
 
 
 def read_heartbeats(path: PathLike) -> List[HeartbeatRecord]:
-    """Parse a heartbeat JSONL file; missing file → empty list."""
+    """Parse a heartbeat JSONL file; missing file → empty list.
+
+    Raises:
+        ValueError: whose message starts with ``path:line``, when a line is
+            not a JSON object or lacks a field or holds one of another type.
+    """
     source = Path(path)
     if not source.exists():
         return []
     records: List[HeartbeatRecord] = []
-    for line in source.read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(source.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
-        if line:
+        if not line:
+            continue
+        try:
             records.append(HeartbeatRecord.from_dict(json.loads(line)))
+        except RecursionError:
+            raise ValueError(f"{source}:{number}: heartbeat nests too deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"{source}:{number}: {exc}") from None
     return records
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import sys
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.analysis.figures import (
     fig8_sensitivity,
     fleet_scaling,
 )
-from repro.analysis.trace import DecisionRecord, MissionRecord
+from repro.analysis.trace import DecisionRecord, MissionRecord, record_to_line
 from repro.report import load_grid_file, main as report_main
 
 TINY_ENV = EnvironmentConfig(
@@ -111,6 +113,10 @@ class TestTraceAggregators:
         assert robo[3] == pytest.approx(1.5)  # mean deadline
         assert robo[4] == pytest.approx(0.5)  # mean latency
         assert robo[5] == 1.0  # both met their deadline
+
+    def test_fig2_gives_a_speed_past_the_last_finite_bin_its_own_bin(self):
+        table = fig2_latency_deadline([make_decision(speed=sys.float_info.max)])
+        assert table.rows[0][1] == "[inf, inf)"
 
     def test_fig5_static_column_is_flat(self):
         decisions = [
@@ -485,8 +491,9 @@ class TestReportCli:
             '{"kind":"mission","spec_name":"a","design":"b","seed":Infinity}',
             "[" * 5000,
             "{not json",
+            record_to_line(dataclasses.replace(make_decision(), speed=math.nan)),
         ],
-        ids=["infinite_seed", "deep_nesting", "not_json"],
+        ids=["infinite_seed", "deep_nesting", "not_json", "nan_speed"],
     )
     def test_cli_rejects_a_malformed_trace_as_a_usage_error(self, tmp_path, capsys, line):
         trace_dir = tmp_path / "traces"
@@ -498,6 +505,21 @@ class TestReportCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "bad.jsonl:1: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_cli_rejects_a_malformed_heartbeat_as_a_usage_error(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        (trace_dir / "telemetry").mkdir(parents=True)
+        (trace_dir / "m.jsonl").write_text(record_to_line(make_mission()) + "\n")
+        heartbeats = trace_dir / "telemetry" / "heartbeats.jsonl"
+        heartbeats.write_text('{"spec": "x", "seq": 0}\n')
+        out = tmp_path / "report.md"
+        with pytest.raises(SystemExit) as exit_info:
+            report_main(["--traces", str(trace_dir), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{heartbeats}:1: " in err and "'status'" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_cli_end_to_end_on_tiny_grid(self, tmp_path):

@@ -32,6 +32,7 @@ from repro.analysis import (
     read_traces,
     trace_path,
 )
+from repro.analysis.figures import fig2_latency_deadline, fig5_governor_response
 from repro.analysis.io import is_complete_trace
 from repro.analysis.trace import DecisionRecord, MissionRecord, record_from_line, record_to_line
 
@@ -174,6 +175,34 @@ class TestRoundTrip:
         except ValueError:
             return
         assert isinstance(parsed, (DecisionRecord, MissionRecord))
+        if isinstance(parsed, DecisionRecord):
+            # An accepted decision folds into the decision figures.
+            decisions = [parsed] + traced_mission["recorder"].records[1:]
+            fig2_latency_deadline(decisions)
+            fig5_governor_response(decisions)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed", math.nan),
+            ("position", [0.0, math.inf, 5.0]),
+            ("policy", {"point_cloud_precision": -math.inf}),
+            ("stage_latencies", {"runtime": math.nan}),
+            ("design", ["roborun"]),
+        ],
+        ids=["scalar", "position", "policy", "stage_latencies", "text"],
+    )
+    def test_bad_decision_field_is_named_and_makes_the_trace_incomplete(
+        self, traced_mission, tmp_path, field, value
+    ):
+        lines = traced_mission["path"].read_text().splitlines()
+        data = json.loads(lines[0])
+        data[field] = value
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("\n".join([json.dumps(data)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{torn}:1: .*'{field}'"):
+            list(TraceReader(torn))
+        assert not is_complete_trace(torn)
 
     def test_reader_names_the_file_and_line(self, traced_mission, tmp_path):
         lines = traced_mission["path"].read_text().splitlines()

@@ -8,9 +8,11 @@ a telemetry-enabled run.
 """
 
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     CampaignRunner,
@@ -35,6 +37,29 @@ TINY_ENV = EnvironmentConfig(
     obstacle_density=0.15, obstacle_spread=25.0, goal_distance=30.0, seed=11
 )
 TINY_CFG = MissionConfig(max_decisions=3, max_mission_time_s=30.0)
+
+
+#: Any JSON value Python's ``json`` reads, ``Infinity`` and ``NaN`` included.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _heartbeats():
+    """A real emitter's heartbeats for one spec: start, running and error."""
+    records = []
+    emitter = HeartbeatEmitter("spec-a", SimpleNamespace(put=records.append))
+    emitter.emit("start")
+    emitter.emit("running")
+    emitter.emit("error", error="ValueError: boom")
+    return records
 
 
 def _specs(count=2):
@@ -77,6 +102,42 @@ class TestHeartbeatPrimitives:
 
     def test_read_missing_file_is_empty(self, tmp_path):
         assert read_heartbeats(tmp_path / "absent.jsonl") == []
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "not a JSON object"),
+            ('{"spec": "x", "seq": 0}', "lacks the 'status' field"),
+            ('{"spec": "x", "status": "done", "seq": "0", "epoch": 0, "decisions": 0,'
+             ' "wall_elapsed_s": 0.5, "rss_mb": 1.0, "pid": 1}', "'seq' must be of type int"),
+            ("[" * 5000, "nests too deeply"),
+        ],
+        ids=["not_an_object", "missing_field", "wrong_type", "deep_nesting"],
+    )
+    def test_read_names_the_file_and_line_of_a_bad_heartbeat(
+        self, tmp_path, line, message
+    ):
+        good = json.dumps(_heartbeats()[0])
+        path = tmp_path / HEARTBEAT_FILE
+        path.write_text(good + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"^{path}:2: .*{re.escape(message)}"):
+            read_heartbeats(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_bad_field_raises_only_value_error(self, data):
+        records = _heartbeats()
+        record = records[data.draw(st.sampled_from([0, len(records) - 1]))]
+        key = data.draw(st.sampled_from(sorted(record)))
+        if data.draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = data.draw(JSON_VALUES)
+        try:
+            parsed = [HeartbeatRecord.from_dict(json.loads(json.dumps(r))) for r in records]
+        except ValueError:
+            return
+        CampaignReport(heartbeats=parsed).runtime_table()
 
     def test_runtime_summary_uses_last_record_per_spec(self):
         records = [
