@@ -109,7 +109,7 @@ def _bucket(value: float, width: float) -> float:
     return int(index) if math.isfinite(index) else index
 
 
-def _bucket_label(index: int, width: float) -> str:
+def _bucket_label(index: float, width: float) -> str:
     return f"[{index * width:g}, {(index + 1) * width:g})"
 
 

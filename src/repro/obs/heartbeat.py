@@ -115,8 +115,8 @@ class HeartbeatRecord:
 
         Raises:
             ValueError: when ``data`` is not a JSON object, or a required
-                field is missing or holds another type (the field is named
-                in the message).
+                field is missing, holds another type or an integer past 64
+                bits (the field is named in the message).
         """
         if not isinstance(data, dict):
             raise ValueError(f"heartbeat is not a JSON object: {data!r:.80}")
@@ -131,10 +131,10 @@ class HeartbeatRecord:
                     f"heartbeat field {name!r} must be of type {kind.__name__}, "
                     f"got {value!r:.80}"
                 )
-            try:
-                values[name] = kind(value)
-            except OverflowError:
-                raise ValueError(f"heartbeat field {name!r} is out of range") from None
+            # The runtime table divides these numbers, so each must fit a float.
+            if isinstance(value, int) and not -(2**63) <= value < 2**63:
+                raise ValueError(f"heartbeat field {name!r} is past the 64-bit range")
+            values[name] = kind(value)
         return cls(error=str(data.get("error", "")), **values)
 
 

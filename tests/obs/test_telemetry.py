@@ -110,9 +110,12 @@ class TestHeartbeatPrimitives:
             ('{"spec": "x", "seq": 0}', "lacks the 'status' field"),
             ('{"spec": "x", "status": "done", "seq": "0", "epoch": 0, "decisions": 0,'
              ' "wall_elapsed_s": 0.5, "rss_mb": 1.0, "pid": 1}', "'seq' must be of type int"),
+            ('{"spec": "x", "status": "done", "seq": 0, "epoch": 0, "decisions": 1%s,'
+             ' "wall_elapsed_s": 0.5, "rss_mb": 1.0, "pid": 1}' % ("0" * 400),
+             "'decisions' is past the 64-bit range"),
             ("[" * 5000, "nests too deeply"),
         ],
-        ids=["not_an_object", "missing_field", "wrong_type", "deep_nesting"],
+        ids=["not_an_object", "missing_field", "wrong_type", "huge_count", "deep_nesting"],
     )
     def test_read_names_the_file_and_line_of_a_bad_heartbeat(
         self, tmp_path, line, message
