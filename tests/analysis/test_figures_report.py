@@ -251,7 +251,7 @@ def _pinned_mission(design, name, time_s, spec, success=1.0, miss_rate=None,
     metrics = {
         "success": success,
         "mission_time_s": time_s,
-        "mean_velocity_mps": round(60.0 / time_s, 6) if time_s else 0.0,
+        "mean_velocity_mps": 60.0 / time_s if time_s else 0.0,
         "energy_kj": time_s * 0.4 + 1.0,
     }
     if miss_rate is not None:
