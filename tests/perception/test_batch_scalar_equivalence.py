@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import EnvironmentConfig, EnvironmentGenerator, MissionConfig, MissionSimulator
 from repro import MoverSpec, RoboRunRuntime
+from repro.control.follower import PurePursuitFollower
 from repro.core.profilers import ProfilerSuite
 from repro.environment.world import World, Obstacle
 from repro.geometry.aabb import AABB
@@ -245,6 +246,51 @@ def trajectory_blocked_oracle(planning, trajectory, position):
         travelled += a.distance_to(b)
         if travelled >= planning.config.block_check_distance_m:
             break
+    return False
+
+
+def lookahead_oracle(follower, trajectory, position):
+    """The first nearest sample by a ``min`` scan, then the walk forward."""
+    points = trajectory.waypoint_positions()
+    if len(points) == 1:
+        return points[0]
+    index = min(range(len(points)), key=lambda i: points[i].distance_to(position))
+    remaining = follower.lookahead
+    while index < len(points) - 1 and remaining > 0:
+        segment = points[index + 1] - points[index]
+        length = segment.norm()
+        if length >= remaining and length > 0:
+            return points[index] + segment * (remaining / length)
+        remaining -= length
+        index += 1
+    return points[-1]
+
+
+def nearest_index_oracle(trajectory, position):
+    """The last sample at the least squared distance, by a loop."""
+    best_index, best_sq = 0, math.inf
+    for index, sample in enumerate(trajectory.points):
+        dx = sample.position.x - position.x
+        dy = sample.position.y - position.y
+        dz = sample.position.z - position.z
+        d_sq = dx * dx + dy * dy + dz * dz
+        if d_sq <= best_sq:
+            best_index, best_sq = index, d_sq
+    return best_index
+
+
+def brake_oracle(flight, position, motions):
+    """One scalar segment probe per motion, in turn; zero-length horizons skip."""
+    octree = flight.operators.octree
+    for motion in motions:
+        horizon = motion * flight.config.emergency_brake_lookahead_s
+        if horizon.norm() < 1e-6:
+            continue
+        if octree.segment_occupied(
+            position, position + horizon, step=octree.vox_min, lateral=octree.vox_min,
+            include_start=False,
+        ):
+            return True
     return False
 
 
@@ -482,6 +528,25 @@ def is_occupied_oracle(world, point, margin):
     return any(o.box.expanded(margin).contains(point) for o in every_obstacle(world))
 
 
+def density_samples(point, radius):
+    """The disc ``World.obstacle_density`` samples: a ``+= step`` grid at ``point.z``."""
+    step = max(radius / 8.0, 0.5)
+    x = point.x - radius
+    while x <= point.x + radius:
+        y = point.y - radius
+        while y <= point.y + radius:
+            if math.hypot(x - point.x, y - point.y) <= radius:
+                yield Vec3(x, y, point.z)
+            y += step
+        x += step
+
+
+def obstacle_density_oracle(world, point, radius):
+    """One ``is_occupied`` call per disc sample; 0.0 for a disc with no sample."""
+    hits = [world.is_occupied(sample) for sample in density_samples(point, radius)]
+    return sum(hits) / len(hits) if hits else 0.0
+
+
 def expanded_surface_points(box, margin):
     """Corners, edge midpoints and face centres of ``box.expanded(margin)``.
 
@@ -652,6 +717,38 @@ class TestWorldAndCameraEquivalence:
                 ), (point, margin)
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_obstacle_density_matches_per_sample_loop(self, seed):
+        rng = random.Random(450 + seed)
+        world = _mover_world(rng)
+        points = [
+            Vec3(rng.uniform(-45, 45), rng.uniform(-45, 45), rng.uniform(0, 22))
+            for _ in range(6)
+        ]
+        # Boxes with a face, an edge or a corner exactly on a sample of one
+        # disc (in z too), and boxes one ulp clear of one.
+        centre = points[0]
+        on_faces = list(density_samples(centre, 2.5))[::9]
+        for s in on_faces:
+            up = math.nextafter(s.x, math.inf)
+            for lo, hi in (
+                ((s.x, s.y, centre.z), (s.x + 0.2, s.y + 0.2, centre.z + 1.0)),
+                ((s.x - 0.2, s.y - 0.2, centre.z - 1.0), (s.x, s.y, centre.z)),
+                ((up, s.y - 0.2, centre.z - 1.0), (up + 0.2, s.y + 0.2, centre.z + 1.0)),
+            ):
+                world.add_obstacle(Obstacle(AABB(Vec3(*lo), Vec3(*hi))))
+        densities = []
+        for point in points:
+            # 0.2 m holds no sample, 0.3 m exactly one.
+            for radius in (0.2, 0.3, 2.5, 20.0, 30.0):
+                expected = obstacle_density_oracle(world, point, radius)
+                assert world.obstacle_density(point, radius) == expected, (point, radius)
+                densities.append(expected)
+        assert len(list(density_samples(centre, 0.2))) == 0
+        assert len(list(density_samples(centre, 0.3))) == 1
+        assert all(world.is_occupied(s) for s in on_faces)
+        assert any(0.0 < d < 1.0 for d in densities)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_obstacle_arrays_near_matches_obstacles_near(self, seed):
         rng = random.Random(400 + seed)
         world = _mover_world(rng)
@@ -738,14 +835,19 @@ class TestPointCloudAndViewEquivalence:
 
 
 @pytest.fixture(scope="module")
-def planning_node():
+def pipeline():
     env = EnvironmentGenerator().generate(
         EnvironmentConfig(
             obstacle_density=0.05, obstacle_spread=30.0, goal_distance=60.0, seed=3
         )
     )
     sim = MissionSimulator(env, RoboRunRuntime(), MissionConfig(max_decisions=10))
-    return sim.build_pipeline(Executor(TopicBus(), SimClock())).planning
+    return sim.build_pipeline(Executor(TopicBus(), SimClock()))
+
+
+@pytest.fixture(scope="module")
+def planning_node(pipeline):
+    return pipeline.planning
 
 
 class TestPlanningKernels:
@@ -774,6 +876,48 @@ class TestPlanningKernels:
                     trajectory, position
                 ) == trajectory_blocked_oracle(planning_node, trajectory, position)
         octree.clear_cells(octree.occupied_keys())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brake_matches_one_scalar_probe_per_motion(self, pipeline, seed):
+        rng = random.Random(960 + seed)
+        flight = pipeline.flight
+        octree = flight.operators.octree
+        octree.clear_cells(octree.occupied_keys())
+        tiny = 1e-7  # a horizon under 1e-6 m: skipped, as a zero motion is
+        for _ in range(20):
+            position = random_vec(rng, -10.0, 10.0)
+            for _ in range(rng.randint(0, 3)):
+                centre = position + random_vec(rng, -2.5, 2.5)
+                octree.mark_box(AABB.from_center(centre, Vec3(0.6, 0.6, 0.6)))
+            motions = [random_vec(rng, -3.0, 3.0) for _ in range(4)]
+            motions += [Vec3.zero(), Vec3(tiny, 0.0, 0.0)]
+            for motion in motions:
+                assert flight._motion_blocked(position, motion) == brake_oracle(
+                    flight, position, [motion]
+                )
+        octree.clear_cells(octree.occupied_keys())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearest_sample_queries_match_scans(self, seed):
+        """The follower takes the first nearest sample; ``nearest_point_to`` the last."""
+        rng = random.Random(980 + seed)
+        follower = PurePursuitFollower(lookahead=rng.choice([0.5, 3.0, 12.0]))
+        for count in (1, 2, 7, 40):
+            waypoints = [random_vec(rng, -10.0, 10.0) for _ in range(count)]
+            # The path comes back over its first half: duplicate samples.
+            waypoints += waypoints[: count // 2][::-1]
+            trajectory = Trajectory(
+                [TrajectoryPoint(float(i), p, Vec3.zero()) for i, p in enumerate(waypoints)]
+            )
+            positions = waypoints + [random_vec(rng, -12.0, 12.0) for _ in range(25)]
+            positions += [a.lerp(b, 0.5) for a, b in zip(waypoints, waypoints[1:])]
+            for position in positions:
+                assert follower._lookahead_point(trajectory, position) == lookahead_oracle(
+                    follower, trajectory, position
+                )
+                assert trajectory.nearest_point_to(position).index == nearest_index_oracle(
+                    trajectory, position
+                )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_position_buffer_matches_distance_scan(self, seed):
@@ -1085,6 +1229,27 @@ class TestOccupancyMapOracles:
             expected = forget_oracle(occ, fr, vox_min, octree.free_resolution, centre, radius)
             assert octree.forget_beyond(centre, radius) == expected
             assert octree_state(octree) == (occ, fr)
+
+    def test_forget_beyond_on_the_radius_and_with_empty_stores(self):
+        # 0.5 m voxels keep every centre and distance an exact binary
+        # fraction: cell (3, 4, 0) lies exactly 2.5 m from cell (0, 0, 0).
+        centre = voxel_center((0, 0, 0), 0.5)
+        corner = {(0, 0, 0), (3, 0, 0), (0, 4, 0), (3, 4, 0)}
+        cases = [
+            (corner, {(0, 0, 0)}, 2.5),  # whole stores inside, one cell on the radius
+            (corner, {(0, 0, 0)}, math.nextafter(2.5, 0.0)),  # that cell just outside
+            (corner - {(3, 4, 0)}, set(), 2.4),  # the box corner outside, no cell
+            (set(), {(0, 0, 0), (5, 5, 5)}, 2.5),  # empty occupied store
+            (corner, set(), 1.0),  # empty free store
+            (set(), set(), 1.0),
+        ]
+        for occupied, free, radius in cases:
+            octree = octree_with(occupied, free, vox_min=0.5, free_resolution=1.0)
+            occ, fr = set(occupied), set(free)
+            expected = forget_oracle(occ, fr, 0.5, 1.0, centre, radius)
+            assert octree.forget_beyond(centre, radius) == expected
+            assert octree_state(octree) == (occ, fr)
+        assert centre.distance_to(voxel_center((3, 4, 0), 0.5)) == 2.5
 
     @pytest.mark.parametrize("seed", range(5))
     def test_segment_probes_match_scalar_walk(self, seed):
