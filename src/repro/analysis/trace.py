@@ -33,19 +33,23 @@ KIND_MISSION = "mission"
 #: Schema version stamped into every line; bump when a field changes meaning.
 TRACE_SCHEMA_VERSION = 1
 
+#: The metrics a mission line without an error must carry: the Figure 7
+#: quantities, which the report's folds read (each other fold reads a subset).
+FOLDED_METRICS = ("mean_velocity_mps", "mission_time_s", "energy_kj", "mean_cpu_utilization")
 
-def _finite(name: str, value: Any) -> float:
-    """A decision field as a float; NaN and ±Infinity are rejected."""
+
+def _finite(name: str, value: Any, kind: str = KIND_DECISION) -> float:
+    """A field of a ``kind`` line as a float; NaN and ±Infinity are rejected."""
     number = float(value)
     if not math.isfinite(number):
-        raise ValueError(f"decision field {name!r} is {number}, not a finite number")
+        raise ValueError(f"{kind} field {name!r} is {number}, not a finite number")
     return number
 
 
-def _text(name: str, value: Any) -> str:
-    """A decision field that must hold a JSON string."""
+def _text(name: str, value: Any, kind: str = KIND_DECISION) -> str:
+    """A field of a ``kind`` line that must hold a JSON string."""
     if not isinstance(value, str):
-        raise ValueError(f"decision field {name!r} must be a string, got {value!r:.80}")
+        raise ValueError(f"{kind} field {name!r} must be a string, got {value!r:.80}")
     return value
 
 
@@ -376,12 +380,17 @@ class MissionRecord:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MissionRecord":
+        """Parse a mission line: ``spec_name`` and ``design`` must be strings,
+        and every metric a finite number (named as ``metrics.<name>``)."""
         return cls(
-            spec_name=data["spec_name"],
-            design=data["design"],
+            spec_name=_text("spec_name", data["spec_name"], KIND_MISSION),
+            design=_text("design", data["design"], KIND_MISSION),
             seed=int(data["seed"]),
             environment=dict(data.get("environment") or {}),
-            metrics={k: float(v) for k, v in (data.get("metrics") or {}).items()},
+            metrics={
+                k: _finite(f"metrics.{k}", v, KIND_MISSION)
+                for k, v in (data.get("metrics") or {}).items()
+            },
             error=dict(data["error"]) if data.get("error") else None,
             spec=dict(data["spec"]) if data.get("spec") else None,
             fleet=dict(data["fleet"]) if data.get("fleet") else None,
@@ -420,9 +429,11 @@ def record_from_line(line: str) -> TraceRecord:
     Raises:
         ValueError: when the line is not a JSON object (nesting too deep for
             the decoder included), its ``kind`` field is missing or unknown,
-            or a field is missing (named in the message) or malformed
-            (``Infinity`` in an integer field and ``NaN`` or ``Infinity`` in
-            a decision's float field included).
+            or a field is missing (named in the message; for a mission
+            without an error, one of :data:`FOLDED_METRICS` included) or
+            malformed (``Infinity`` in an integer field, ``NaN`` or
+            ``Infinity`` in a float field and a non-string name or design
+            included).
     """
     try:
         data = json.loads(line)
@@ -438,11 +449,16 @@ def record_from_line(line: str) -> TraceRecord:
     else:
         raise ValueError(f"unknown trace record kind {kind!r}")
     try:
-        return parse(data)
+        record = parse(data)
     except KeyError as exc:
         raise ValueError(f"{kind} trace line lacks the {exc.args[0]!r} field") from None
     except (AttributeError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} trace line: {exc}") from None
+    if isinstance(record, MissionRecord) and record.ok:
+        for key in FOLDED_METRICS:
+            if key not in record.metrics:
+                raise ValueError(f"mission trace line lacks the 'metrics.{key}' field")
+    return record
 
 
 def split_records(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.geometry.vec3 import Vec3
 from repro.planning.trajectory import Trajectory
 
@@ -67,10 +69,9 @@ class PurePursuitFollower:
         points = trajectory.waypoint_positions()
         if len(points) == 1:
             return points[0]
-        # Find the nearest sample, then walk forward along the path.
-        nearest_index = min(
-            range(len(points)), key=lambda i: points[i].distance_to(position)
-        )
+        # Find the nearest sample (the first of equals, by the rounded
+        # distances Vec3.distance_to gives), then walk forward along the path.
+        nearest_index = int(np.argmin(np.sqrt(trajectory.squared_distances_to(position))))
         remaining = self.lookahead
         index = nearest_index
         while index < len(points) - 1 and remaining > 0:

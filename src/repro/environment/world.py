@@ -55,6 +55,16 @@ def _boxes_distance_to_point(
     return np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
 
 
+def _points_in_boxes(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Which rows of a ``(P, 3)`` array lie in some box, closed ``<=`` on every face.
+
+    The batched :meth:`AABB.contains` over ``(B, 3)`` corner arrays.
+    """
+    p = points[:, None, :]
+    inside = (lo <= p) & (p <= hi)
+    return (inside[..., 0] & inside[..., 1] & inside[..., 2]).any(axis=1)
+
+
 @dataclass(frozen=True, slots=True)
 class Obstacle:
     """A static, axis-aligned box obstacle."""
@@ -209,9 +219,8 @@ class World:
         holds the point under the closed ``<=`` of :meth:`AABB.contains`.
         """
         lo, hi = self._corner_snapshot()
-        p = np.array((point.x, point.y, point.z))
-        inside = (lo - margin <= p) & (p <= hi + margin)
-        return bool((inside[:, 0] & inside[:, 1] & inside[:, 2]).any())
+        p = np.array(((point.x, point.y, point.z),))
+        return bool(_points_in_boxes(p, lo - margin, hi + margin)[0])
 
     def segment_collides(self, start: Vec3, end: Vec3, margin: float = 0.0) -> bool:
         """True when the straight segment hits any obstacle (inflated by margin)."""
@@ -256,22 +265,30 @@ class World:
         Matches the generator's definition: "obstacle density determines the
         ratio of occupied cells around a grid cell" (§IV).  Estimated by
         sampling a coarse 2-D grid at the drone's altitude.
+
+        The samples are tested in one pass, under :meth:`is_occupied`'s closed
+        box test, against the boxes that overlap their x/y extent: a box that
+        holds a sample overlaps it, so no other box can count.
         """
         if radius <= 0:
             raise ValueError("density radius must be positive")
         step = max(radius / 8.0, 0.5)
-        total = 0
-        occupied = 0
+        samples = []
         x = point.x - radius
         while x <= point.x + radius:
             y = point.y - radius
             while y <= point.y + radius:
                 if math.hypot(x - point.x, y - point.y) <= radius:
-                    total += 1
-                    if self.is_occupied(Vec3(x, y, point.z)):
-                        occupied += 1
+                    samples.append((x, y, point.z))
                 y += step
             x += step
-        if total == 0:
+        if not samples:
             return 0.0
-        return occupied / total
+        p = np.array(samples)
+        lo, hi = self._corner_snapshot()
+        near = (
+            (lo[:, 0] <= p[:, 0].max()) & (hi[:, 0] >= p[:, 0].min())
+            & (lo[:, 1] <= p[:, 1].max()) & (hi[:, 1] >= p[:, 1].min())
+        )
+        occupied = int(_points_in_boxes(p, lo[near], hi[near]).sum())
+        return occupied / len(samples)

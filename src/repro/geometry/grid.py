@@ -78,6 +78,22 @@ def unpack_keys(packed: np.ndarray) -> np.ndarray:
     return ijk
 
 
+def sorted_key_bounds(packed: np.ndarray) -> np.ndarray:
+    """The bounding box of sorted, non-empty packed keys, as ``(2, 3)`` keys.
+
+    Row 0 holds the least ``i``, ``j`` and ``k``, row 1 the greatest.  Packed
+    order is ``i``-major, so the ``i`` range is read off the first and last
+    key; ``j`` and ``k`` each take one ``min`` and one ``max``.
+    """
+    bounds = unpack_keys(packed[[0, -1]])
+    j = (packed >> _PACK_BITS) & (_PACK_BASE - 1)
+    k = packed & (_PACK_BASE - 1)
+    bounds[:, 1] = (j.min(), j.max())
+    bounds[:, 2] = (k.min(), k.max())
+    bounds[:, 1:] -= _PACK_OFF
+    return bounds
+
+
 def packed_voxel_keys(points: np.ndarray, resolution: float) -> np.ndarray:
     """Packed keys of the voxels containing each row of an ``(N, 3)`` array.
 

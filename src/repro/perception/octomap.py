@@ -52,12 +52,13 @@ from repro.geometry.grid import (
     VoxelKey,
     pack_keys,
     packed_voxel_keys,
+    sorted_key_bounds,
     unpack_keys,
     voxel_key,
 )
 from repro.geometry.vec3 import Vec3
 from repro.perception.point_cloud import PointCloud
-from repro.perception.spatial_index import contains, insert_keys, remove_keys
+from repro.perception.spatial_index import contains, insert_keys, remove_keys, unique_keys
 
 
 def _pack_one(key: VoxelKey) -> np.ndarray:
@@ -76,6 +77,23 @@ def _squared_norms(d: np.ndarray) -> np.ndarray:
 def centre_distances_sq(packed: np.ndarray, resolution: float, point: Vec3) -> np.ndarray:
     """Squared distance from each cell centre ``(k + 0.5) * resolution`` to ``point``."""
     return _squared_norms((unpack_keys(packed) + 0.5) * resolution - _xyz(point))
+
+
+def _within(packed: np.ndarray, resolution: float, point: Vec3, radius_sq: float) -> np.ndarray:
+    """The sorted keys whose cell centre lies within ``radius_sq`` of ``point``.
+
+    When the bounding box's farthest corner is within, every key is, and the
+    array comes back as it is.  That test is exact: ``(k + 0.5) * res - p``
+    is monotone in ``k`` under rounding, so per axis the largest ``|s|`` sits
+    at one end of the key range, and squaring and adding non-negative terms
+    is monotone too, so no cell's computed distance exceeds the corner's.
+    """
+    if packed.shape[0] == 0:
+        return packed
+    corners = (sorted_key_bounds(packed) + 0.5) * resolution - _xyz(point)
+    if _squared_norms(np.abs(corners).max(axis=0)[None])[0] <= radius_sq:
+        return packed
+    return packed[centre_distances_sq(packed, resolution, point) <= radius_sq]
 
 
 class OccupancyOctree:
@@ -285,12 +303,10 @@ class OccupancyOctree:
         # Occupied: a ray erases the occupied voxels its samples pass through,
         # except the endpoints of this very cloud, which every ray marks.
         # The two key sets are disjoint, so the order of events is moot.
-        endpoints = packed_voxel_keys(points, self.vox_min)
+        endpoints = unique_keys(packed_voxel_keys(points, self.vox_min))
         passed = packed_voxel_keys(positions, self.vox_min)
-        passed = passed[~np.isin(passed, endpoints)]
-        self._occupied = insert_keys(
-            remove_keys(self._occupied, passed), np.unique(endpoints)
-        )
+        passed = passed[~contains(endpoints, passed)]
+        self._occupied = insert_keys(remove_keys(self._occupied, passed), endpoints)
 
         # Free: ray r's samples add their regions (event 2r), then its
         # endpoint's region is discarded (event 2r + 1); per region the last
@@ -456,12 +472,8 @@ class OccupancyOctree:
             raise ValueError("radius must be positive")
         radius_sq = radius * radius
         before = self.observed_voxel_count()
-        self._occupied = self._occupied[
-            centre_distances_sq(self._occupied, self.vox_min, center) <= radius_sq
-        ]
-        self._free = self._free[
-            centre_distances_sq(self._free, self.free_resolution, center) <= radius_sq
-        ]
+        self._occupied = _within(self._occupied, self.vox_min, center, radius_sq)
+        self._free = _within(self._free, self.free_resolution, center, radius_sq)
         return before - self.observed_voxel_count()
 
     # ------------------------------------------------------------------
@@ -487,4 +499,4 @@ class OccupancyOctree:
         level = self.coarsen_level_for(precision)
         if level == 0:
             return self._occupied
-        return np.unique(pack_keys(unpack_keys(self._occupied) >> level))
+        return unique_keys(pack_keys(unpack_keys(self._occupied) >> level))

@@ -3,7 +3,8 @@
 The occupancy map keeps each of its voxel sets as a sorted, unique int64
 array of :func:`~repro.geometry.grid.pack_keys` keys.  A batch of probes
 answers membership with one :func:`np.searchsorted` pass
-(:func:`contains`), and a batch of keys is added or removed with one
+(:func:`contains`), a batch of keys is deduplicated with one sort
+(:func:`unique_keys`), and added or removed with one
 ``searchsorted`` and one array copy (:func:`insert_keys`,
 :func:`remove_keys`), so the map's hot paths do no per-key Python work.
 
@@ -32,6 +33,20 @@ def contains(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
         return np.zeros(np.shape(packed), dtype=bool)
     pos = np.minimum(np.searchsorted(table, packed), size - 1)
     return table[pos] == packed
+
+
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """The sorted, unique values of an int64 key array, as :func:`np.unique` gives.
+
+    One sort and an adjacent-inequality mask: ``np.unique`` answers a plain
+    int64 array from a hash table and sorts afterwards, which is slower on
+    packed keys.
+    """
+    keys = np.sort(keys)
+    first = np.empty(keys.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def insert_keys(table: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ volume operator.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.geometry.vec3 import Vec3
 
@@ -77,6 +78,7 @@ class Trajectory:
             raise ValueError("trajectory sample times must be strictly increasing")
         self._points: List[TrajectoryPoint] = list(points)
         self._times = times
+        self._positions: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -144,17 +146,22 @@ class Trajectory:
         already consumed the earlier visit, so look-ahead checks anchored at
         the returned index must start from the later one.
         """
-        best_index = 0
-        best_sq = math.inf
-        for index, p in enumerate(self._points):
-            dx = p.position.x - position.x
-            dy = p.position.y - position.y
-            dz = p.position.z - position.z
-            d_sq = dx * dx + dy * dy + dz * dz
-            if d_sq <= best_sq:
-                best_index = index
-                best_sq = d_sq
+        d_sq = self.squared_distances_to(position)
+        best_index = d_sq.shape[0] - 1 - int(np.argmin(d_sq[::-1]))
         return NearestWaypoint(index=best_index, point=self._points[best_index])
+
+    def squared_distances_to(self, position: Vec3) -> np.ndarray:
+        """Squared distance from every sample to a position, summed as ``Vec3.dot`` does.
+
+        The ``(N, 3)`` sample positions are stacked on first use and kept:
+        a trajectory never changes after construction.
+        """
+        if self._positions is None:
+            self._positions = np.array(
+                [(p.x, p.y, p.z) for p in self.waypoint_positions()], dtype=np.float64
+            )
+        d = self._positions - (position.x, position.y, position.z)
+        return (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
 
     def distance_to(self, position: Vec3) -> float:
         """Distance from a position to the nearest trajectory sample."""

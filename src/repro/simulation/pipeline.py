@@ -752,28 +752,38 @@ class FlightNode(Node):
         self.publish(self.topics.flight, result)
 
     # -- flight integration ----------------------------------------------
-    def _motion_blocked(self, position: Vec3, motion: Vec3) -> bool:
-        """True when mapped obstacles lie within a small tube around the motion.
+    def _motion_blocked(self, position: Vec3, *motions: Vec3) -> bool:
+        """True when mapped obstacles lie within a small tube around any motion.
 
-        The probe walks the expected displacement over the brake look-ahead
+        Each probe walks the expected displacement over the brake look-ahead
         horizon and checks a one-voxel-wide neighbourhood laterally, so the
         drone also brakes when it is about to *graze* a mapped obstacle rather
-        than only when it would fly squarely into one.
+        than only when it would fly squarely into one.  Motions with a
+        zero-length horizon are skipped; the rest are probed in one batch,
+        each segment on its own, so the verdict is the ``or`` of one probe
+        per motion.
         """
-        cfg = self.config
         octree = self.operators.octree
-        horizon = motion * cfg.emergency_brake_lookahead_s
-        if horizon.norm() < 1e-6:
+        start = (position.x, position.y, position.z)
+        ends = []
+        for motion in motions:
+            horizon = motion * self.config.emergency_brake_lookahead_s
+            if horizon.norm() >= 1e-6:
+                end = position + horizon
+                ends.append((end.x, end.y, end.z))
+        if not ends:
             return False
         # The drone's own voxel is excluded (include_start=False): map noise
         # can mark the cell the drone currently sits in, and braking on it
         # would pin the drone in place forever.
-        return octree.segment_occupied(
-            position,
-            position + horizon,
-            step=octree.vox_min,
-            lateral=octree.vox_min,
-            include_start=False,
+        return bool(
+            octree.segment_occupied_batch(
+                np.array([start] * len(ends)),
+                np.array(ends),
+                step=octree.vox_min,
+                lateral=octree.vox_min,
+                include_start=False,
+            ).any()
         )
 
     def _fly(
@@ -800,9 +810,7 @@ class FlightNode(Node):
                 # within a short flight-time horizon of the commanded motion
                 # (or of the drone's current momentum), stop instead of
                 # continuing at speed.
-                if self._motion_blocked(current.position, command) or self._motion_blocked(
-                    current.position, current.velocity
-                ):
+                if self._motion_blocked(current.position, command, current.velocity):
                     command = Vec3.zero()
             next_state = self.kinematics.step(current, command, dt)
             flown += next_state.position.distance_to(current.position)

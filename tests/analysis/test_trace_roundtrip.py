@@ -175,11 +175,17 @@ class TestRoundTrip:
         except ValueError:
             return
         assert isinstance(parsed, (DecisionRecord, MissionRecord))
+        records = traced_mission["recorder"].records
         if isinstance(parsed, DecisionRecord):
             # An accepted decision folds into the decision figures.
-            decisions = [parsed] + traced_mission["recorder"].records[1:]
+            decisions = [parsed] + records[1:]
             fig2_latency_deadline(decisions)
             fig5_governor_response(decisions)
+        else:
+            # An accepted mission folds into every table of the report.
+            report = CampaignReport(records, [parsed, traced_mission["recorder"].mission_record])
+            report.tables()
+            report.to_markdown()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -201,6 +207,31 @@ class TestRoundTrip:
         torn = tmp_path / "torn.jsonl"
         torn.write_text("\n".join([json.dumps(data)] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=rf"^{torn}:1: .*'{field}'"):
+            list(TraceReader(torn))
+        assert not is_complete_trace(torn)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("design", ["x"], "design"),
+            ("spec_name", 7, "spec_name"),
+            ("metrics", {"mission_time_s": math.nan}, "metrics.mission_time_s"),
+            ("metrics", {"energy_kj": -math.inf}, "metrics.energy_kj"),
+            ("metrics", None, "metrics.mean_velocity_mps"),
+        ],
+        ids=["design", "spec_name", "nan_metric", "infinite_metric", "no_metrics"],
+    )
+    def test_bad_mission_field_is_named_and_makes_the_trace_incomplete(
+        self, traced_mission, tmp_path, field, value, named
+    ):
+        lines = traced_mission["path"].read_text().splitlines()
+        data = json.loads(lines[-1])
+        if field == "metrics" and value:
+            value = {**data["metrics"], **value}
+        data[field] = value
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("\n".join(lines[:-1] + [json.dumps(data)]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{torn}:{len(lines)}: .*'{named}'"):
             list(TraceReader(torn))
         assert not is_complete_trace(torn)
 

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import EnvironmentConfig, EnvironmentGenerator, MissionConfig, MissionSimulator
 from repro import MoverSpec, RoboRunRuntime
@@ -30,7 +30,11 @@ from repro.middleware.topic import TopicBus
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud
-from repro.perception.spatial_index import cell_margin_radius, segment_hits_table
+from repro.perception.spatial_index import (
+    cell_margin_radius,
+    segment_hits_table,
+    unique_keys,
+)
 from repro.planning.rrt_star import _CollisionChecker, _PositionBuffer
 from repro.planning.trajectory import Trajectory, TrajectoryPoint
 from repro.sensors.depth_camera import DepthImage
@@ -727,15 +731,30 @@ class TestWorldAndCameraEquivalence:
         # Boxes with a face, an edge or a corner exactly on a sample of one
         # disc (in z too), and boxes one ulp clear of one.
         centre = points[0]
-        on_faces = list(density_samples(centre, 2.5))[::9]
+        samples = list(density_samples(centre, 2.5))
+        z0, z1 = centre.z - 1.0, centre.z + 1.0
+        west, east = min(samples, key=lambda s: s.x), max(samples, key=lambda s: s.x)
+        south, north = min(samples, key=lambda s: s.y), max(samples, key=lambda s: s.y)
+        extremes = (west, east, south, north)
+        on_faces = [s for s in samples[::9] if s not in extremes]
+        boxes = []
         for s in on_faces:
             up = math.nextafter(s.x, math.inf)
-            for lo, hi in (
-                ((s.x, s.y, centre.z), (s.x + 0.2, s.y + 0.2, centre.z + 1.0)),
-                ((s.x - 0.2, s.y - 0.2, centre.z - 1.0), (s.x, s.y, centre.z)),
-                ((up, s.y - 0.2, centre.z - 1.0), (up + 0.2, s.y + 0.2, centre.z + 1.0)),
-            ):
-                world.add_obstacle(Obstacle(AABB(Vec3(*lo), Vec3(*hi))))
+            boxes += [
+                ((s.x, s.y, centre.z), (s.x + 0.2, s.y + 0.2, z1)),
+                ((s.x - 0.2, s.y - 0.2, z0), (s.x, s.y, centre.z)),
+                ((up, s.y - 0.2, z0), (up + 0.2, s.y + 0.2, z1)),
+            ]
+        # Boxes outside the samples' x/y extent but for one face on it.
+        boxes += [
+            ((west.x - 0.5, west.y - 0.2, z0), (west.x, west.y + 0.2, z1)),
+            ((east.x, east.y - 0.2, z0), (east.x + 0.5, east.y + 0.2, z1)),
+            ((south.x - 0.2, south.y - 0.5, z0), (south.x + 0.2, south.y, z1)),
+            ((north.x - 0.2, north.y, z0), (north.x + 0.2, north.y + 0.5, z1)),
+        ]
+        on_faces += extremes
+        for lo, hi in boxes:
+            world.add_obstacle(Obstacle(AABB(Vec3(*lo), Vec3(*hi))))
         densities = []
         for point in points:
             # 0.2 m holds no sample, 0.3 m exactly one.
@@ -878,7 +897,7 @@ class TestPlanningKernels:
         octree.clear_cells(octree.occupied_keys())
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_brake_matches_one_scalar_probe_per_motion(self, pipeline, seed):
+    def test_brake_batch_matches_one_scalar_probe_per_motion(self, pipeline, seed):
         rng = random.Random(960 + seed)
         flight = pipeline.flight
         octree = flight.operators.octree
@@ -891,9 +910,12 @@ class TestPlanningKernels:
                 octree.mark_box(AABB.from_center(centre, Vec3(0.6, 0.6, 0.6)))
             motions = [random_vec(rng, -3.0, 3.0) for _ in range(4)]
             motions += [Vec3.zero(), Vec3(tiny, 0.0, 0.0)]
-            for motion in motions:
-                assert flight._motion_blocked(position, motion) == brake_oracle(
-                    flight, position, [motion]
+            # One motion, and the command with the momentum in one batch.
+            for batch in [(m,) for m in motions] + [
+                (rng.choice(motions), rng.choice(motions)) for _ in range(8)
+            ]:
+                assert flight._motion_blocked(position, *batch) == brake_oracle(
+                    flight, position, batch
                 )
         octree.clear_cells(octree.occupied_keys())
 
@@ -1331,6 +1353,21 @@ class TestOccupancyMapOracles:
                             starts, ends, 0.5, vox_min, include_start
                         ).tolist() == [True]
         assert cases > 0
+
+
+@given(st.lists(st.integers(min_value=-(2**62), max_value=2**62)), st.integers(0, 3))
+@example([], 0)
+@example([7], 0)
+@example([5, 5, 5, 5], 0)
+@settings(max_examples=200, deadline=None)
+def test_unique_keys_matches_np_unique(values, spread):
+    """Any int64 keys, and keys drawn from a few values so that repeats are many."""
+    keys = np.array(values, dtype=np.int64)
+    if spread:
+        keys %= 4**spread
+    got, expected = unique_keys(keys), np.unique(keys)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
 
 
 MAP_COORD = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
