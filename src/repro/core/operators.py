@@ -27,10 +27,11 @@ each kernel actually performed so the compute model can charge its latency.
 
 The occupancy map keeps its voxels as sorted arrays of packed keys: the
 coarsening behind :func:`~repro.perception.planning_view.build_planning_view`
-is one ``np.unique`` of the shifted keys, and the per-decision locality
-eviction (:meth:`OccupancyOctree.forget_beyond`) is one vectorised distance
-filter, so the Python-side enforcement cost tracks the *local* map rather
-than mission length — only the charged (modelled) cost follows the knobs.
+is one sort of the shifted keys (:func:`~repro.perception.spatial_index.unique_keys`),
+and the per-decision locality eviction (:meth:`OccupancyOctree.forget_beyond`)
+is one vectorised distance filter, skipped when no cell can go, so the
+Python-side enforcement cost tracks the *local* map rather than mission
+length — only the charged (modelled) cost follows the knobs.
 """
 
 from __future__ import annotations

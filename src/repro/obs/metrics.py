@@ -3,8 +3,7 @@
 The :class:`MetricsRegistry` is the numbers half of the observability layer
 (:mod:`repro.obs`): small, dependency-free metric instruments sampled at
 node boundaries by the pipeline tap, snapshotted to JSON for the analysis
-layer and rendered in the Prometheus text exposition format for the future
-campaign service (ROADMAP item 4).
+layer and rendered in the Prometheus text exposition format.
 
 Design rules, matching the DAQ-style monitoring path the subsystem copies:
 

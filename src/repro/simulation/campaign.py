@@ -1,7 +1,6 @@
 """Campaigns: many scenarios, one worker fleet, one outcome per scenario.
 
-The paper's evaluation flies 27 environments per design; the ROADMAP's north
-star is "as many scenarios as you can imagine".  A :class:`CampaignRunner`
+The paper's evaluation flies 27 environments per design.  A :class:`CampaignRunner`
 fans a list of :class:`~repro.simulation.scenario.ScenarioSpec`s across
 worker processes and collects the per-mission outcomes in a
 :class:`CampaignResult`.  Two execution modes share the one ``run()`` API

@@ -115,9 +115,10 @@ def _finalise(
     environment.world_spec = spec
     # The field is sampled before movers are bound: it describes the static
     # corridor, not one arbitrary epoch of the movers' motion.  Sampling is
-    # eager — ~50-70 ms once per build against minutes of mission wall-clock
-    # — so the field is a plain value of the built artifact: the determinism
-    # suite fingerprints it, and untraced missions pay nothing per decision.
+    # eager — 10-30 ms per build of a 120 m world, up to about 0.2 s for a
+    # 1200 m one, against minutes of mission wall-clock — so the field is a
+    # plain value of the built artifact: the determinism suite fingerprints
+    # it, and untraced missions pay nothing per decision.
     if environment.heterogeneity is None:
         sample_radius = min(config.corridor_width / 2.0, 30.0)
         sample_count = max(16, min(96, int(config.goal_distance // 15) + 2))
