@@ -137,6 +137,35 @@ class TestTapOutputs:
             assert stage is not None, f"no latency histogram for {stage_name}"
             assert stage.count == result.metrics.decision_count
 
+    #: The counters on ``_run_small``: one decision per epoch, 14 log entries
+    #: per decision, and the planner and governor outputs sampled once each.
+    PINNED_COUNTERS = {
+        "decisions_total": 8.0,
+        "executor_dispatches_total": 112.0,
+        "planner_iterations_total": 23.0,
+        "planner_nodes_total": 22.0,
+        "planner_collision_samples_total": 357.0,
+        "planner_rewires_total": 1.0,
+        "planner_replans_total": 1.0,
+        "governor_infeasible_total": 0.0,
+        "solver_solves_total": 8.0,
+        "solver_candidates_total": 44.0,
+    }
+
+    def test_counters_hold_their_pinned_values(self):
+        tap = ObsTap()
+        _run_small(tap=tap)
+        tap.finish()
+        labels = {"drone": "drone0"}
+        values = {
+            name: tap.metrics.get(name, labels).value
+            for name in self.PINNED_COUNTERS
+        }
+        assert values == self.PINNED_COUNTERS
+        budget = tap.metrics.get("governor_time_budget_seconds", labels)
+        assert (budget.count, budget.total) == (8, 64.8)
+        assert tap.metrics.get("executor_dispatched", {}).value == 112.0
+
     def test_snapshot_round_trips_and_prometheus_renders(self, tmp_path):
         tap = ObsTap()
         _run_small(tap=tap)

@@ -13,10 +13,12 @@ from repro import (
     EnvironmentConfig,
     EnvironmentGenerator,
     FaultSet,
+    FleetSimulator,
     MissionConfig,
     MissionSimulator,
     RoboRunRuntime,
     SensorDropout,
+    SpatialObliviousRuntime,
 )
 from repro.middleware.latency import ALL_STAGES, COMM_STAGES
 from repro.simulation.pipeline import (
@@ -34,6 +36,31 @@ TINY_ENV = EnvironmentConfig(
 )
 TINY_CFG = MissionConfig(max_decisions=25, max_mission_time_s=200.0)
 
+#: One decision's dispatch-log entries, (topic, publishing node), in the
+#: order the cascade delivers them: every subscriber of a topic gets its own
+#: entry.
+CASCADE = (
+    ("/sense/scan", "sense"),
+    ("/sense/scan", "sense"),
+    ("/profile/space", "profile"),
+    ("/profile/space", "profile"),
+    ("/governor/decision", "governor"),
+    ("/governor/decision", "governor"),
+    ("/governor/decision", "governor"),
+    ("/perception/output", "perception"),
+    ("/perception/output", "perception"),
+    ("/planning/trajectory", "planning"),
+    ("/planning/trajectory", "planning"),
+    ("/planning/output", "planning"),
+    ("/flight/result", "flight"),
+    ("/flight/result", "flight"),
+)
+#: The entries a stall drop appends after the flight result.
+DROP = (
+    ("/planning/trajectory", "planning"),
+    ("/planning/trajectory", "planning"),
+)
+
 
 def fly_tiny(faults=None):
     env = EnvironmentGenerator().generate(TINY_ENV)
@@ -44,6 +71,22 @@ def fly_tiny(faults=None):
 @pytest.fixture(scope="module")
 def tiny_result():
     return fly_tiny()
+
+
+class DecisionWatch:
+    """Step observer noting each decision's drone and trajectory drop."""
+
+    def __init__(self):
+        self.decisions = []
+
+    def attach(self, pipeline):
+        pipeline.observers.append(self)
+
+    def on_decision_start(self, pipeline, index):
+        pass
+
+    def on_decision_end(self, pipeline, index, result):
+        self.decisions.append((pipeline.drone_id, result.drop_trajectory))
 
 
 class TestGraphStructure:
@@ -113,14 +156,39 @@ class TestDispatchDeterminism:
         assert len(log_a) > 0
         assert first.metrics.as_dict() == second.metrics.as_dict()
 
-    def test_cascade_dispatch_shape(self, tiny_result):
-        # Every decision's cascade starts with the scan fan-out and ends with
-        # the flight result fan-out, in FIFO order.
-        log = tiny_result.pipeline.dispatch_log()
-        assert log[0] == (TOPIC_SCAN, "sense")
-        scan_deliveries = [entry for entry in log if entry[0] == TOPIC_SCAN]
-        # Two subscribers (profile, perception) per decision.
-        assert len(scan_deliveries) == 2 * tiny_result.metrics.decision_count
+    def test_cascade_dispatch_shape(self):
+        # Every decision logs the same 14 entries, plus the drop pair exactly
+        # when its flight result dropped the trajectory.  A fleet's drones
+        # take turns, each decision's slice inside its drone's namespace.
+        runs = {}
+        for name, runtime in (
+            ("roborun", RoboRunRuntime),
+            ("baseline", SpatialObliviousRuntime),
+        ):
+            env = EnvironmentGenerator().generate(TINY_ENV)
+            watch = DecisionWatch()
+            result = MissionSimulator(env, runtime(), TINY_CFG).run(taps=(watch,))
+            runs[name] = (result, watch, 1)
+        env = EnvironmentGenerator().generate(TINY_ENV)
+        watch = DecisionWatch()
+        fleet = FleetSimulator(env, RoboRunRuntime, TINY_CFG, n_drones=2)
+        runs["fleet"] = (fleet.run(taps=(watch,)), watch, 2)
+
+        for name, (result, watch, n_drones) in runs.items():
+            expected = []
+            for drone_id, dropped in watch.decisions:
+                topic = "" if n_drones == 1 else f"/drone/{drone_id}"
+                node = "" if n_drones == 1 else f"drone/{drone_id}/"
+                entries = CASCADE + (DROP if dropped else ())
+                expected.extend((topic + t, node + n) for t, n in entries)
+            assert result.pipeline.dispatch_log() == expected, name
+        # Only the baseline drops a trajectory on this world: once.
+        drops = {
+            name: sum(dropped for _, dropped in watch.decisions)
+            for name, (_, watch, _) in runs.items()
+        }
+        assert drops == {"roborun": 0, "baseline": 1, "fleet": 0}
+        assert [len(watch.decisions) for _, watch, _ in runs.values()] == [25, 25, 50]
 
 
 @pytest.mark.slow
