@@ -3,13 +3,13 @@
 The package reproduces "RoboRun: A Robot Runtime to Exploit Spatial
 Heterogeneity" end to end in pure Python: the navigation pipeline
 (point cloud → occupancy octree → RRT* → smoothing → control), the
-middleware substrate the runtime sits in, the drone/energy/compute models the
-evaluation depends on, and — at its centre — the RoboRun governor, profilers
-and operators plus the static spatial-oblivious baseline it is compared
-against.  On top sit the procedural world library (:mod:`repro.worlds`:
+simulated clock and stage accounting the runtime sits in, the
+drone/energy/compute models the evaluation depends on, and — at its
+centre — the RoboRun governor, profilers and operators plus the static
+spatial-oblivious baseline it is compared against.  On top sit the procedural world library (:mod:`repro.worlds`:
 archetype registry, heterogeneity fields, dynamic obstacles), the
 scenario/campaign layer (declarative missions — single drone or an N-drone
-fleet sharing one world and bus (:class:`~repro.simulation.fleet.
+fleet sharing one world and clock (:class:`~repro.simulation.fleet.
 FleetSimulator`) — fanned across a process pool) and the analysis subsystem
 (:mod:`repro.analysis`): structured mission traces, streaming JSONL trace
 files, and the aggregators that fold traces into the paper's figures —

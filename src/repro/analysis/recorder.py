@@ -1,12 +1,12 @@
 """The trace recorder: a step observer on the decision pipeline.
 
-The pipeline's flight node builds one :class:`~repro.analysis.trace.
+The pipeline's flight stage builds one :class:`~repro.analysis.trace.
 DecisionRecord` per decision whether or not anything records it (the
 mission result's ``traces``).  :class:`TraceRecorder` is a step observer,
 like :class:`~repro.obs.heartbeat.HeartbeatEmitter`: at the end of each
 decision it emits the pipeline's latest record, stamped with the owning
-spec's name.  It touches no bus topic, neither listening nor publishing,
-so a traced mission dispatches exactly the messages of an untraced one.
+spec's name.  It only reads the record, so a traced mission logs exactly
+the dispatch log of an untraced one.
 
 Records can be kept in memory (``keep_records=True``, the default), streamed
 to a :class:`~repro.analysis.io.TraceWriter`, or both.  Campaign workers use

@@ -1,13 +1,13 @@
 """The RoboRun runtime.
 
 Ties the governor (time budgeter + solver) into the spatial-aware runtime of
-Figure 6.  The pipeline's profile node runs the mission's
+Figure 6.  The pipeline's profile stage runs the mission's
 :class:`~repro.core.profilers.ProfilerSuite` over the current data
-structures; the governor node then calls :meth:`RoboRunRuntime.decide` on
+structures; the governor stage then calls :meth:`RoboRunRuntime.decide` on
 that :class:`~repro.core.profilers.SpaceProfile` to obtain the knob policy,
 decision deadline and safe-velocity cap.
 
-The runtime keeps no decision history: the flight node folds each decision
+The runtime keeps no decision history: the flight stage folds each decision
 into the mission's :class:`~repro.analysis.trace.DecisionRecord`, which is
 what the precision-over-time and deadline-over-time figures (Figures 5 and
 10c) read.

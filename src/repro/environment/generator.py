@@ -180,7 +180,7 @@ class GeneratedEnvironment:
         """Interpolated corridor difficulty in [0, 1] at a position.
 
         One lerp against the precomputed heterogeneity field — cheap enough
-        for the flight node's per-decision record.  Environments without a
+        for the flight stage's per-decision record.  Environments without a
         sampled field report 0.0 rather than paying a live density query.
         """
         if self.heterogeneity is None:

@@ -1,34 +1,26 @@
-"""Topics and the topic bus.
+"""Topic and node names, resolved per participant.
 
-A :class:`Topic` is a named channel with its subscribers; a
-:class:`TopicBus` is the registry connecting publishers to subscribers.  The
-bus is deliberately synchronous and single-process: publishing a message
-enqueues subscriber callbacks on the executor, which dispatches them in
-publication order.  Communication latency is not "free" though — the mission
-simulator charges a configurable serialisation cost per message through the
-compute model, which is how the "comm" bars of Figure 11 arise.
+The dispatch log names each delivery of the decision pipeline by its topic
+and publishing node, as the paper's ROS graph does.  A
+:class:`TopicNamespace` resolves those base names for one drone, so a
+fleet's pipelines can share one log without crosstalk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
-
-from repro.middleware.message import Message
-
-SubscriberCallback = Callable[[Message[Any]], None]
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
 class TopicNamespace:
     """A prefix under which one participant's topics and node names live.
 
-    The single-drone stack publishes on bare topic names (``/sense/scan``);
-    a fleet runs N copies of the same graph on one shared bus, so each
-    drone's topics are prefixed with its namespace (``/drone/0/sense/scan``).
+    The single-drone stack logs bare topic names (``/sense/scan``); a fleet
+    runs N copies of the same pipeline into one shared dispatch log, so each
+    drone's entries are prefixed with its namespace (``/drone/0/sense/scan``).
     The **root namespace** (empty prefix, the default) resolves every base
-    name to itself, which is what keeps the N=1 stack bit-identical to the
-    pre-fleet one.
+    name to itself, which is what keeps the N=1 log identical to a
+    single-drone mission's.
 
     Attributes:
         prefix: ``""`` for the root namespace, else a ``/``-led,
@@ -67,66 +59,10 @@ class TopicNamespace:
         """Resolve a base node name (``sense``) inside this namespace.
 
         Root keeps the bare name; a drone namespace yields ``drone/<id>/sense``
-        so frame ids in a shared dispatch log identify the publisher.
+        so node names in a shared dispatch log identify the publisher.
         """
         if not base:
             raise ValueError("base node name must be non-empty")
         if self.is_root:
             return base
         return f"{self.prefix[1:]}/{base}"
-
-
-class Topic:
-    """A named channel with subscribers and a publication count."""
-
-    def __init__(self, name: str) -> None:
-        if not name or not name.startswith("/"):
-            raise ValueError(f"topic names must be non-empty and start with '/': {name!r}")
-        self.name = name
-        self._subscribers: List[SubscriberCallback] = []
-        self._publish_count = 0
-
-    # ------------------------------------------------------------------
-    # Publication / subscription
-    # ------------------------------------------------------------------
-    def subscribe(self, callback: SubscriberCallback) -> None:
-        """Register a callback invoked for every future message."""
-        self._subscribers.append(callback)
-
-    def publish(self) -> List[SubscriberCallback]:
-        """Count one publication and return the callbacks that should receive it.
-
-        Dispatch itself is owned by the :class:`~repro.middleware.executor.
-        Executor` so that callback ordering is centralised; the topic only
-        answers "who is interested".
-        """
-        self._publish_count += 1
-        return list(self._subscribers)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def publish_count(self) -> int:
-        """Total messages ever published on the topic."""
-        return self._publish_count
-
-
-@dataclass
-class TopicBus:
-    """Registry of topics keyed by name."""
-
-    _topics: Dict[str, Topic] = field(default_factory=dict)
-
-    def topic(self, name: str) -> Topic:
-        """Return the named topic, creating it on first use."""
-        existing = self._topics.get(name)
-        if existing is not None:
-            return existing
-        created = Topic(name)
-        self._topics[name] = created
-        return created
-
-    def names(self) -> List[str]:
-        """Names of every registered topic, sorted."""
-        return sorted(self._topics.keys())

@@ -2,11 +2,11 @@
 
 The rest of the repository observes the *simulation* (the ``TraceRecorder``
 JSONL of the analysis layer); this package observes the *runtime* — where
-wall-clock time goes inside the decision loop, how hard the executor,
-solver, planner and octree are working, and whether campaign workers are
-alive.  Three pillars:
+wall-clock time goes inside the decision loop, how hard the solver, planner
+and octree are working, and whether campaign workers are alive.  Three
+pillars:
 
-* :mod:`repro.obs.tracer` — nested mission → decision → node spans with
+* :mod:`repro.obs.tracer` — nested mission → decision → stage spans with
   Chrome trace-event export (Perfetto-loadable);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with a JSON
   snapshot and Prometheus text exposition;
@@ -15,8 +15,8 @@ alive.  Three pillars:
 
 Everything is opt-in and strictly off the data path: with no tap attached
 the runtime pays a few truthiness checks, and with a tap attached the
-dispatch log, traces and metrics stay byte-identical (the tap subscribes to
-nothing and publishes nothing).  :mod:`repro.obs.log` is the package's
+dispatch log, traces and metrics stay byte-identical (the tap only reads
+what the pipeline's hooks hand it).  :mod:`repro.obs.log` is the package's
 logging discipline — library code never prints.
 """
 

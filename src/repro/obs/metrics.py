@@ -2,13 +2,13 @@
 
 The :class:`MetricsRegistry` is the numbers half of the observability layer
 (:mod:`repro.obs`): small, dependency-free metric instruments sampled at
-node boundaries by the pipeline tap, snapshotted to JSON for the analysis
+stage boundaries by the pipeline tap, snapshotted to JSON for the analysis
 layer and rendered in the Prometheus text exposition format.
 
 Design rules, matching the DAQ-style monitoring path the subsystem copies:
 
 * instruments are plain Python objects — an increment is one float add, so
-  sampling is cheap enough to sit inside the dispatch observer;
+  sampling is cheap enough to sit inside the stage hooks;
 * the registry is passive: nothing in the simulation reads a metric back,
   so recording can never change simulated behaviour;
 * a metric family is identified by ``(name, sorted labels)``; the same

@@ -2,19 +2,19 @@
 
 :class:`ObsTap` is attached exactly like the analysis layer's
 ``TraceRecorder`` — ``pipeline.add_tap(tap)`` — but it watches the *runtime*
-instead of the simulation: wall-clock spans around every decision, its
-sensor capture and every node callback, and counters/gauges/histograms over
-the executor, solver, planner, octree, comm hops and fault engine.
+instead of the simulation: wall-clock spans around every decision and each
+of its six stages (the sense stage's span is ``capture``), and
+counters/gauges/histograms over the dispatch log, solver, planner, octree,
+comm hops and fault engine.
 
 It is strictly off the data path, by construction rather than by care:
 
-* it subscribes to **no topics** — node activity is observed through the
-  executor's dispatch observer hooks and payloads are inspected read-only
-  as they pass, so the dispatch log (the determinism witness) is identical
-  with the tap attached or absent;
-* it publishes nothing and calls nothing on the nodes;
+* it observes through the pipeline's step and stage hooks, which hand it
+  each stage's output to read; it never changes one, so the dispatch log
+  (the determinism witness) is identical with the tap attached or absent;
+* it calls nothing on the stages;
 * when no tap is attached, the only residue in the runtime is one
-  truthiness check per dispatch and two per decision.
+  truthiness check per stage and two per decision.
 
 One tap instance can observe a whole fleet: each drone's pipeline shares
 the tap's tracer (one swimlane per drone) and metrics registry (one label
@@ -23,7 +23,7 @@ set per drone).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.obs.tracer import Span, Tracer
@@ -48,22 +48,12 @@ class ObsTap:
         self.tracer = Tracer(process_name)
         self.metrics = MetricsRegistry()
         self._pipelines: List[Any] = []
-        self._executors: List[Any] = []
-        # id(node) -> (lane name, short node name); identity keyed because
-        # callbacks resolve to bound methods whose __self__ is the node.
-        self._node_lanes: Dict[int, Tuple[str, str]] = {}
-        # topic name -> (payload kind, lane name) for the payloads sampled.
-        self._topic_kinds: Dict[str, Tuple[str, str]] = {}
-        # topic name -> last sampled message seq (a topic with N subscribers
-        # dispatches the same message N times; sample it once).
-        self._seen_seq: Dict[str, int] = {}
-        self._open_node_span: Optional[Tuple[int, Span]] = None
         self._mission_spans: Dict[str, Span] = {}
         self._decision_spans: Dict[str, Span] = {}
-        # Per lane, the capture span opened at decision start: the sense
-        # tick (mover step, rig capture, state estimate) runs before the
-        # first dispatch, so that dispatch closes it.
-        self._capture_spans: Dict[str, Span] = {}
+        # Per lane, the span of the stage running now.
+        self._stage_spans: Dict[str, Span] = {}
+        # Per lane, the dispatch log's length when the decision started.
+        self._log_marks: Dict[str, int] = {}
         # Hot-path instrument cache, one bundle per lane.
         self._lane_counters: Dict[str, Dict[str, Counter]] = {}
         self._budget_histograms: Dict[str, Histogram] = {}
@@ -81,16 +71,8 @@ class ObsTap:
         self.tracer.lane(lane)
         if self not in pipeline.observers:
             pipeline.observers.append(self)
-        executor = pipeline.executor
-        executor.add_observer(self)
-        if not any(e is executor for e in self._executors):
-            self._executors.append(executor)
-        for node in pipeline.nodes:
-            short = node.name.rsplit("/", 1)[-1]
-            self._node_lanes[id(node)] = (lane, short)
-        topics = pipeline.topics
-        self._topic_kinds[topics.decision] = ("decision", lane)
-        self._topic_kinds[topics.planning] = ("planning", lane)
+        if self not in pipeline.stage_observers:
+            pipeline.stage_observers.append(self)
         self._lane_counters.setdefault(lane, self._build_lane_counters(lane))
         self._budget_histograms.setdefault(
             lane,
@@ -113,7 +95,7 @@ class ObsTap:
         return {
             "dispatches": m.counter(
                 "executor_dispatches_total",
-                help="Subscriber callbacks delivered for this drone's nodes",
+                help="Dispatch-log entries of this drone's decisions",
                 labels=labels,
             ),
             "decisions": m.counter(
@@ -164,57 +146,41 @@ class ObsTap:
         }
 
     # ------------------------------------------------------------------
-    # Executor dispatch observer
+    # Stage observer
     # ------------------------------------------------------------------
-    def before_dispatch(self, topic_name: str, callback: Any, message: Any) -> None:
-        node = getattr(callback, "__self__", None)
-        entry = self._node_lanes.get(id(node))
-        if entry is not None:
-            lane, short = entry
-            self._end_capture(lane)
-            self._lane_counters[lane]["dispatches"].inc()
-            span = self.tracer.begin(
-                short, category="node", lane=lane, args={"topic": topic_name}
-            )
-            self._open_node_span = (id(node), span)
-        kind = self._topic_kinds.get(topic_name)
-        if kind is not None:
-            seq = message.header.seq
-            if self._seen_seq.get(topic_name) != seq:
-                self._seen_seq[topic_name] = seq
-                payload_kind, lane = kind
-                if payload_kind == "planning":
-                    self._sample_planning(lane, message.payload)
-                else:
-                    self._sample_decision(lane, message.payload)
+    def before_stage(self, pipeline: Any, stage: str) -> None:
+        lane = self.lane_for(pipeline)
+        if stage == "sense":
+            # The sense stage (mover step, rig capture, state estimate).
+            span = self.tracer.begin("capture", category="phase", lane=lane)
+        else:
+            span = self.tracer.begin(stage, category="stage", lane=lane)
+        self._stage_spans[lane] = span
 
-    def after_dispatch(self, topic_name: str, callback: Any, message: Any) -> None:
-        del topic_name, message
-        open_span = self._open_node_span
-        if open_span is None:
-            return
-        node = getattr(callback, "__self__", None)
-        if open_span[0] == id(node):
-            self.tracer.end(open_span[1])
-            self._open_node_span = None
+    def after_stage(self, pipeline: Any, stage: str, output: Any) -> None:
+        lane = self.lane_for(pipeline)
+        self.tracer.end(self._stage_spans.pop(lane))
+        if stage == "governor":
+            self._sample_decision(lane, output)
+        elif stage == "planning":
+            self._sample_planning(lane, output)
 
     # ------------------------------------------------------------------
-    # Payload sampling (read-only peeks at passing messages)
+    # Output sampling (read-only peeks at the stages' outputs)
     # ------------------------------------------------------------------
-    def _sample_planning(self, lane: str, payload: Any) -> None:
+    def _sample_planning(self, lane: str, sample: Any) -> None:
         counters = self._lane_counters[lane]
-        work = payload.output.work
+        work = sample.output.work
         counters["planner_iterations"].inc(work.planner_iterations)
         counters["planner_nodes"].inc(work.planner_nodes)
         counters["collision_samples"].inc(work.planner_collision_samples)
-        plan = payload.output.plan
+        plan = sample.output.plan
         if plan is not None:
             counters["rewires"].inc(plan.rewires)
-        if payload.replanned:
+        if sample.replanned:
             counters["replans"].inc()
 
-    def _sample_decision(self, lane: str, payload: Any) -> None:
-        decision = payload.decision
+    def _sample_decision(self, lane: str, decision: Any) -> None:
         self._budget_histograms[lane].observe(decision.time_budget)
         if not decision.solver_feasible:
             self._lane_counters[lane]["infeasible"].inc()
@@ -237,18 +203,10 @@ class ObsTap:
             lane=lane,
             args={"index": index, "sim_time_s": pipeline.clock.now},
         )
-        self._capture_spans[lane] = self.tracer.begin(
-            "capture", category="phase", lane=lane
-        )
-
-    def _end_capture(self, lane: str) -> None:
-        span = self._capture_spans.pop(lane, None)
-        if span is not None:
-            self.tracer.end(span)
+        self._log_marks[lane] = len(pipeline.dispatch_log())
 
     def on_decision_end(self, pipeline: Any, index: int, result: Any) -> None:
         lane = self.lane_for(pipeline)
-        self._end_capture(lane)
         span = self._decision_spans.pop(lane, None)
         if span is not None:
             self.tracer.end(
@@ -261,6 +219,9 @@ class ObsTap:
             )
         counters = self._lane_counters[lane]
         counters["decisions"].inc()
+        counters["dispatches"].inc(
+            len(pipeline.dispatch_log()) - self._log_marks.pop(lane)
+        )
         labels = {"drone": lane}
         record = pipeline.traces[-1]
 
@@ -273,23 +234,12 @@ class ObsTap:
                 labels={"drone": lane, "stage": stage},
             ).observe(seconds)
 
-        # Map growth and executor pressure.
+        # Map growth.
         self.metrics.gauge(
             "octree_occupied_voxels",
             help="Occupied minimum-resolution voxels in the shared octree",
             labels=labels,
         ).set(record.map_voxels)
-        executor = pipeline.executor
-        self.metrics.gauge(
-            "executor_queue_high_water",
-            help="Largest executor queue depth reached so far",
-            labels={},
-        ).set(executor.queue_high_water)
-        self.metrics.gauge(
-            "executor_queue_depth",
-            help="Pending callbacks at the decision boundary",
-            labels={},
-        ).set(executor.pending)
 
         # Fault engine activity.
         for fault_name in record.faults:
@@ -300,8 +250,7 @@ class ObsTap:
             ).inc()
 
         # Solver counters (RoboRun runtimes only; the baseline has no solver).
-        runtime = getattr(pipeline.governor, "runtime", None)
-        governor = getattr(runtime, "governor", None)
+        governor = getattr(pipeline.runtime, "governor", None)
         solver = getattr(governor, "solver", None)
         if solver is not None:
             solves = counters["solver_solves"]
@@ -317,25 +266,21 @@ class ObsTap:
         if self._finished:
             return
         self._finished = True
-        for lane in list(self._capture_spans):
-            self._end_capture(lane)
+        for span in self._stage_spans.values():
+            self.tracer.end(span)
+        self._stage_spans.clear()
         for lane, span in list(self._decision_spans.items()):
             self.tracer.end(span)
         self._decision_spans.clear()
         for lane, span in list(self._mission_spans.items()):
             self.tracer.end(span)
         self._mission_spans.clear()
-        for executor in self._executors:
-            self.metrics.gauge(
-                "executor_queue_high_water",
-                help="Largest executor queue depth reached so far",
-                labels={},
-            ).set(executor.queue_high_water)
+        for pipeline in self._pipelines:
             self.metrics.gauge(
                 "executor_dispatched",
-                help="Total callbacks the executor delivered",
+                help="Entries in the decision loop's dispatch log",
                 labels={},
-            ).set(executor.dispatched)
+            ).set(len(pipeline.dispatch_log()))
         self.tracer.finish()
 
     def export(self, out_dir: Any, stem: str = "obs") -> Dict[str, Any]:

@@ -1,7 +1,7 @@
 """Wall-clock spans with Chrome trace-event export.
 
 The :class:`Tracer` is the time half of the observability layer: nested
-mission → decision → node spans, each recording the wall-clock duration of
+mission → decision → stage spans, each recording the wall-clock duration of
 real Python work *and* the sim-clock interval it covered.  Spans are
 appended to a flat list as begin/end ("B"/"E") event pairs in the Chrome
 trace-event format, so a mission's trace loads directly into Perfetto or
@@ -289,7 +289,7 @@ class Tracer:
         Pairs "B"/"E" events per lane as a stack, like
         :meth:`span_durations`, and subtracts each direct child's duration
         from its parent.  For ``"decision"`` this is the decision time no
-        capture or node span accounts for.
+        stage span accounts for.
         """
         stacks: Dict[int, List[List[Any]]] = {}
         total = 0.0

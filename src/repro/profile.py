@@ -6,7 +6,7 @@ with an :class:`~repro.obs.tap.ObsTap` attached and emits the runtime's
 observability artefacts:
 
 * ``<spec>_trace.json`` — Chrome trace-event spans (open in Perfetto or
-  ``chrome://tracing``): mission → decision → node, one lane per drone;
+  ``chrome://tracing``): mission → decision → stage, one lane per drone;
 * ``<spec>_metrics.json`` — the metrics registry snapshot (JSON);
 * ``<spec>_metrics.prom`` — the same registry in Prometheus text format;
 * a top-N hotspot table on stdout (wall-clock totals per span name).
@@ -39,10 +39,11 @@ log = get_logger("profile")
 def hotspot_table(tap: ObsTap, top: int = 10) -> FigureTable:
     """The top-``top`` span names by total wall-clock time.
 
-    Decision spans envelop the capture and node spans, so both levels
-    appear — the table answers "where does the wall clock go" at whatever
-    granularity dominates.  A last ``(unattributed)`` row holds the decision
-    time that no capture or node span covers.
+    Decision spans envelop the stage spans (the sense stage's is
+    ``capture``), so both levels appear — the table answers "where does the
+    wall clock go" at whatever granularity dominates.  A last
+    ``(unattributed)`` row holds the decision time that no stage span
+    covers.
     """
     durations = tap.tracer.span_durations()
     ranked = sorted(

@@ -2,7 +2,7 @@
 
 The profilers read "velocity, position" from the IMU and GPS (Table I).  In
 the offline reproduction the true drone state is known exactly, so the
-sense node stamps that state as the decision's estimate.
+sense stage stamps that state as the decision's estimate.
 """
 
 from __future__ import annotations

@@ -3,18 +3,19 @@
 The paper evaluates RoboRun with a hardware-in-the-loop setup: Unreal/AirSim
 simulates the world and the drone while the navigation workload runs on a
 separate machine.  This package replaces that loop with a deterministic,
-simulated-clock decision pipeline built on the in-process middleware:
+simulated-clock decision pipeline:
 
-* :mod:`repro.simulation.pipeline` — the six pipeline nodes (sense, profile,
-  governor, perception, planning, flight) exchanging typed messages over the
-  executor; one decision is one message cascade, and its flight node writes
-  the decision's one record, stage latencies included.
+* :mod:`repro.simulation.pipeline` — one decision as a call chain through
+  the six stages (sense, profile, governor, perception, planning, flight),
+  each taking the outputs it needs as arguments; the flight stage writes
+  the decision's one record, stage latencies included, and the chain
+  appends the decision's entries to the dispatch log.
 * :mod:`repro.simulation.fleet` — the one decision loop: N drones'
-  pipelines on one shared bus, executor and clock, one sensor tick per drone
+  pipelines on one shared clock and dispatch log, one decision per drone
   per epoch, mission-level termination and metric assembly.
 * :mod:`repro.simulation.mission` — one drone's kit (kernels, models,
-  operator set) that wires its graph; :class:`MissionSimulator` flies it as
-  a fleet of one.
+  operator set) that builds its pipeline; :class:`MissionSimulator` flies
+  it as a fleet of one.
 * :mod:`repro.simulation.scenario` / :mod:`repro.simulation.campaign` — the
   declarative scenario layer: serialisable :class:`ScenarioSpec`s (with fault
   injection from :mod:`repro.simulation.faults`) fanned across worker
@@ -24,7 +25,8 @@ simulated-clock decision pipeline built on the in-process middleware:
   timeouts, bounded retry, poisoned-spec exclusion).
 * :mod:`repro.simulation.faults` / :mod:`repro.simulation.orchestrator` —
   the open fault library (registered fault classes acting at the sense
-  boundary, the bus hops, the compute platform and the world's movers) and
+  boundary, the ``comm_*`` hops, the compute platform and the world's
+  movers) and
   the per-mission :class:`FaultOrchestrator` that resolves timed
   :class:`FaultSchedule` activation/recovery windows against the mission
   seed.
@@ -57,12 +59,9 @@ from repro.simulation.metrics import MissionMetrics
 from repro.simulation.mission import MissionConfig, MissionResult, MissionSimulator
 from repro.simulation.pipeline import (
     DecisionPipeline,
-    FlightNode,
-    GovernorNode,
-    PerceptionNode,
-    PlanningNode,
-    ProfileNode,
-    SenseNode,
+    FlightStage,
+    PlanningStage,
+    SenseStage,
 )
 from repro.simulation.scenario import ScenarioSpec, scenario_grid
 
@@ -78,19 +77,16 @@ __all__ = [
     "FaultOrchestrator",
     "FaultSchedule",
     "FaultSet",
-    "FlightNode",
-    "GovernorNode",
+    "FlightStage",
     "MissionConfig",
     "MissionMetrics",
     "MissionResult",
     "MissionSimulator",
-    "PerceptionNode",
-    "PlanningNode",
+    "PlanningStage",
     "PowerBrownout",
-    "ProfileNode",
     "ScenarioOutcome",
     "ScenarioSpec",
-    "SenseNode",
+    "SenseStage",
     "SensorDropout",
     "StuckMover",
     "ThermalThrottle",

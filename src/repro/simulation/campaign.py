@@ -115,7 +115,7 @@ def _run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     Runs in an async worker (or inline for serial campaigns); everything that
     crosses the process boundary is a dictionary, so no live object graph is
     pickled.  When the caller asked to keep full results, the heavyweight
-    pipeline (bus, executor, node callbacks) is stripped first.
+    pipeline (its stages, operator set and occupancy map) is stripped first.
 
     A spec that raises does not kill the campaign: the worker returns an
     ``error`` row carrying the exception, its traceback and the failing

@@ -9,8 +9,8 @@ whose instances act at their natural pipeline layer:
 * :class:`SensorDropout` / :class:`CameraDegradation` — the sense boundary:
   lost frames and reduced capture resolution (the original two faults).
 * :class:`CommsDropout` / :class:`CommsLatencySpike` — the pipeline hops:
-  messages dropped (and retransmitted) or delayed on the TopicBus between
-  nodes, visible in each decision's ``comm_*`` stage latencies.
+  modelled messages between stages dropped (and retransmitted) or delayed,
+  acting on each decision's ``comm_*`` stage latencies.
 * :class:`PowerBrownout` — the compute platform: the per-decision time
   budget fed to the governor/solver shrinks (DVFS under a sagging supply).
 * :class:`ThermalThrottle` — the compute platform: the charged compute
@@ -305,13 +305,13 @@ COMM_HOPS: Tuple[str, ...] = tuple(COMM_STAGES) + ("all",)
 @register_fault("comms_dropout")
 @dataclass(frozen=True, slots=True)
 class CommsDropout(Fault):
-    """A bus hop loses its message and pays a retransmission.
+    """A pipeline hop loses its message and pays a retransmission.
 
-    The cascade itself always completes — the middleware retransmits after a
-    timeout, exactly as a lossy ROS transport would — so the fault shows up
-    as extra latency on the affected ``comm_*`` hop(s), inflating the
-    decision's end-to-end latency (and therefore the flight interval and
-    deadline-miss accounting).
+    The decision itself always completes — the modelled transport
+    retransmits after a timeout, as a lossy ROS transport would — so the
+    fault shows up as extra latency on the affected ``comm_*`` hop(s),
+    inflating the decision's end-to-end latency (and therefore the flight
+    interval and deadline-miss accounting).
 
     Attributes:
         hop: the comm stage hit (``"comm_point_cloud"``, ``"comm_octomap"``,

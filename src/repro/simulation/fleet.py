@@ -1,17 +1,16 @@
-"""The decision loop: N decision pipelines over one world, bus and clock.
+"""The decision loop: N decision pipelines over one world, clock and log.
 
 A fleet mission flies ``n_drones`` copies of the decision stack through one
 shared :class:`~repro.environment.world.World`.  Nothing is forked: each
-drone gets its own :class:`~repro.simulation.pipeline.DecisionPipeline`
-instantiated inside its own :class:`~repro.middleware.topic.TopicNamespace`
-(``/drone/<id>/sense/scan``, …) on a *shared* ``TopicBus``/``Executor``/
-``SimClock``, so all cascades interleave on one middleware substrate and the
-executor's dispatch log is a single, deterministic witness for the whole
-fleet.
+drone gets its own :class:`~repro.simulation.pipeline.DecisionPipeline`,
+logging inside its own :class:`~repro.middleware.topic.TopicNamespace`
+(``/drone/<id>/sense/scan``, …) into one *shared* dispatch log, on one
+shared ``SimClock``, so the log is a single, deterministic witness for the
+whole fleet.
 
 Interleaving is deterministic round-robin at decision granularity: every
-epoch, each active drone (in drone-id order) publishes its sensor tick and
-fully drains its cascade before the next drone starts.  The shared clock
+epoch, each active drone (in drone-id order) runs its whole decision before
+the next drone starts.  The shared clock
 advances once per epoch by the slowest drone's decision interval, which
 keeps the fleet time-synchronised the way a lock-stepped HIL rig would be.
 
@@ -45,8 +44,7 @@ from repro.environment.zones import ZoneMap
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
 from repro.middleware.clock import SimClock
-from repro.middleware.executor import Executor
-from repro.middleware.topic import TopicBus, TopicNamespace
+from repro.middleware.topic import TopicNamespace
 from repro.simulation.faults import FaultSet
 from repro.simulation.metrics import MissionMetrics
 from repro.simulation.mission import (
@@ -250,12 +248,12 @@ def fly_epochs(
     cfg = simulators[0].config
     world = simulators[0].environment.world
     clock = SimClock()
-    executor = Executor(TopicBus(), clock)
+    log: List[tuple[str, str]] = []
     pipelines: List[DecisionPipeline] = []
     for drone_id, sim in enumerate(simulators):
         namespace = TopicNamespace() if n == 1 else TopicNamespace.for_drone(drone_id)
         pipeline = sim.build_pipeline(
-            executor, namespace=namespace, drone_id=drone_id
+            clock, log, namespace=namespace, drone_id=drone_id
         )
         if recorder is not None:
             pipeline.add_tap(recorder)
@@ -279,8 +277,8 @@ def fly_epochs(
         if not active:
             break
 
-        # Deterministic round-robin: each drone's cascade fully drains
-        # (step() spins the shared executor dry) before the next starts.
+        # Deterministic round-robin: each drone's decision runs to its end
+        # before the next drone's starts.
         intervals = []
         for drone_id in active:
             if n > 1:

@@ -3,7 +3,7 @@
 The mission-level metrics mirror Figure 7 (flight velocity, flight time,
 flight energy, CPU utilisation); the per-decision records
 (:class:`~repro.analysis.trace.DecisionRecord`, built by the pipeline's
-flight node) carry everything the analysis layer needs to rebuild the
+flight stage) carry everything the analysis layer needs to rebuild the
 representative-mission figures: policy knobs over time (Figure 10c),
 velocity over time (Figure 10b), deadlines (Figure 5b) and the per-stage
 latency breakdown (Figure 11).

@@ -6,14 +6,14 @@ spatial-oblivious baseline) and returns the mission-level metrics plus the
 per-decision traces the analysis layer turns into the paper's figures.
 
 The simulator owns one drone's kit — kernels, models and the operator set —
-and wires it into the node-based decision pipeline
-(:mod:`repro.simulation.pipeline`): the six nodes — sense, profile,
-governor, perception, planning, flight — over the middleware bus.  Its
-:meth:`~MissionSimulator.run` is the one-drone case of the fleet decision
-loop (:func:`repro.simulation.fleet.fly_epochs`), which drives one sensor
-tick per decision and owns the mission-level policy: termination (goal,
-collision, plan-failure and time limits), distance integration and metric
-assembly.  Stage logic and latency charging live in the nodes.
+and builds the decision pipeline over it (:mod:`repro.simulation.pipeline`):
+the six stages — sense, profile, governor, perception, planning, flight —
+called in order once per decision.  Its :meth:`~MissionSimulator.run` is
+the one-drone case of the fleet decision loop
+(:func:`repro.simulation.fleet.fly_epochs`), which steps one decision per
+epoch and owns the mission-level policy: termination (goal, collision,
+plan-failure and time limits), distance integration and metric assembly.
+Stage logic and latency charging live in the stages.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.simulation.pipeline import DecisionPipeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.recorder import TraceRecorder
-    from repro.middleware.executor import Executor
+    from repro.middleware.clock import SimClock
     from repro.middleware.topic import TopicNamespace
 
 
@@ -190,8 +190,8 @@ class MissionResult:
             decision, in decision order (``spec_name`` left empty).
         environment: the generated world the mission flew through.
         design: name of the runtime evaluated.
-        pipeline: the live node graph (``None`` once a result has crossed a
-            campaign process boundary).
+        pipeline: the live decision pipeline (``None`` once a result has
+            crossed a campaign process boundary).
     """
 
     metrics: MissionMetrics
@@ -209,8 +209,8 @@ class MissionResult:
 class MissionSimulator:
     """Runs one mission of one design through one generated environment.
 
-    Wires the six-node decision pipeline over the simulator's kernels and
-    models.  :meth:`run` flies it as a fleet of one: one decision cascade
+    Builds the six-stage decision pipeline over the simulator's kernels and
+    models.  :meth:`run` flies it as a fleet of one: one decision
     per sensor tick (``sensor_period_s`` seconds apart, or slower when the
     decision latency exceeds the period) until termination (goal reached,
     collision, plan-failure streak, or the time/decision caps), then the
@@ -260,22 +260,24 @@ class MissionSimulator:
         self.follower = PurePursuitFollower()
 
     # ------------------------------------------------------------------
-    # Graph wiring
+    # Pipeline
     # ------------------------------------------------------------------
     def build_pipeline(
         self,
-        executor: "Executor",
+        clock: "SimClock",
+        log: List[tuple[str, str]],
         *,
         namespace: Optional["TopicNamespace"] = None,
         drone_id: int = 0,
     ) -> DecisionPipeline:
-        """Wire a fresh node graph over the simulator's kernels and models.
+        """Build a fresh pipeline over the simulator's kernels and models.
 
-        Each call creates fresh accounting on the given executor (its bus and
-        clock); the pipeline shares the simulator's operator set, so the
-        occupancy map carries over between pipelines built by the same
-        simulator.  The decision loop passes one shared ``executor`` plus a
-        per-drone ``namespace``/``drone_id`` so N graphs coexist on one bus.
+        Each call creates fresh accounting that reads ``clock`` and appends
+        to the dispatch ``log``; the pipeline shares the simulator's
+        operator set, so the occupancy map carries over between pipelines
+        built by the same simulator.  The decision loop passes one shared
+        clock and log plus a per-drone ``namespace``/``drone_id``, so N
+        pipelines log into one witness.
         """
         return DecisionPipeline(
             environment=self.environment,
@@ -289,7 +291,8 @@ class MissionSimulator:
             follower=self.follower,
             energy_model=self.energy_model,
             faults=self.faults,
-            executor=executor,
+            clock=clock,
+            log=log,
             namespace=namespace,
             drone_id=drone_id,
         )

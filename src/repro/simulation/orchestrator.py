@@ -2,7 +2,7 @@
 
 :class:`FaultOrchestrator` is the engine between the declarative
 :class:`~repro.simulation.faults.FaultSet` (data: which faults, which
-windows) and the pipeline nodes (mechanism: what changes this decision).
+windows) and the pipeline stages (mechanism: what changes this decision).
 It is built once per mission from the scenario's fault set and seed:
 
 * legacy always-on fields (``sensor_dropout`` / ``camera_degradation``)
@@ -11,7 +11,7 @@ It is built once per mission from the scenario's fault set and seed:
   against the mission seed — jitter applied deterministically — into a
   concrete half-open ``[start, end)`` decision window.
 
-Nodes then ask one question per decision through a layer-specific query
+Stages then ask one question per decision through a layer-specific query
 (:meth:`sensor_dropped`, :meth:`camera_resolution`, :meth:`budget_scale`,
 :meth:`apply_stage_latencies`, :meth:`frozen_epoch`).  Every query gives
 the nominal answer when no fault's window covers the decision, so a

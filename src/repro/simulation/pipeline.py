@@ -1,39 +1,43 @@
-"""The node-based decision pipeline.
+"""The decision pipeline: one decision as a call chain through six stages.
 
 The paper's runtime is a ROS pipeline: sensing, profiling, the governor,
 perception, planning and flight control are separate nodes exchanging
 messages, and both the stage latencies *and* the communication hops between
-stages are first-class quantities (the "comm" bars of Figure 11).  This
-module reproduces that structure on the in-process middleware: six nodes
-communicate over typed topics through the
-:class:`~repro.middleware.executor.Executor`, and every decision is one
-message cascade through the graph.
+stages are first-class quantities (the "comm" bars of Figure 11).  Here one
+decision is one call chain, each stage taking the outputs it needs as
+arguments::
 
-Topic graph (one cascade per decision, FIFO-dispatched)::
+    sense ─▶ profile ─▶ governor ─▶ perception ─▶ planning ─▶ flight
 
-    SenseNode ──/sense/scan──▶ ProfileNode ──/profile/space──▶ GovernorNode
-        ▲                           ▲                                │
-        │                           │                        /governor/decision
-    /flight/result        /planning/trajectory                       │
-        │                           │                                ▼
-    FlightNode ◀──/planning/output── PlanningNode ◀──/perception/output── PerceptionNode
-        │                                  ▲
-        └──────────/flight/result──────────┘   (stall recovery drops the trajectory)
-
-Latency accounting: the FlightNode — the last stage of the cascade —
-charges the canonical per-stage breakdown of the decision's merged work
-(compute stages plus the four ``comm_*`` hops, each sized by the payloads
-that crossed the bus that decision) and stores it in the decision's
+The hops keep their cost: the flight stage, the last of the chain, charges
+the canonical per-stage breakdown of the decision's merged work (compute
+stages plus the four ``comm_*`` hops, each sized by the payload its stage
+hands on) and stores it in the decision's
 :class:`~repro.analysis.trace.DecisionRecord`, the one per-decision account
 the mission metrics and the :class:`~repro.middleware.latency.LatencyLedger`
 fold.
+
+The ROS graph survives as the dispatch log, the determinism witness.  Per
+decision it lists one (topic, publishing node) entry for every subscriber of
+every topic, in the first-in-first-out order the graph delivers them::
+
+    sense      ──/sense/scan──────────▶ profile, perception
+    profile    ──/profile/space───────▶ governor, flight
+    governor   ──/governor/decision───▶ perception, planning, flight
+    perception ──/perception/output───▶ planning, flight
+    planning   ──/planning/trajectory─▶ profile, perception
+    planning   ──/planning/output─────▶ flight
+    flight     ──/flight/result───────▶ sense, planning
+
+When stall recovery drops the trajectory, ``/planning/trajectory`` goes out
+once more, to its two subscribers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -53,10 +57,8 @@ from repro.dynamics.energy import EnergyModel
 from repro.environment.generator import GeneratedEnvironment
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
-from repro.middleware.executor import Executor
+from repro.middleware.clock import SimClock
 from repro.middleware.latency import compute_seconds
-from repro.middleware.message import Message
-from repro.middleware.node import Node
 from repro.middleware.topic import TopicNamespace
 from repro.planning.trajectory import Trajectory
 from repro.sensors.rig import CameraRig, RigScan
@@ -68,135 +70,66 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (mission imports us)
     from repro.perception.octomap import OccupancyOctree
     from repro.simulation.mission import MissionConfig, Runtime
 
-# Topic names, one per edge of the pipeline graph.
-TOPIC_SCAN = "/sense/scan"
-TOPIC_PROFILE = "/profile/space"
-TOPIC_DECISION = "/governor/decision"
-TOPIC_PERCEPTION = "/perception/output"
-TOPIC_PLANNING = "/planning/output"
-TOPIC_TRAJECTORY = "/planning/trajectory"
-TOPIC_FLIGHT = "/flight/result"
-
 # The profiling cloud uses a fixed, modest resolution: profiling happens
 # before the policy exists and its cost is part of the runtime overhead
 # already charged by the cost model.
 PROFILING_RESOLUTION = 0.6
 
-@dataclass(frozen=True, slots=True)
-class PipelineTopics:
-    """The seven topic names of one pipeline instance, resolved in a namespace.
-
-    A single-drone pipeline uses the bare module constants; each drone of a
-    fleet gets its own bundle prefixed by its
-    :class:`~repro.middleware.topic.TopicNamespace` (``/drone/0/sense/scan``,
-    …), so N graphs coexist on one shared bus without crosstalk.
-    """
-
-    scan: str = TOPIC_SCAN
-    profile: str = TOPIC_PROFILE
-    decision: str = TOPIC_DECISION
-    perception: str = TOPIC_PERCEPTION
-    planning: str = TOPIC_PLANNING
-    trajectory: str = TOPIC_TRAJECTORY
-    flight: str = TOPIC_FLIGHT
-
-    @classmethod
-    def for_namespace(cls, namespace: TopicNamespace) -> "PipelineTopics":
-        return cls(
-            scan=namespace.topic(TOPIC_SCAN),
-            profile=namespace.topic(TOPIC_PROFILE),
-            decision=namespace.topic(TOPIC_DECISION),
-            perception=namespace.topic(TOPIC_PERCEPTION),
-            planning=namespace.topic(TOPIC_PLANNING),
-            trajectory=namespace.topic(TOPIC_TRAJECTORY),
-            flight=namespace.topic(TOPIC_FLIGHT),
-        )
-
-
-#: The root (single-drone) topic bundle: exactly the module constants.
-ROOT_TOPICS = PipelineTopics()
-
-
-# ----------------------------------------------------------------------
-# Message payloads
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class SenseSample:
-    """One decision's sensor capture: the rig scan plus the state estimate."""
-
-    index: int
-    scan: RigScan
-    estimate: StateEstimate
-    dropped: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class ProfileSample:
-    """The Table I space profile extracted for one decision."""
-
-    index: int
-    profile: SpaceProfile
-
-
-@dataclass(frozen=True, slots=True)
-class DecisionSample:
-    """The governor's policy / deadline / velocity cap for one decision."""
-
-    index: int
-    decision: GovernorDecision
-
-
-@dataclass(frozen=True, slots=True)
-class PerceptionSample:
-    """The perception stage's output plus the pose it was computed at."""
-
-    index: int
-    output: PerceptionOutput
-    position: Vec3
+#: One decision's dispatch-log entries, (base topic, base node name), in
+#: delivery order (the graph in the module docstring).
+CASCADE = (
+    ("/sense/scan", "sense"),
+    ("/sense/scan", "sense"),
+    ("/profile/space", "profile"),
+    ("/profile/space", "profile"),
+    ("/governor/decision", "governor"),
+    ("/governor/decision", "governor"),
+    ("/governor/decision", "governor"),
+    ("/perception/output", "perception"),
+    ("/perception/output", "perception"),
+    ("/planning/trajectory", "planning"),
+    ("/planning/trajectory", "planning"),
+    ("/planning/output", "planning"),
+    ("/flight/result", "flight"),
+    ("/flight/result", "flight"),
+)
+#: The entries a dropped trajectory appends after the flight result.
+DROP = (
+    ("/planning/trajectory", "planning"),
+    ("/planning/trajectory", "planning"),
+)
 
 
 @dataclass(frozen=True, slots=True)
 class PlanningSample:
     """The planning stage's output and the trajectory handed to control."""
 
-    index: int
     output: PlanningOutput
     trajectory: Optional[Trajectory]
     replanned: bool
-    position: Vec3
-
-
-@dataclass(frozen=True, slots=True)
-class TrajectorySample:
-    """The currently tracked trajectory (None after a drop)."""
-
-    index: int
-    trajectory: Optional[Trajectory]
 
 
 @dataclass(frozen=True, slots=True)
 class FlightResult:
     """What one decision's flight segment produced."""
 
-    index: int
     state: DroneState
     flown: float
     hit: bool
     interval: float
-    end_to_end: float
     drop_trajectory: bool
 
 
 # ----------------------------------------------------------------------
-# Nodes
+# The stages that hold state across decisions
 # ----------------------------------------------------------------------
-class SenseNode(Node):
-    """Captures the camera rig and stamps the state; entry point of each cascade.
+class SenseStage:
+    """Captures the camera rig and estimates the state; first stage of a decision.
 
-    The node tracks the drone pose by subscribing to the flight results and
-    applies the scenario's sensor faults (dropout, degraded resolution) at
-    the capture boundary, so the rest of the pipeline sees ordinary messages.
-    The state estimate is the true state: the reproduction knows it exactly.
+    The stage applies the scenario's sensor faults (dropout, degraded
+    resolution) at the capture boundary, so the rest of the pipeline sees
+    ordinary scans.  The state estimate is the true state: the reproduction
+    knows it exactly.
 
     The sense boundary is also where the environment's dynamic obstacles
     advance: each tick first steps the
@@ -209,30 +142,17 @@ class SenseNode(Node):
 
     def __init__(
         self,
-        executor: Executor,
         rig: CameraRig,
         environment: GeneratedEnvironment,
         octree: "OccupancyOctree",
         orchestrator: FaultOrchestrator,
-        *,
-        topics: PipelineTopics = ROOT_TOPICS,
-        name: str = "sense",
     ) -> None:
-        super().__init__(name, executor)
-        self.topics = topics
         self.rig = rig
         self.environment = environment
         self.orchestrator = orchestrator
         self.dynamics = environment.dynamics
         self._octree = octree
-        self._position = environment.start
-        self._velocity = Vec3.zero()
-        self._degraded_rigs: Dict[tuple[int, int], CameraRig] = {}
-        self.subscribe(topics.flight, self._on_flight)
-
-    def _on_flight(self, message: Message[FlightResult]) -> None:
-        self._position = message.payload.state.position
-        self._velocity = message.payload.state.velocity
+        self._degraded_rigs: dict[tuple[int, int], CameraRig] = {}
 
     def _active_rig(self, decision_index: int) -> CameraRig:
         resolution = self.orchestrator.camera_resolution(decision_index)
@@ -244,17 +164,19 @@ class SenseNode(Node):
             self._degraded_rigs[resolution] = rig
         return rig
 
-    def _mover_epoch_overrides(self, decision_index: int) -> Optional[Dict[str, int]]:
+    def _mover_epoch_overrides(self, decision_index: int) -> Optional[dict[str, int]]:
         """Per-mover epoch pins from active stuck-mover windows (None = nominal)."""
-        overrides: Dict[str, int] = {}
+        overrides: dict[str, int] = {}
         for mover in self.dynamics.movers:
             frozen = self.orchestrator.frozen_epoch(mover.name, decision_index)
             if frozen is not None:
                 overrides[mover.name] = frozen
         return overrides or None
 
-    def tick(self, decision_index: int) -> None:
-        """Capture one decision's sensor data and start the cascade."""
+    def tick(
+        self, decision_index: int, state: DroneState, now: float
+    ) -> tuple[RigScan, StateEstimate]:
+        """Capture one decision's sensor data at the drone's current state."""
         if self.dynamics is not None:
             self.dynamics.step(
                 decision_index,
@@ -262,159 +184,30 @@ class SenseNode(Node):
                 epoch_overrides=self._mover_epoch_overrides(decision_index),
             )
         rig = self._active_rig(decision_index)
-        dropped = self.orchestrator.sensor_dropped(decision_index)
-        if dropped:
-            scan = rig.empty_scan(self._position)
+        if self.orchestrator.sensor_dropped(decision_index):
+            scan = rig.empty_scan(state.position)
         else:
-            scan = rig.capture(self.environment.world, self._position)
-        estimate = StateEstimate(self.executor.clock.now, self._position, self._velocity)
-        self.publish(
-            self.topics.scan, SenseSample(decision_index, scan, estimate, dropped)
-        )
+            scan = rig.capture(self.environment.world, state.position)
+        return scan, StateEstimate(now, state.position, state.velocity)
 
 
-class ProfileNode(Node):
-    """Extracts the Table I spatial features from the fresh sensor data."""
-
-    def __init__(
-        self,
-        executor: Executor,
-        profilers: ProfilerSuite,
-        operators: OperatorSet,
-        rig_max_volume: float,
-        goal: Vec3,
-        *,
-        topics: PipelineTopics = ROOT_TOPICS,
-        name: str = "profile",
-    ) -> None:
-        super().__init__(name, executor)
-        self.topics = topics
-        self.profilers = profilers
-        self.operators = operators
-        self.rig_max_volume = rig_max_volume
-        self.goal = goal
-        self._trajectory: Optional[Trajectory] = None
-        self.subscribe(topics.scan, self._on_scan)
-        self.subscribe(topics.trajectory, self._on_trajectory)
-
-    def _on_trajectory(self, message: Message[TrajectorySample]) -> None:
-        self._trajectory = message.payload.trajectory
-
-    def _on_scan(self, message: Message[SenseSample]) -> None:
-        sample = message.payload
-        profiling_cloud = self.operators.point_cloud_kernel.process(
-            sample.scan, resolution=PROFILING_RESOLUTION
-        )
-        profile = self.profilers.profile(
-            timestamp=self.executor.clock.now,
-            state=sample.estimate,
-            cloud=profiling_cloud,
-            scan=sample.scan,
-            octree=self.operators.octree,
-            trajectory=self._trajectory,
-            rig_max_volume=self.rig_max_volume,
-            heading=self.goal - sample.scan.position,
-        )
-        self.publish(self.topics.profile, ProfileSample(sample.index, profile))
-
-
-class GovernorNode(Node):
-    """Hosts the runtime under test (RoboRun's governor or the baseline)."""
-
-    def __init__(
-        self,
-        executor: Executor,
-        runtime: "Runtime",
-        orchestrator: FaultOrchestrator,
-        *,
-        topics: PipelineTopics = ROOT_TOPICS,
-        name: str = "governor",
-    ) -> None:
-        super().__init__(name, executor)
-        self.topics = topics
-        self.runtime = runtime
-        self.orchestrator = orchestrator
-        self.subscribe(topics.profile, self._on_profile)
-
-    def _on_profile(self, message: Message[ProfileSample]) -> None:
-        # A power brownout shrinks the time budget fed to the runtime; with
-        # no fault active the scale is 1.0, the nominal budget.
-        scale = self.orchestrator.budget_scale(message.payload.index)
-        decision = self.runtime.decide(message.payload.profile, budget_scale=scale)
-        self.publish(
-            self.topics.decision, DecisionSample(message.payload.index, decision)
-        )
-
-
-class PerceptionNode(Node):
-    """Runs the point-cloud and OctoMap kernels under the decided policy."""
-
-    def __init__(
-        self,
-        executor: Executor,
-        operators: OperatorSet,
-        *,
-        topics: PipelineTopics = ROOT_TOPICS,
-        name: str = "perception",
-    ) -> None:
-        super().__init__(name, executor)
-        self.topics = topics
-        self.operators = operators
-        self._scan: Optional[SenseSample] = None
-        self._trajectory: Optional[Trajectory] = None
-        self.subscribe(topics.scan, self._on_scan)
-        self.subscribe(topics.trajectory, self._on_trajectory)
-        self.subscribe(topics.decision, self._on_decision)
-
-    def _on_scan(self, message: Message[SenseSample]) -> None:
-        self._scan = message.payload
-
-    def _on_trajectory(self, message: Message[TrajectorySample]) -> None:
-        self._trajectory = message.payload.trajectory
-
-    def _on_decision(self, message: Message[DecisionSample]) -> None:
-        sample = self._scan
-        if sample is None or sample.index != message.payload.index:
-            raise RuntimeError("perception received a decision without its scan")
-        position = sample.scan.position
-        focus = (
-            self._trajectory.nearest_point_to(position).position
-            if self._trajectory is not None
-            else position
-        )
-        output = self.operators.run_perception(
-            sample.scan, message.payload.decision.policy, focus=focus
-        )
-        self.publish(
-            self.topics.perception, PerceptionSample(sample.index, output, position)
-        )
-
-
-class PlanningNode(Node):
+class PlanningStage:
     """Owns the tracked trajectory: piece-wise planning, blockage, recovery."""
 
     def __init__(
         self,
-        executor: Executor,
         operators: OperatorSet,
         config: "MissionConfig",
         environment: GeneratedEnvironment,
-        *,
-        topics: PipelineTopics = ROOT_TOPICS,
-        name: str = "planning",
     ) -> None:
-        super().__init__(name, executor)
-        self.topics = topics
         self.operators = operators
         self.config = config
         self.environment = environment
         self.consecutive_plan_failures = 0
         self._decisions_since_plan = 0
-        self._trajectory: Optional[Trajectory] = None
-        self._decision: Optional[DecisionSample] = None
-        self.subscribe(topics.decision, self._on_decision)
-        self.subscribe(topics.perception, self._on_perception)
-        self.subscribe(topics.flight, self._on_flight)
+        #: The trajectory control tracks; None before the first plan and
+        #: after a drop.
+        self.trajectory: Optional[Trajectory] = None
 
     # -- helpers (the planning policy of the decision loop) -------------
     def should_replan(
@@ -522,28 +315,12 @@ class PlanningNode(Node):
             Vec3(bounds.max_corner.x, bounds.max_corner.y, high),
         )
 
-    # -- subscriptions ---------------------------------------------------
-    def _on_decision(self, message: Message[DecisionSample]) -> None:
-        self._decision = message.payload
-
-    def _on_flight(self, message: Message[FlightResult]) -> None:
-        # Stall recovery: the flight node detected a pinned drone; drop the
-        # trajectory so the next decision replans from scratch.
-        if message.payload.drop_trajectory:
-            self._trajectory = None
-            self.publish(
-                self.topics.trajectory, TrajectorySample(message.payload.index, None)
-            )
-
-    def _on_perception(self, message: Message[PerceptionSample]) -> None:
-        sample = message.payload
-        if self._decision is None or self._decision.index != sample.index:
-            raise RuntimeError("planning received perception without its decision")
-        decision = self._decision.decision
-        position = sample.position
-
+    def plan(
+        self, decision: GovernorDecision, position: Vec3, now: float
+    ) -> PlanningSample:
+        """Replan or keep the tracked trajectory, then check the path ahead."""
         replan, _reason = self.should_replan(
-            self._trajectory, position, self._decisions_since_plan
+            self.trajectory, position, self._decisions_since_plan
         )
         local_goal = self.local_goal(position, self.environment.goal)
         planning = self.operators.run_planning(
@@ -552,8 +329,8 @@ class PlanningNode(Node):
             goal=local_goal,
             bounds=self.planning_bounds(),
             replan=replan,
-            previous_trajectory=self._trajectory,
-            start_time=self.executor.clock.now,
+            previous_trajectory=self.trajectory,
+            start_time=now,
             velocity_cap=decision.velocity_cap,
         )
         replanned = planning.plan is not None
@@ -571,20 +348,14 @@ class PlanningNode(Node):
         # is blocked, drop the trajectory so the next decision replans.
         if trajectory is not None and self.trajectory_blocked(trajectory, position):
             trajectory = None
-        self._trajectory = trajectory
-        self.publish(
-            self.topics.trajectory, TrajectorySample(sample.index, trajectory)
-        )
-        self.publish(
-            self.topics.planning,
-            PlanningSample(sample.index, planning, trajectory, replanned, position),
-        )
+        self.trajectory = trajectory
+        return PlanningSample(planning, trajectory, replanned)
 
 
-class FlightNode(Node):
+class FlightStage:
     """Charges the decision's latency and flies the drone for its duration.
 
-    The last stage of the cascade: it merges the pipeline's work, charges the
+    The last stage of the chain: it merges the pipeline's work, charges the
     canonical latency breakdown from the cost model (fault-adjusted when a
     fault window covers the decision), integrates flight for the decision
     interval with the pure-pursuit follower and the emergency brake, then
@@ -594,7 +365,6 @@ class FlightNode(Node):
 
     def __init__(
         self,
-        executor: Executor,
         config: "MissionConfig",
         environment: GeneratedEnvironment,
         runtime: "Runtime",
@@ -605,13 +375,8 @@ class FlightNode(Node):
         energy_model: EnergyModel,
         traces: List[DecisionRecord],
         orchestrator: FaultOrchestrator,
-        *,
-        topics: PipelineTopics = ROOT_TOPICS,
-        name: str = "flight",
         drone_id: int = 0,
     ) -> None:
-        super().__init__(name, executor)
-        self.topics = topics
         self.config = config
         self.environment = environment
         self.runtime = runtime
@@ -626,43 +391,23 @@ class FlightNode(Node):
         self.state = DroneState(
             time=0.0, position=environment.start, velocity=Vec3.zero()
         )
-        self.last_result: Optional[FlightResult] = None
-        self._profile: Optional[ProfileSample] = None
-        self._decision: Optional[DecisionSample] = None
-        self._perception: Optional[PerceptionSample] = None
         self._stalled_decisions = 0
-        self.subscribe(topics.profile, self._on_profile)
-        self.subscribe(topics.decision, self._on_decision)
-        self.subscribe(topics.perception, self._on_perception)
-        self.subscribe(topics.planning, self._on_planning)
 
-    def _on_profile(self, message: Message[ProfileSample]) -> None:
-        self._profile = message.payload
-
-    def _on_decision(self, message: Message[DecisionSample]) -> None:
-        self._decision = message.payload
-
-    def _on_perception(self, message: Message[PerceptionSample]) -> None:
-        self._perception = message.payload
-
-    def _on_planning(self, message: Message[PlanningSample]) -> None:
-        planning = message.payload
-        index = planning.index
-        if (
-            self._profile is None
-            or self._decision is None
-            or self._perception is None
-            or self._decision.index != index
-            or self._perception.index != index
-        ):
-            raise RuntimeError("flight received planning output with stale inputs")
-        decision = self._decision.decision
-        profile = self._profile.profile
+    def fly(
+        self,
+        index: int,
+        now: float,
+        profile: SpaceProfile,
+        decision: GovernorDecision,
+        perception: PerceptionOutput,
+        planning: PlanningSample,
+    ) -> FlightResult:
+        """Charge decision ``index``'s latency, fly it and record it."""
         cfg = self.config
         orchestrator = self.orchestrator
 
         # Charge compute: the canonical per-stage breakdown of the merged work.
-        work = merge_work(self._perception.output.work, planning.output.work)
+        work = merge_work(perception.work, planning.output.work)
         stage_latencies = self.cost_model.stage_latencies(
             work, self.runtime.spatial_aware
         )
@@ -692,7 +437,7 @@ class FlightNode(Node):
                 spec_name="",
                 design=self.runtime.name,
                 index=index,
-                timestamp=self.executor.clock.now,
+                timestamp=now,
                 position=(position.x, position.y, position.z),
                 zone=self.environment.zone_map.zone_at(position).name,
                 speed=profile.velocity,
@@ -739,17 +484,13 @@ class FlightNode(Node):
             self._stalled_decisions = 0
 
         self.state = state
-        result = FlightResult(
-            index=index,
+        return FlightResult(
             state=state,
             flown=flown,
             hit=hit,
             interval=interval,
-            end_to_end=end_to_end,
             drop_trajectory=drop_trajectory,
         )
-        self.last_result = result
-        self.publish(self.topics.flight, result)
 
     # -- flight integration ----------------------------------------------
     def _motion_blocked(self, position: Vec3, *motions: Vec3) -> bool:
@@ -824,18 +565,19 @@ class FlightNode(Node):
 
 
 # ----------------------------------------------------------------------
-# The wired graph
+# The chain
 # ----------------------------------------------------------------------
 class DecisionPipeline:
-    """The six pipeline nodes wired over one bus, driven one decision at a time.
+    """The six stages of one drone, called in order one decision at a time.
 
     The pipeline owns the run-scoped accounting (the traces: one
     :class:`~repro.analysis.trace.DecisionRecord` per decision) and exposes
-    :meth:`step` — publish one sensor tick and drain the executor until the
-    cascade completes.  The executor (with its bus and clock) belongs to the
-    decision loop, :func:`repro.simulation.fleet.fly_epochs`.  The mission
-    façade owns mission-level policy: termination, distance integration and
-    metric assembly.
+    :meth:`step`, which runs one decision through the stages and appends its
+    entries to the dispatch log.  The clock and the log belong to the
+    decision loop, :func:`repro.simulation.fleet.fly_epochs`; a fleet's
+    pipelines share both, each logging inside its own topic namespace.  The
+    mission façade owns mission-level policy: termination, distance
+    integration and metric assembly.
     """
 
     def __init__(
@@ -851,61 +593,30 @@ class DecisionPipeline:
         follower: PurePursuitFollower,
         energy_model: EnergyModel,
         faults: FaultSet,
-        executor: Executor,
+        clock: SimClock,
+        log: List[tuple[str, str]],
         *,
         namespace: Optional[TopicNamespace] = None,
         drone_id: int = 0,
     ) -> None:
         self.environment = environment
-        self.namespace = namespace or TopicNamespace()
+        self.runtime = runtime
+        self.profilers = profilers
+        self.operators = operators
+        self.rig_max_volume = rig.max_sensor_volume()
         self.drone_id = drone_id
-        # The decision loop's executor, clock and bus: a fleet's N pipelines
-        # share them, each publishing inside its own topic namespace.
-        self.executor = executor
-        self.bus = executor.bus
-        self.clock = executor.clock
-        self.topics = PipelineTopics.for_namespace(self.namespace)
+        self.clock = clock
+        self._log = log
+        namespace = namespace or TopicNamespace()
+        self._cascade = [(namespace.topic(t), namespace.node(n)) for t, n in CASCADE]
+        self._drop = [(namespace.topic(t), namespace.node(n)) for t, n in DROP]
         self.traces: List[DecisionRecord] = []
         # One orchestrator per pipeline: schedule jitter resolves against the
         # mission seed, so serial and pooled campaign runs agree.
         self.orchestrator = FaultOrchestrator(faults, seed=config.rng_seed)
-
-        topics = self.topics
-        ns = self.namespace
-        self.sense = SenseNode(
-            executor,
-            rig,
-            environment,
-            operators.octree,
-            self.orchestrator,
-            topics=topics,
-            name=ns.node("sense"),
-        )
-        self.profile = ProfileNode(
-            executor,
-            profilers,
-            operators,
-            rig_max_volume=rig.max_sensor_volume(),
-            goal=environment.goal,
-            topics=topics,
-            name=ns.node("profile"),
-        )
-        self.governor = GovernorNode(
-            executor,
-            runtime,
-            self.orchestrator,
-            topics=topics,
-            name=ns.node("governor"),
-        )
-        self.perception = PerceptionNode(
-            executor, operators, topics=topics, name=ns.node("perception")
-        )
-        self.planning = PlanningNode(
-            executor, operators, config, environment,
-            topics=topics, name=ns.node("planning"),
-        )
-        self.flight = FlightNode(
-            executor,
+        self.sense = SenseStage(rig, environment, operators.octree, self.orchestrator)
+        self.planning = PlanningStage(operators, config, environment)
+        self.flight = FlightStage(
             config,
             environment,
             runtime,
@@ -916,50 +627,105 @@ class DecisionPipeline:
             energy_model,
             self.traces,
             self.orchestrator,
-            topics=topics,
-            name=ns.node("flight"),
             drone_id=drone_id,
         )
-        self.nodes = (
-            self.sense,
-            self.profile,
-            self.governor,
-            self.perception,
-            self.planning,
-            self.flight,
-        )
-        # Passive step observers (the trace recorder, repro.obs taps).  Empty
-        # by default, so an uninstrumented mission pays only two truthiness
-        # checks per decision.
+        # Passive observers (the trace recorder, repro.obs taps), empty by
+        # default: step observers see each decision's start and end, stage
+        # observers each stage's start and output.  An uninstrumented
+        # mission pays one truthiness check per decision end and per stage.
         self.observers: List[Any] = []
+        self.stage_observers: List[Any] = []
 
     def add_tap(self, tap) -> None:
-        """Attach a passive observer (e.g. a trace recorder) to the graph.
+        """Attach a passive observer (e.g. a trace recorder) to the pipeline.
 
         A tap is anything with an ``attach(pipeline)`` method; it registers
-        itself in :attr:`observers` and must neither subscribe to nor publish
-        on the bus, so the dispatch log is the same with or without it.
+        itself in :attr:`observers` and/or :attr:`stage_observers` and only
+        reads what it is handed, so the dispatch log is the same with or
+        without it.
         """
         tap.attach(self)
 
     def step(self, decision_index: int) -> FlightResult:
-        """Run one full decision cascade through the graph."""
-        self.flight.last_result = None
+        """Run one decision through the six stages and log its cascade."""
+        index = decision_index
         if self.observers:
             for observer in self.observers:
-                observer.on_decision_start(self, decision_index)
-        self.sense.tick(decision_index)
-        self.executor.spin()
-        result = self.flight.last_result
-        if result is None or result.index != decision_index:
-            raise RuntimeError(
-                f"decision {decision_index} did not complete its cascade"
-            )
+                observer.on_decision_start(self, index)
+        stage = self._stage
+        now = self.clock.now
+        trajectory = self.planning.trajectory
+        scan, estimate = stage("sense", self.sense.tick, index, self.flight.state, now)
+        profile = stage("profile", self._profile, now, scan, estimate, trajectory)
+        # A power brownout shrinks the time budget fed to the runtime; with
+        # no fault active the scale is 1.0, the nominal budget.
+        decision = stage(
+            "governor",
+            self.runtime.decide,
+            profile,
+            self.orchestrator.budget_scale(index),
+        )
+        position = scan.position
+        focus = (
+            trajectory.nearest_point_to(position).position
+            if trajectory is not None
+            else position
+        )
+        perception = stage(
+            "perception", self.operators.run_perception, scan, decision.policy, focus
+        )
+        planning = stage("planning", self.planning.plan, decision, position, now)
+        result = stage(
+            "flight", self.flight.fly, index, now, profile, decision, perception, planning
+        )
+        self._log.extend(self._cascade)
+        if result.drop_trajectory:
+            # Stall recovery: the flight stage found the drone pinned, so the
+            # next decision replans from scratch.
+            self.planning.trajectory = None
+            self._log.extend(self._drop)
         if self.observers:
             for observer in self.observers:
-                observer.on_decision_end(self, decision_index, result)
+                observer.on_decision_end(self, index, result)
         return result
 
+    def _stage(self, name: str, call: Callable[..., Any], *args: Any) -> Any:
+        """``call(*args)`` between the stage observers' before and after hooks."""
+        if not self.stage_observers:
+            return call(*args)
+        for observer in self.stage_observers:
+            observer.before_stage(self, name)
+        output = call(*args)
+        for observer in self.stage_observers:
+            observer.after_stage(self, name, output)
+        return output
+
+    def _profile(
+        self,
+        now: float,
+        scan: RigScan,
+        estimate: StateEstimate,
+        trajectory: Optional[Trajectory],
+    ) -> SpaceProfile:
+        """The Table I space profile, from a coarse cloud of the fresh scan."""
+        cloud = self.operators.point_cloud_kernel.process(
+            scan, resolution=PROFILING_RESOLUTION
+        )
+        return self.profilers.profile(
+            timestamp=now,
+            state=estimate,
+            cloud=cloud,
+            scan=scan,
+            octree=self.operators.octree,
+            trajectory=trajectory,
+            rig_max_volume=self.rig_max_volume,
+            heading=self.environment.goal - scan.position,
+        )
+
     def dispatch_log(self) -> List[tuple[str, str]]:
-        """(topic, frame) per delivered callback — the determinism witness."""
-        return self.executor.dispatch_log
+        """(topic, node) per delivery — the determinism witness.
+
+        This is the decision loop's log itself, shared by a fleet's
+        pipelines; read it, do not change it.
+        """
+        return self._log

@@ -14,7 +14,7 @@ registry builds a fully wired
 * a continuous :class:`HeterogeneityField` — local difficulty sampled
   along the corridor, stamped into every decision record; and
 * a :class:`DynamicObstacleSet` of kinematic movers, stepped once per
-  decision epoch at the Sense node boundary and re-marked into the
+  decision epoch at the sense stage boundary and re-marked into the
   occupancy map, one batch of voxel keys per mover.
 
 The subsystem plugs into every downstream layer:

@@ -11,7 +11,7 @@ The field is pure data (tuples of floats), so it
 
 * is byte-reproducible: the same world always yields the same samples,
   which the worlds determinism suite pins alongside the obstacle list;
-* costs one interpolation per query, cheap enough for the flight node
+* costs one interpolation per query, cheap enough for the flight stage
   to stamp a per-decision ``difficulty`` into every
   :class:`~repro.analysis.trace.DecisionRecord`; and
 * round-trips through JSON for storage next to a

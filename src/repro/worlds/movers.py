@@ -18,7 +18,7 @@ across processes and after any number of steps — the same property the
 trace byte-determinism suite pins for the static world.
 
 Per decision epoch, :class:`DynamicObstacleSet.step` does two things at the
-Sense node boundary (before the cameras capture):
+sense stage boundary (before the cameras capture):
 
 1. updates the ground-truth :class:`~repro.environment.world.World`'s
    dynamic obstacle layer, so depth cameras, collision checks and density

@@ -58,7 +58,7 @@ class TestOffTheDataPath:
         tapped = _run_small(tap=ObsTap())
         assert json.dumps(tapped.pipeline.dispatch_log()) == json.dumps(
             baseline.pipeline.dispatch_log()
-        ), "attaching an ObsTap changed the message cascade"
+        ), "attaching an ObsTap changed the dispatch log"
         assert json.dumps(
             tapped.metrics.as_dict(), sort_keys=True
         ) == json.dumps(baseline.metrics.as_dict(), sort_keys=True)
@@ -86,7 +86,7 @@ class TestOffTheDataPath:
 class TestTapOutputs:
     """What the tap collects is well-formed and covers the mission."""
 
-    def test_chrome_trace_validates_and_covers_all_nodes(self):
+    def test_chrome_trace_validates_and_covers_all_stages(self):
         tap = ObsTap()
         result = _run_small(tap=tap)
         tap.finish()
@@ -94,11 +94,18 @@ class TestTapOutputs:
         assert validate_chrome_trace(document) == []
         names = {e["name"] for e in document["traceEvents"] if e["ph"] == "B"}
         assert {"mission", "decision"} <= names
-        for node in ("sense", "profile", "governor", "perception",
-                     "planning", "flight"):
-            assert node in names, f"no span for pipeline node {node!r}"
+        # The sense stage's span is the capture phase.
+        for stage in ("capture", "profile", "governor", "perception",
+                      "planning", "flight"):
+            assert stage in names, f"no span for pipeline stage {stage!r}"
         durations = tap.tracer.span_durations()
-        assert durations["decision"]["count"] == result.metrics.decision_count
+        decisions = result.metrics.decision_count
+        assert durations["decision"]["count"] == decisions
+        # One span per stage and decision.
+        assert all(
+            durations[stage]["count"] == decisions
+            for stage in ("capture", "profile", "flight")
+        )
 
     def test_one_capture_span_per_decision_and_spans_cover_decisions(self):
         tap = ObsTap()
@@ -111,7 +118,7 @@ class TestTapOutputs:
         ]
         assert after_decision == ["capture"] * result.metrics.decision_count
         assert begins.count("capture") == result.metrics.decision_count
-        # Capture plus node spans account for nearly all decision time.
+        # The stage spans account for nearly all decision time.
         decision_us = tap.tracer.span_durations()["decision"]["total_us"]
         assert tap.tracer.self_time_us("decision") <= 0.05 * decision_us
 

@@ -25,8 +25,6 @@ from repro.geometry.grid import downsample, pack_keys, unpack_keys, voxel_center
 from repro.geometry.ray import _EPS, Ray, ray_aabb_intersect, raycast_aabbs_batch, sample_ray
 from repro.geometry.vec3 import Vec3
 from repro.middleware.clock import SimClock
-from repro.middleware.executor import Executor
-from repro.middleware.topic import TopicBus
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.planning_view import PlanningView, build_planning_view
 from repro.perception.point_cloud import PointCloud
@@ -861,7 +859,7 @@ def pipeline():
         )
     )
     sim = MissionSimulator(env, RoboRunRuntime(), MissionConfig(max_decisions=10))
-    return sim.build_pipeline(Executor(TopicBus(), SimClock()))
+    return sim.build_pipeline(SimClock(), [])
 
 
 @pytest.fixture(scope="module")

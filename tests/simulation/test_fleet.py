@@ -1,11 +1,11 @@
-"""Fleet layer: topic namespaces, shared-bus determinism and fleet missions.
+"""Fleet layer: topic namespaces, shared-log determinism and fleet missions.
 
 The fleet refactor's contract has three legs, and each gets its tests here:
 
 * **Namespacing** — :class:`TopicNamespace` produces per-drone topic and
   node names, and the root namespace produces the exact legacy names.
-* **Determinism** — two pipelines interleaved on one bus dispatch in the
-  same order on every run, and a two-drone campaign writes byte-identical
+* **Determinism** — two pipelines interleaved on one dispatch log write it
+  in the same order on every run, and a two-drone campaign writes byte-identical
   traces serially and across a process pool.
 * **Back-compat** — a single-drone fleet is bit-identical to the plain
   :class:`MissionSimulator`, mission record included, pre-fleet spec
@@ -79,16 +79,16 @@ class TestTopicNamespace:
 
 
 # ----------------------------------------------------------------------
-# Shared-bus determinism
+# Shared-log determinism
 # ----------------------------------------------------------------------
-class TestSharedBusDeterminism:
+class TestSharedLogDeterminism:
     @pytest.fixture(scope="class")
     def fleet_runs(self):
         """The same two-drone mission flown twice from scratch."""
         return [tiny_fleet(2).run() for _ in range(2)]
 
-    def test_both_drones_dispatch_on_one_bus(self, fleet_runs):
-        log = fleet_runs[0].pipeline.executor.dispatch_log
+    def test_both_drones_log_into_one_log(self, fleet_runs):
+        log = fleet_runs[0].pipeline.dispatch_log()
         topics = {topic for topic, _ in log}
         assert any(t.startswith("/drone/0/") for t in topics)
         assert any(t.startswith("/drone/1/") for t in topics)
@@ -96,12 +96,12 @@ class TestSharedBusDeterminism:
     def test_dispatch_order_identical_across_runs(self, fleet_runs):
         first, second = fleet_runs
         assert (
-            first.pipeline.executor.dispatch_log
-            == second.pipeline.executor.dispatch_log
+            first.pipeline.dispatch_log()
+            == second.pipeline.dispatch_log()
         )
 
     def test_round_robin_drains_each_drone_before_the_next(self, fleet_runs):
-        log = fleet_runs[0].pipeline.executor.dispatch_log
+        log = fleet_runs[0].pipeline.dispatch_log()
         first_peer = next(
             i for i, (topic, _) in enumerate(log) if topic.startswith("/drone/1/")
         )
@@ -127,8 +127,8 @@ class TestSingleDroneIdentity:
             t.stage_latencies for t in solo.traces
         ]
         assert (
-            fleet.pipeline.executor.dispatch_log
-            == solo.pipeline.executor.dispatch_log
+            fleet.pipeline.dispatch_log()
+            == solo.pipeline.dispatch_log()
         )
         assert fleet.fleet.n_drones == 1
         assert fleet.fleet.min_separation_m is None

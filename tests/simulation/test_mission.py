@@ -12,8 +12,6 @@ from repro import (
 )
 from repro.geometry.vec3 import Vec3
 from repro.middleware.clock import SimClock
-from repro.middleware.executor import Executor
-from repro.middleware.topic import TopicBus
 from repro.planning.trajectory import Trajectory, TrajectoryPoint
 from repro.simulation.metrics import (
     summarise_zone_velocity,
@@ -174,7 +172,7 @@ class TestTrajectoryBlockedAnchoring:
             )
         )
         sim = MissionSimulator(env, RoboRunRuntime(), FAST_CFG)
-        return sim.build_pipeline(Executor(TopicBus(), SimClock())).planning
+        return sim.build_pipeline(SimClock(), []).planning
 
     def loop_trajectory(self):
         """A path that revisits its start: A → B → A → C."""

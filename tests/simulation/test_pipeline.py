@@ -1,10 +1,12 @@
-"""Tests for the node-based decision pipeline.
+"""Tests for the decision pipeline.
 
-Covers the graph's structure (topics, cascade completeness), the stage
-latencies each decision record carries, dispatch-order determinism (same
-seed → identical executor log) and the fault injections applied at the
-sense boundary.
+Covers the dispatch log's structure (topics, one complete cascade per
+decision), the stage latencies each decision record carries, dispatch-order
+determinism (same seed → identical log) and the fault injections applied
+at the sense boundary.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -21,15 +23,6 @@ from repro import (
     SpatialObliviousRuntime,
 )
 from repro.middleware.latency import ALL_STAGES, COMM_STAGES
-from repro.simulation.pipeline import (
-    TOPIC_DECISION,
-    TOPIC_FLIGHT,
-    TOPIC_PERCEPTION,
-    TOPIC_PLANNING,
-    TOPIC_PROFILE,
-    TOPIC_SCAN,
-    TOPIC_TRAJECTORY,
-)
 
 TINY_ENV = EnvironmentConfig(
     obstacle_density=0.3, obstacle_spread=30.0, goal_distance=60.0, seed=3
@@ -91,27 +84,24 @@ class DecisionWatch:
 
 class TestGraphStructure:
     def test_every_topic_carries_traffic(self, tiny_result):
-        bus = tiny_result.pipeline.bus
-        expected = {
-            TOPIC_SCAN,
-            TOPIC_PROFILE,
-            TOPIC_DECISION,
-            TOPIC_PERCEPTION,
-            TOPIC_PLANNING,
-            TOPIC_TRAJECTORY,
-            TOPIC_FLIGHT,
-        }
-        assert expected <= set(bus.names())
+        deliveries = Counter(topic for topic, _ in tiny_result.pipeline.dispatch_log())
         decisions = tiny_result.metrics.decision_count
-        for topic in expected - {TOPIC_TRAJECTORY}:
-            # One message per decision on every edge (trajectory republishes
-            # on stall drops, so it can exceed the decision count).
-            assert bus.topic(topic).publish_count == decisions
-        assert bus.topic(TOPIC_TRAJECTORY).publish_count >= decisions
+        # Each decision delivers every topic once per subscriber (trajectory
+        # republishes on stall drops, so it can exceed that).
+        subscribers = {
+            "/sense/scan": 2,
+            "/profile/space": 2,
+            "/governor/decision": 3,
+            "/perception/output": 2,
+            "/planning/output": 1,
+            "/flight/result": 2,
+        }
+        for topic, count in subscribers.items():
+            assert deliveries[topic] == count * decisions
+        assert deliveries["/planning/trajectory"] >= 2 * decisions
+        assert set(deliveries) == set(subscribers) | {"/planning/trajectory"}
 
     def test_cascade_completes_every_decision(self, tiny_result):
-        pipeline = tiny_result.pipeline
-        assert pipeline.executor.pending == 0
         indices = [trace.index for trace in tiny_result.traces]
         assert indices == list(range(len(indices)))
 
@@ -135,7 +125,7 @@ class TestStageLatencies:
             assert trace.end_to_end_latency == sum(trace.stage_latencies.values())
 
     def test_comm_scales_with_payload(self, tiny_result):
-        # The hop cost is sized by the payloads that crossed the bus: at
+        # The hop cost is sized by the payloads each stage hands on: at
         # least the per-message floor, and varying across the mission.
         costs = {
             trace.stage_latencies[stage]

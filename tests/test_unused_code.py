@@ -9,7 +9,7 @@ The definition scan goes one step further.  Its subjects are the top-level
 functions and classes, and the non-dunder methods and properties, of every
 non-``__init__`` module.  A subject is referenced when its name is read by
 live ``src/repro`` code outside its own body, as a name, an attribute or an
-identifier-only string (``getattr(observer, "before_dispatch")``), or when
+identifier-only string (``getattr(runtime, "governor")``), or when
 it appears in ``perfbench/`` or ``benchmarks/``, which run the package from
 outside.  A definition that a decorator call hands to a registry
 (``@register_fault("...")``) is referenced by it.  Live code is
@@ -44,8 +44,6 @@ ALLOWED = {
     "PointCloudKernel.from_points": "builds fixtures for the point-cloud and octree tests",
     "World.obstacles": "only read of the static obstacle list; the batch oracles and world tests need it",
     "World.dynamic_obstacles": "only read of the mover layer; the fault-matrix signature needs it",
-    "Topic.publish_count": "only per-topic publish count; the graph-structure test needs it",
-    "TopicBus.names": "only list of registered topics; the graph-structure test needs it",
     "Tracer.events": "only read of the recorded events; the tracer and tap tests need it",
     "validate_chrome_trace": "documented API: CI's report-smoke and docs/observability.md",
     "MetricsRegistry.from_snapshot": "documented API: docs/observability.md",
