@@ -9,7 +9,7 @@ figures, in three layers:
    :class:`MissionRecord` per mission, all plain JSON-serialisable values.
 2. **Capture and storage** (:mod:`repro.analysis.recorder`,
    :mod:`repro.analysis.io`): a :class:`TraceRecorder` observes the
-   decision pipeline's steps (it subscribes to no topic), stamps each record
+   decision pipeline's steps, stamps each record
    the pipeline built with its spec's name, and streams records through
    :class:`TraceWriter` /
    :class:`TraceReader` JSONL files that are byte-identical across serial
@@ -22,7 +22,6 @@ figures, in three layers:
 """
 
 from repro.analysis.figures import (
-    FIG8_KNOBS,
     FigureTable,
     archetype_comparison,
     fig2_latency_deadline,
@@ -44,6 +43,7 @@ from repro.analysis.io import (
 from repro.analysis.recorder import TraceRecorder
 from repro.analysis.report import CampaignReport
 from repro.analysis.trace import (
+    FIG8_KNOBS,
     DecisionRecord,
     MissionRecord,
     record_from_line,

@@ -281,14 +281,6 @@ def fig7_overall(missions: Sequence[MissionRecord]) -> FigureTable:
 # ----------------------------------------------------------------------
 # Figure 8 — sensitivity to the environment knobs
 # ----------------------------------------------------------------------
-#: The environment difficulty knobs of the Figure 8 sweep.
-FIG8_KNOBS: Sequence[str] = (
-    "obstacle_density",
-    "obstacle_spread",
-    "goal_distance",
-)
-
-
 def fig8_sensitivity(
     missions: Sequence[MissionRecord], knob: str
 ) -> FigureTable:

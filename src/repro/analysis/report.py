@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Any, List, Sequence, Union
 
 from repro.analysis.figures import (
-    FIG8_KNOBS,
     FigureTable,
     archetype_comparison,
     fault_robustness,
@@ -26,7 +25,7 @@ from repro.analysis.figures import (
     ok_missions,
 )
 from repro.analysis.io import list_trace_files, read_traces
-from repro.analysis.trace import DecisionRecord, MissionRecord
+from repro.analysis.trace import FIG8_KNOBS, DecisionRecord, MissionRecord
 
 PathLike = Union[str, Path]
 

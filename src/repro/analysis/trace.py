@@ -37,6 +37,13 @@ TRACE_SCHEMA_VERSION = 1
 #: quantities, which the report's folds read (each other fold reads a subset).
 FOLDED_METRICS = ("mean_velocity_mps", "mission_time_s", "energy_kj", "mean_cpu_utilization")
 
+#: The environment difficulty knobs of the Figure 8 sweep.
+FIG8_KNOBS: Tuple[str, ...] = (
+    "obstacle_density",
+    "obstacle_spread",
+    "goal_distance",
+)
+
 
 def _finite(name: str, value: Any, kind: str = KIND_DECISION) -> float:
     """A field of a ``kind`` line as a float; NaN and ±Infinity are rejected."""
@@ -51,6 +58,58 @@ def _text(name: str, value: Any, kind: str = KIND_DECISION) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{kind} field {name!r} must be a string, got {value!r:.80}")
     return value
+
+
+def _nested(name: str, value: Any, wanted: str) -> ValueError:
+    """The error for a nested mission field that does not hold ``wanted``."""
+    return ValueError(f"mission field {name!r} must be {wanted}, got {value!r:.80}")
+
+
+def _object(name: str, value: Any) -> Dict[str, Any]:
+    """A mission field that must hold a JSON object; a falsy value reads as {}."""
+    if not value:
+        return {}
+    if not isinstance(value, dict):
+        raise _nested(name, value, "an object")
+    return value
+
+
+def _check_folded_fields(data: Dict[str, Any]) -> None:
+    """Check the nested mission fields the report's folds read.
+
+    These are what :class:`MissionRecord`'s ``archetype``, ``fault_label``,
+    ``n_drones``, ``completion_rate`` and ``knob`` read; each bad value
+    raises a ``ValueError`` naming its field.
+    """
+    spec = _object("spec", data.get("spec"))
+    world = _object("spec.world", spec.get("world"))
+    if world.get("archetype"):
+        _text("spec.world.archetype", world["archetype"], KIND_MISSION)
+    faults = _object("spec.faults", spec.get("faults"))
+    schedule = faults.get("schedule") or []
+    if not isinstance(schedule, list):
+        raise _nested("spec.faults.schedule", schedule, "a list")
+    for i, entry in enumerate(schedule):
+        fault = _object(f"spec.faults.schedule[{i}]", entry).get("fault")
+        if fault:
+            _text(f"spec.faults.schedule[{i}].fault", fault, KIND_MISSION)
+    fleet = _object("fleet", data.get("fleet"))
+    for name, fields in (("spec", spec), ("fleet", fleet)):
+        count = fields.get("n_drones", 1)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise _nested(f"{name}.n_drones", count, "an integer >= 1")
+    environment = _object("environment", data.get("environment"))
+    checked = [("fleet.completion_rate", fleet.get("completion_rate", 0.0))]
+    # A knob that is null or absent reads as unknown.
+    checked += [
+        (f"environment.{k}", environment[k])
+        for k in FIG8_KNOBS
+        if environment.get(k) is not None
+    ]
+    for name, value in checked:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _nested(name, value, "a number")
+        _finite(name, value, KIND_MISSION)
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,7 +440,10 @@ class MissionRecord:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MissionRecord":
         """Parse a mission line: ``spec_name`` and ``design`` must be strings,
-        and every metric a finite number (named as ``metrics.<name>``)."""
+        every metric a finite number (named as ``metrics.<name>``), and the
+        nested fields the report folds read well-formed (named by their
+        path, as ``spec.faults.schedule[0].fault``)."""
+        _check_folded_fields(data)
         return cls(
             spec_name=_text("spec_name", data["spec_name"], KIND_MISSION),
             design=_text("design", data["design"], KIND_MISSION),

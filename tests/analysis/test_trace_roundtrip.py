@@ -13,6 +13,7 @@ Three invariants are pinned here:
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,11 +166,16 @@ class TestRoundTrip:
         lines = traced_mission["path"].read_text().splitlines()
         # The first decision line or the mission line.
         record = json.loads(data.draw(st.sampled_from([lines[0], lines[-1]])))
-        key = data.draw(st.sampled_from(sorted(record)))
+        target = record
+        if record["kind"] == "mission" and data.draw(st.booleans()):
+            # One field nested in the spec, the environment or a fleet.
+            record["fleet"] = {"n_drones": 2, "completion_rate": 0.5}
+            target = record[data.draw(st.sampled_from(["spec", "environment", "fleet"]))]
+        key = data.draw(st.sampled_from(sorted(target)))
         if data.draw(st.booleans()):
-            del record[key]
+            del target[key]
         else:
-            record[key] = data.draw(NON_FINITE | JSON_VALUES)
+            target[key] = data.draw(NON_FINITE | JSON_VALUES)
         try:
             parsed = record_from_line(json.dumps(record))
         except ValueError:
@@ -215,23 +221,47 @@ class TestRoundTrip:
         [
             ("design", ["x"], "design"),
             ("spec_name", 7, "spec_name"),
-            ("metrics", {"mission_time_s": math.nan}, "metrics.mission_time_s"),
-            ("metrics", {"energy_kj": -math.inf}, "metrics.energy_kj"),
+            ("metrics.mission_time_s", math.nan, "metrics.mission_time_s"),
+            ("metrics.energy_kj", -math.inf, "metrics.energy_kj"),
             ("metrics", None, "metrics.mean_velocity_mps"),
+            ("spec.world", 5, "spec.world"),
+            ("spec.world.archetype", ["x"], "spec.world.archetype"),
+            ("spec.faults", 5, "spec.faults"),
+            ("spec.faults", {"schedule": 5}, "spec.faults.schedule"),
+            ("spec.faults", {"schedule": [5]}, "spec.faults.schedule[0]"),
+            ("spec.faults", {"schedule": [{"fault": 3}]}, "spec.faults.schedule[0].fault"),
+            ("spec.n_drones", "x", "spec.n_drones"),
+            ("spec.n_drones", 2.7, "spec.n_drones"),
+            ("spec.n_drones", True, "spec.n_drones"),
+            ("fleet", {"n_drones": 0}, "fleet.n_drones"),
+            ("fleet", {"n_drones": 2, "completion_rate": "x"}, "fleet.completion_rate"),
+            ("fleet", {"n_drones": 2, "completion_rate": math.nan}, "fleet.completion_rate"),
+            ("environment.obstacle_density", "x", "environment.obstacle_density"),
+            ("environment.goal_distance", math.nan, "environment.goal_distance"),
         ],
-        ids=["design", "spec_name", "nan_metric", "infinite_metric", "no_metrics"],
+        ids=[
+            "design", "spec_name", "nan_metric", "infinite_metric", "no_metrics",
+            "world", "archetype", "faults", "schedule", "schedule_entry",
+            "schedule_fault", "n_drones_text", "n_drones_float", "n_drones_bool",
+            "fleet_n_drones", "completion_rate_text", "completion_rate_nan",
+            "knob_text", "knob_nan",
+        ],
     )
     def test_bad_mission_field_is_named_and_makes_the_trace_incomplete(
         self, traced_mission, tmp_path, field, value, named
     ):
         lines = traced_mission["path"].read_text().splitlines()
         data = json.loads(lines[-1])
-        if field == "metrics" and value:
-            value = {**data["metrics"], **value}
-        data[field] = value
+        *parents, leaf = field.split(".")
+        target = data
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
         torn = tmp_path / "torn.jsonl"
         torn.write_text("\n".join(lines[:-1] + [json.dumps(data)]) + "\n")
-        with pytest.raises(ValueError, match=rf"^{torn}:{len(lines)}: .*'{named}'"):
+        with pytest.raises(
+            ValueError, match=rf"^{torn}:{len(lines)}: .*'{re.escape(named)}'"
+        ):
             list(TraceReader(torn))
         assert not is_complete_trace(torn)
 
