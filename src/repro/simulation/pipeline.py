@@ -632,7 +632,7 @@ class DecisionPipeline:
         # Passive observers (the trace recorder, repro.obs taps), empty by
         # default: step observers see each decision's start and end, stage
         # observers each stage's start and output.  An uninstrumented
-        # mission pays one truthiness check per decision end and per stage.
+        # mission pays two truthiness checks per decision and one per stage.
         self.observers: List[Any] = []
         self.stage_observers: List[Any] = []
 
